@@ -62,7 +62,6 @@ from .policy_monitor import (
     MonitorState,
     Policy,
     PolicyKind,
-    RegisterFile,
     SecurityException,
     Verdict,
     checkpoint,
@@ -97,7 +96,7 @@ from .taint import (
     join,
     propagate,
 )
-from .tainted import DiftConfig, DiftValue, apply_binop, apply_mux, apply_unop, lift
+from .tainted import DiftConfig, DiftValue, apply_binop
 
 __version__ = "0.1.0"
 

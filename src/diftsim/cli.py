@@ -62,7 +62,10 @@ def _read_file(path: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise _InvalidInput(f"error: {path}: no such file")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise _InvalidInput(f"error: {path}: not UTF-8 text") from None
 
 
 def _load_kernel(path: str) -> Kernel:
@@ -160,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--on-exception", choices=["record", "halt"], default="record")
     p_run.add_argument("--optimize", action="store_true")
     p_run.add_argument("--report", metavar="PATH")
-    p_run.add_argument("--seed", type=int, default=0)
     p_run.set_defaults(func=cmd_run)
 
     p_inst = sub.add_parser("instrument", help="emit the instrumented graph as DOT")

@@ -12,14 +12,11 @@ import json
 from dataclasses import dataclass, replace
 
 from .bitvalue import (
-    BINARY_OPS,
     COMPARE_OPS,
-    UNARY_OPS,
     BitType,
     BitValue,
     OpKind,
-    eval_binop,
-    eval_unop,
+    apply_op,
     make_bitvalue,
     op_arity,
     to_int,
@@ -200,6 +197,9 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         _err(diags, f"line {e.lineno}", f"invalid JSON: {e.msg}")
+        return None, diags
+    except RecursionError:
+        _err(diags, "kernel", "JSON nested too deeply")
         return None, diags
     if not isinstance(doc, dict):
         _err(diags, "kernel", "top-level document must be an object")
@@ -474,8 +474,9 @@ def const_fold(k: Kernel, diags: list[Diagnostic] | None = None) -> Kernel:
         if node.op in (OpKind.LOAD, OpKind.STORE) or not all(a in consts for a in node.args):
             kept.append(node)
             continue
+        operands = [consts[a] for a in node.args]
         try:
-            value = _eval_const_node(node, consts)
+            bits = apply_op(node.op, [v.bits for v in operands], [v.ty for v in operands], node.ty)
         except DivisionByZero:
             if diags is not None:
                 diags.append(
@@ -483,20 +484,10 @@ def const_fold(k: Kernel, diags: list[Diagnostic] | None = None) -> Kernel:
                 )
             kept.append(node)
             continue
+        value = BitValue(node.ty, bits)
         new_consts.append(ConstDecl(node.id, value))
         consts[node.id] = value
     return replace(k, constants=tuple(new_consts), nodes=tuple(kept))
-
-
-def _eval_const_node(node: Node, consts: dict[str, BitValue]) -> BitValue:
-    assert node.ty is not None
-    if node.op in BINARY_OPS:
-        return eval_binop(node.op, consts[node.args[0]], consts[node.args[1]], node.ty)
-    if node.op in UNARY_OPS:
-        return eval_unop(node.op, consts[node.args[0]], node.ty)
-    # mux over constants
-    chosen = node.args[1] if to_int(consts[node.args[0]]) != 0 else node.args[2]
-    return make_bitvalue(node.ty, to_int(consts[chosen]))
 
 
 def dead_code_elim(k: Kernel) -> Kernel:

@@ -52,13 +52,6 @@ class SecurityException:
 
 
 @dataclass
-class RegisterFile:
-    """Four addressable 32-bit words at addresses 0..3."""
-
-    words: list[int] = field(default_factory=lambda: [0, 0, 0, 0])
-
-
-@dataclass
 class MonitorState:
     """Single-writer monitor: one simulation run mutates it at a time."""
 
@@ -66,7 +59,7 @@ class MonitorState:
     bindings: dict[str, str]  # checkpoint id -> policy name
     exceptions: list[SecurityException] = field(default_factory=list)
     irq: bool = False
-    registers: RegisterFile = field(default_factory=RegisterFile)
+    registers: list[int] = field(default_factory=lambda: [0, 0, 0, 0])  # words at 0..3
 
     @classmethod
     def for_kernel(cls, kernel) -> "MonitorState":
@@ -89,8 +82,8 @@ def evaluate_policy(p: Policy, t: Tag) -> Verdict:
 
 
 def _sync_registers(state: MonitorState) -> None:
-    state.registers.words[REG_STATUS] = 1 if state.irq else 0
-    state.registers.words[REG_EXC_COUNT] = len(state.exceptions)
+    state.registers[REG_STATUS] = 1 if state.irq else 0
+    state.registers[REG_EXC_COUNT] = len(state.exceptions)
 
 
 def checkpoint(
@@ -121,7 +114,7 @@ def checkpoint(
     )
     state.exceptions.append(exc)
     state.irq = True
-    state.registers.words[REG_TAG_OUT] = v.tag.bits & _WORD_MASK
+    state.registers[REG_TAG_OUT] = v.tag.bits & _WORD_MASK
     _sync_registers(state)
     return exc
 
@@ -129,7 +122,7 @@ def checkpoint(
 def reg_read(state: MonitorState, addr: int) -> int:
     if addr not in _ADDRESSES:
         raise BadAddress(f"no register at address {addr}")
-    return state.registers.words[addr]
+    return state.registers[addr]
 
 
 def reg_write(state: MonitorState, addr: int, word: int) -> None:
@@ -144,7 +137,7 @@ def reg_write(state: MonitorState, addr: int, word: int) -> None:
             state.irq = False
             _sync_registers(state)
     elif addr == REG_TAG_IN:
-        state.registers.words[REG_TAG_IN] = word
+        state.registers[REG_TAG_IN] = word
     # REG_EXC_COUNT and REG_TAG_OUT are monitor-owned; writes are ignored.
 
 

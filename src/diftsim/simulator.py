@@ -1,10 +1,15 @@
 """Kernel execution, differential consistency checking, the brute-force
 independence oracle, and the property fuzzer.
 
-run_baseline executes the untracked kernel; run_dift executes it with tag
-propagation and live checkpoints. Both walk the node list in order, so a
-single run is sequential; distinct runs over immutable kernels are
-independent. All randomness is seeded.
+run_baseline and run_dift share one node walk, _execute, over plain int
+value and tag slots: values come from bitvalue.apply_op and tags from
+taint.tag_bits. run_baseline is that walk with tags off; fine run_dift
+adds int tags and live checkpoints; coarse run_dift is the walk with tags
+off plus one boundary OR that every checkpoint and output observes.
+BitValue, Tag and DiftValue are built only at the edge: checkpoint
+submission. The walk follows the node list in order, so a single run is
+sequential; distinct runs over immutable kernels are independent. All
+randomness is seeded.
 """
 
 from __future__ import annotations
@@ -15,24 +20,12 @@ import random
 from dataclasses import dataclass, field, replace
 
 from . import taint
-from .bitvalue import (
-    BINARY_OPS,
-    COMPARE_OPS,
-    UNARY_OPS,
-    BitType,
-    BitValue,
-    OpKind,
-    eval_binop,
-    eval_unop,
-    make_bitvalue,
-    op_arity,
-    to_int,
-)
+from .bitvalue import COMPARE_OPS, BitType, BitValue, OpKind, apply_op, decode, op_arity
 from .errors import EvalError, OutOfBoundsAddress, WidthMismatch, WidthTooLarge
-from .kernel_ir import Diagnostic, Kernel, MemoryDecl, const_fold, dead_code_elim
+from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim
 from .policy_monitor import REG_TAG_IN, MonitorState, checkpoint, reg_read
-from .taint import CoarseBoundary, FineGrained, PropagationRule, Tag, boundary_tag
-from .tainted import DiftConfig, DiftValue, apply_binop, apply_mux, apply_unop
+from .taint import CoarseBoundary, FineGrained, PropagationRule, Tag
+from .tainted import DiftConfig, DiftValue
 
 _ORACLE_MAX_WIDTH = 6
 
@@ -94,6 +87,9 @@ def parse_inputs(text: str) -> tuple[RunInputs | None, list[Diagnostic]]:
     except json.JSONDecodeError as e:
         diags.append(Diagnostic("error", f"line {e.lineno}", f"invalid JSON: {e.msg}"))
         return None, diags
+    except RecursionError:
+        diags.append(Diagnostic("error", "inputs", "JSON nested too deeply"))
+        return None, diags
     if not isinstance(doc, dict):
         diags.append(Diagnostic("error", "inputs", "top-level document must be an object"))
         return None, diags
@@ -149,7 +145,10 @@ def inputs_to_json(inputs: RunInputs) -> str:
 
 def _init_values(
     k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None
-) -> tuple[dict[str, BitValue], dict[str, list[BitValue]]]:
+) -> tuple[dict[str, int], dict[str, BitType], dict[str, list[int]]]:
+    """Canonical bits of every input and constant, the type of every value
+    id, and the cells of every memory."""
+
     def warn(loc: str, msg: str) -> None:
         if diags is not None:
             diags.append(Diagnostic("warning", loc, msg))
@@ -162,20 +161,24 @@ def _init_values(
     for unknown in set(inputs.memory) - {m.id for m in k.memories}:
         warn(unknown, "override for unknown memory ignored")
 
-    env: dict[str, BitValue] = {}
+    env: dict[str, int] = {}
+    types: dict[str, BitType] = {}
     for inp in k.inputs:
+        types[inp.id] = inp.ty
         if inp.id in inputs.values:
-            env[inp.id] = make_bitvalue(inp.ty, inputs.values[inp.id])
+            env[inp.id] = inputs.values[inp.id] & inp.ty.mask
         else:
             warn(inp.id, "input not assigned; defaulting to 0")
-            env[inp.id] = BitValue(inp.ty, 0)
+            env[inp.id] = 0
     for c in k.constants:
-        env[c.id] = c.value
+        env[c.id] = c.value.bits
+        types[c.id] = c.value.ty
+    for n in k.nodes:
+        types[n.id] = n.ty
 
-    mems: dict[str, list[BitValue]] = {}
+    mems: dict[str, list[int]] = {}
     for m in k.memories:
-        cells = [BitValue(m.cell, b) for b in m.init]
-        cells += [BitValue(m.cell, 0)] * (m.size - len(cells))
+        cells = list(m.init) + [0] * (m.size - len(m.init))
         override = inputs.memory.get(m.id)
         if override is not None:
             if len(override) > m.size:
@@ -183,45 +186,27 @@ def _init_values(
                     f"memory override for {m.id} has {len(override)} cells, size is {m.size}",
                     node_id=m.id,
                 )
-            for i, raw in enumerate(override):
-                cells[i] = make_bitvalue(m.cell, raw)
+            cells[: len(override)] = [raw & m.cell.mask for raw in override]
         mems[m.id] = cells
-    return env, mems
+    return env, types, mems
 
 
-def _init_tags(
-    k: Kernel, inputs: RunInputs, monitor: MonitorState
-) -> tuple[dict[str, Tag], dict[str, list[Tag]]]:
-    """Input tags resolve as: explicit override, else a nonzero REG_TAG_IN
-    word, else the declared default."""
+def _init_tags(k: Kernel, inputs: RunInputs, monitor: MonitorState) -> dict[str, int]:
+    """Tag bits of every input and constant. Input tags resolve as: explicit
+    override, else a nonzero REG_TAG_IN word, else the declared default."""
     mask = (1 << k.tag_width) - 1
     tag_in = reg_read(monitor, REG_TAG_IN)
-    tags: dict[str, Tag] = {}
+    tags: dict[str, int] = {}
     for inp in k.inputs:
         if inp.id in inputs.tags:
-            bits = inputs.tags[inp.id] & mask
+            tags[inp.id] = inputs.tags[inp.id] & mask
         elif tag_in:
-            bits = tag_in & mask
+            tags[inp.id] = tag_in & mask
         else:
-            bits = inp.default_tag
-        tags[inp.id] = Tag(k.tag_width, bits)
+            tags[inp.id] = inp.default_tag
     for c in k.constants:
-        tags[c.id] = Tag.zero(k.tag_width)
-    mem_tags: dict[str, list[Tag]] = {}
-    for m in k.memories:
-        cells = [Tag(k.tag_width, b) for b in m.init_tags]
-        cells += [Tag.zero(k.tag_width)] * (m.size - len(cells))
-        mem_tags[m.id] = cells
-    return tags, mem_tags
-
-
-def _mem_index(mem: MemoryDecl, addr: BitValue, node_id: str, step: int) -> int:
-    i = to_int(addr)
-    if not 0 <= i < mem.size:
-        raise OutOfBoundsAddress(
-            f"address {i} outside {mem.id}[0..{mem.size})", node_id=node_id, step=step
-        )
-    return i
+        tags[c.id] = 0
+    return tags
 
 
 def _locate(exc: EvalError, node_id: str, step: int) -> EvalError:
@@ -232,34 +217,68 @@ def _locate(exc: EvalError, node_id: str, step: int) -> EvalError:
     return exc
 
 
+def _execute(
+    k: Kernel,
+    env: dict[str, int],
+    types: dict[str, BitType],
+    mems: dict[str, list[int]],
+    rule: PropagationRule | None = None,
+    tags: dict[str, int] | None = None,
+    mem_tags: dict[str, list[int]] | None = None,
+    watched: dict[str, list] | None = None,
+    fire=None,
+) -> tuple[int, bool]:
+    """The one node walk: values by apply_op, and tags by taint.tag_bits
+    when tags is given, all as plain ints. After each node, every
+    checkpoint in watched[node id] goes to fire(cp, step); fire returning
+    True halts the walk. Returns (steps executed, halted)."""
+    # The rule is read from its module on every walk so a test can substitute it.
+    value_of, tag_of = apply_op, taint.tag_bits
+    watched = watched or {}
+    mem_decls = {m.id: m for m in k.memories}
+    for step, node in enumerate(k.nodes, start=1):
+        op, args = node.op, node.args
+        try:
+            if op is OpKind.LOAD or op is OpKind.STORE:
+                mem = mem_decls[args[0]]
+                addr = args[1]
+                i = decode(env[addr], types[addr])
+                if not 0 <= i < mem.size:
+                    raise OutOfBoundsAddress(
+                        f"address {i} outside {mem.id}[0..{mem.size})", node_id=node.id, step=step
+                    )
+                if op is OpKind.LOAD:
+                    env[node.id] = mems[mem.id][i]
+                    if tags is not None:
+                        cell_tag = mem_tags[mem.id][i]
+                        tags[node.id] = tag_of(rule, op, (), (), (tags[addr], cell_tag), node.ty)
+                else:
+                    data = args[2]
+                    mems[mem.id][i] = decode(env[data], types[data]) & mem.cell.mask
+                    if tags is not None:
+                        data_tags = (tags[addr], tags[data])
+                        mem_tags[mem.id][i] = tag_of(rule, op, (), (), data_tags, mem.cell)
+            else:
+                bits = [env[a] for a in args]
+                tys = [types[a] for a in args]
+                env[node.id] = value_of(op, bits, tys, node.ty)
+                if tags is not None:
+                    tags[node.id] = tag_of(rule, op, bits, tys, [tags[a] for a in args], node.ty)
+        except EvalError as e:
+            raise _locate(e, node.id, step)
+        for cp in watched.get(node.id, ()):
+            if fire(cp, step):
+                return step, True
+    return len(k.nodes), False
+
+
 def run_baseline(
     k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None = None
 ) -> dict[str, int]:
     """Execute the kernel without any tracking; checkpoints are no-ops."""
-    env, mems = _init_values(k, inputs, diags)
-    mem_decls = {m.id: m for m in k.memories}
-    for step, node in enumerate(k.nodes, start=1):
-        try:
-            if node.op is OpKind.LOAD:
-                mem = mem_decls[node.args[0]]
-                i = _mem_index(mem, env[node.args[1]], node.id, step)
-                env[node.id] = mems[mem.id][i]
-            elif node.op is OpKind.STORE:
-                mem = mem_decls[node.args[0]]
-                i = _mem_index(mem, env[node.args[1]], node.id, step)
-                mems[mem.id][i] = make_bitvalue(mem.cell, to_int(env[node.args[2]]))
-            elif node.op is OpKind.MUX:
-                chosen = node.args[1] if to_int(env[node.args[0]]) != 0 else node.args[2]
-                env[node.id] = make_bitvalue(node.ty, to_int(env[chosen]))
-            elif node.op in UNARY_OPS:
-                env[node.id] = eval_unop(node.op, env[node.args[0]], node.ty)
-            else:
-                env[node.id] = eval_binop(
-                    node.op, env[node.args[0]], env[node.args[1]], node.ty
-                )
-        except EvalError as e:
-            raise _locate(e, node.id, step)
-    return {o.id: env[o.source].bits for o in k.outputs}
+    env, types, mems = _init_values(k, inputs, diags)
+    _execute(k, env, types, mems)
+    return {o.id: env[o.source] for o in k.outputs}
 
 
 def run_dift(
@@ -274,9 +293,9 @@ def run_dift(
     Fine mode tracks per operation; memory cells carry tags (a store
     writes the value tag, joined with the address tag under the union
     rule; a load joins cell and address tags under both rules). Coarse
-    mode computes values as the baseline and assigns the boundary tag to
-    every output and checkpoint observation. Output values always equal
-    run_baseline's.
+    mode runs the baseline walk and gives every output and checkpoint
+    observation the boundary tag: the join of all input and initial
+    memory tags. Output values always equal run_baseline's.
     """
     if cfg.tag_width != k.tag_width:
         raise WidthMismatch(
@@ -284,105 +303,49 @@ def run_dift(
         )
     if monitor is None:
         monitor = MonitorState.for_kernel(k)
-    env, mems = _init_values(k, inputs, diags)
-    tags, mem_tags = _init_tags(k, inputs, monitor)
-    mem_decls = {m.id: m for m in k.memories}
-    coarse = isinstance(cfg.mode, CoarseBoundary)
-    rule = cfg.mode.rule if isinstance(cfg.mode, FineGrained) else None
-    if coarse:
-        bt = boundary_tag(
-            [tags[i.id] for i in k.inputs],
-            [t for m in k.memories for t in mem_tags[m.id]],
-            width=k.tag_width,
-        )
+    env, types, mems = _init_values(k, inputs, diags)
+    tags: dict[str, int] | None = _init_tags(k, inputs, monitor)
+    rule = cfg.rule
+    mem_tags = None
+    if rule is None:
+        boundary = 0
+        for t in itertools.chain(tags.values(), *(m.init_tags for m in k.memories)):
+            boundary |= t
+        tags = None
+    else:
+        mem_tags = {m.id: list(m.init_tags) + [0] * (m.size - len(m.init_tags)) for m in k.memories}
+    halt = cfg.on_exception == "halt"
 
-    cp_by_arg: dict[str, list] = {}
+    watched: dict[str, list] = {}
     for cp in k.checkpoints:
-        cp_by_arg.setdefault(cp.arg, []).append(cp)
-
+        watched.setdefault(cp.arg, []).append(cp)
     observations: list[tuple[str, int]] = []
-    halted = False
-    steps = 0
 
     def fire(cp, step: int) -> bool:
         """Submit one checkpoint observation; True means halt now."""
-        tag = bt if coarse else tags[cp.arg]
-        exc = checkpoint(monitor, cp.id, cp.arg, DiftValue(env[cp.arg], tag), step)
-        observations.append((cp.id, tag.bits))
-        return exc is not None and cfg.on_exception == "halt"
-
-    def observe(arg_id: str, step: int) -> bool:
-        for cp in cp_by_arg.get(arg_id, ()):
-            if fire(cp, step):
-                return True
-        return False
+        tag = boundary if tags is None else tags[cp.arg]
+        observed = DiftValue(BitValue(types[cp.arg], env[cp.arg]), Tag(k.tag_width, tag))
+        exc = checkpoint(monitor, cp.id, cp.arg, observed, step)
+        observations.append((cp.id, tag))
+        return exc is not None and halt
 
     # Checkpoints on inputs and constants observe before any node runs.
-    for cp in k.checkpoints:
-        if cp.arg in env and fire(cp, 0):
-            halted = True
-            break
-
+    halted = any(fire(cp, 0) for cp in k.checkpoints if cp.arg in env)
+    steps = 0
     if not halted:
-        for step, node in enumerate(k.nodes, start=1):
-            try:
-                if node.op is OpKind.LOAD:
-                    mem = mem_decls[node.args[0]]
-                    addr = env[node.args[1]]
-                    i = _mem_index(mem, addr, node.id, step)
-                    env[node.id] = mems[mem.id][i]
-                    if not coarse:
-                        tags[node.id] = taint.join(mem_tags[mem.id][i], tags[node.args[1]])
-                elif node.op is OpKind.STORE:
-                    mem = mem_decls[node.args[0]]
-                    addr = env[node.args[1]]
-                    i = _mem_index(mem, addr, node.id, step)
-                    mems[mem.id][i] = make_bitvalue(mem.cell, to_int(env[node.args[2]]))
-                    if not coarse:
-                        cell_tag = tags[node.args[2]]
-                        if rule is PropagationRule.UNION:
-                            cell_tag = taint.join(cell_tag, tags[node.args[1]])
-                        mem_tags[mem.id][i] = cell_tag
-                elif coarse:
-                    if node.op is OpKind.MUX:
-                        chosen = node.args[1] if to_int(env[node.args[0]]) != 0 else node.args[2]
-                        env[node.id] = make_bitvalue(node.ty, to_int(env[chosen]))
-                    elif node.op in UNARY_OPS:
-                        env[node.id] = eval_unop(node.op, env[node.args[0]], node.ty)
-                    else:
-                        env[node.id] = eval_binop(
-                            node.op, env[node.args[0]], env[node.args[1]], node.ty
-                        )
-                else:
-                    operands = [DiftValue(env[a], tags[a]) for a in node.args]
-                    if node.op is OpKind.MUX:
-                        dv = apply_mux(operands[0], operands[1], operands[2], node.ty, rule)
-                    elif node.op in UNARY_OPS:
-                        dv = apply_unop(node.op, operands[0], node.ty, rule)
-                    else:
-                        dv = apply_binop(node.op, operands[0], operands[1], node.ty, rule)
-                    env[node.id] = dv.value
-                    tags[node.id] = dv.tag
-            except EvalError as e:
-                raise _locate(e, node.id, step)
-            steps = step
-            if node.op is not OpKind.STORE and observe(node.id, step):
-                halted = True
-                break
+        steps, halted = _execute(k, env, types, mems, rule, tags, mem_tags, watched, fire)
 
-    if halted:
-        outputs: dict[str, tuple[int, int]] = {}
-    else:
+    outputs: dict[str, tuple[int, int]] = {}
+    if not halted:
         outputs = {
-            o.id: (env[o.source].bits, (bt if coarse else tags[o.source]).bits)
-            for o in k.outputs
+            o.id: (env[o.source], boundary if tags is None else tags[o.source]) for o in k.outputs
         }
     return SimulationReport(
         outputs=outputs,
         exceptions=tuple(monitor.exceptions),
         irq=monitor.irq,
         steps_executed=steps,
-        mode="coarse" if coarse else "fine",
+        mode="coarse" if rule is None else "fine",
         rule=None if rule is None else rule.value,
         checkpoint_tags=tuple(observations),
         halted=halted,
@@ -542,32 +505,19 @@ def independence_oracle(
     if result_ty is None:
         result_ty = BitType(1) if kind in COMPARE_OPS else operand_types[0]
     order = sorted(tainted_positions)
-    fixed = {
-        pos: make_bitvalue(operand_types[pos], raw) for pos, raw in untainted_values.items()
-    }
+    bits = [untainted_values.get(p, 0) & operand_types[p].mask for p in range(arity)]
     outcomes: set = set()
     for combo in itertools.product(*(range(1 << operand_types[p].width) for p in order)):
-        operands = [
-            fixed[p] if p in fixed else BitValue(operand_types[p], combo[order.index(p)])
-            for p in range(arity)
-        ]
+        for p, b in zip(order, combo):
+            bits[p] = b
         try:
-            result = _apply_value_op(kind, operands, result_ty).bits
+            result = apply_op(kind, bits, operand_types, result_ty)
         except EvalError as e:
             result = ("error", type(e).__name__)
         outcomes.add(result)
         if len(outcomes) > 1:
             return False
     return True
-
-
-def _apply_value_op(kind: OpKind, operands: list[BitValue], result_ty: BitType) -> BitValue:
-    if kind in BINARY_OPS:
-        return eval_binop(kind, operands[0], operands[1], result_ty)
-    if kind in UNARY_OPS:
-        return eval_unop(kind, operands[0], result_ty)
-    chosen = operands[1] if to_int(operands[0]) != 0 else operands[2]
-    return make_bitvalue(result_ty, to_int(chosen))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ A tag is a fixed-width bitset of independent labels; bitwise OR is the
 lattice join and all-zero means untainted. Propagation is either a plain
 union of operand tags or a precise variant that additionally drops taint
 where an untainted operand forces the result no matter what the tainted
-operands hold (x*0, x&0, x|all-ones, and the unselected mux branch).
+operands hold (x*0, x&0, x|all-ones, and the unselected mux branch). The
+precise rule is a word-level form of GLIFT's precise shadow logic
+(Tiwari et al., ASPLOS 2009): no kill unless the result is independent
+of the tainted operands.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .bitvalue import VALUE_OPS, BitValue, OpKind, op_arity, to_int
+from .bitvalue import VALUE_OPS, BitType, BitValue, OpKind, decode, op_arity
 from .errors import ArityMismatch, InvalidType, TypeMismatch, WidthMismatch
 
 MAX_TAG_WIDTH = 32
@@ -76,17 +79,52 @@ def _join_all(tags: Iterable[Tag]) -> Tag:
     return acc
 
 
+def tag_bits(
+    rule: PropagationRule,
+    kind: OpKind,
+    bits: Sequence[int],
+    types: Sequence[BitType],
+    tags: Sequence[int],
+    result_ty: BitType,
+) -> int:
+    """Result tag bits of one operation; the one definition of the tag rules.
+
+    UNION joins every operand tag (for mux: selector and both branches).
+    PRECISE starts from the union and applies the taint-kill identities
+    listed in the module docstring; x|c kills only when the untainted c,
+    decoded by its own signedness and wrapped to result_ty, is all ones
+    there. Memory operations use tags alone: (address, cell) for load,
+    joined under either rule, and (address, value) for store, whose
+    result is the cell's new tag: under PRECISE the value tag alone.
+    """
+    if rule is PropagationRule.PRECISE:
+        if kind is OpKind.MUX:
+            return tags[0] | tags[1 if bits[0] else 2]
+        if kind is OpKind.MUL or kind is OpKind.AND:
+            if any(t == 0 and b == 0 for b, t in zip(bits, tags)):
+                return 0
+        elif kind is OpKind.OR:
+            mask = result_ty.mask
+            if any(
+                t == 0 and decode(b, ty) & mask == mask for b, ty, t in zip(bits, types, tags)
+            ):
+                return 0
+        elif kind is OpKind.STORE:
+            return tags[1]
+    acc = 0
+    for t in tags:
+        acc |= t
+    return acc
+
+
 def propagate(
     rule: PropagationRule,
     kind: OpKind,
     operands: Sequence[tuple[BitValue, Tag]],
+    result_ty: BitType | None = None,
 ) -> Tag:
-    """Tag of a value operation's result, from operand values and tags.
-
-    UNION joins every operand tag (for mux: selector and both branches).
-    PRECISE starts from the union and applies the taint-kill identities
-    listed in the module docstring; everything else falls back to union.
-    """
+    """Tag of a value operation's result, from operand values and tags,
+    as tag_bits defines; result_ty defaults to the first operand's type."""
     if kind not in VALUE_OPS:
         raise TypeMismatch(f"{kind.value} does not produce a propagated tag")
     if len(operands) != op_arity(kind):
@@ -97,18 +135,15 @@ def propagate(
     for _, t in operands:
         if t.width != width:
             raise WidthMismatch(f"tag widths differ: {t.width} vs {width}")
-    if rule is PropagationRule.PRECISE:
-        if kind is OpKind.MUX:
-            sel_value, sel_tag = operands[0]
-            chosen = operands[1] if to_int(sel_value) != 0 else operands[2]
-            return join(sel_tag, chosen[1])
-        if kind in (OpKind.MUL, OpKind.AND):
-            if any(t.bits == 0 and v.bits == 0 for v, t in operands):
-                return Tag.zero(width)
-        elif kind is OpKind.OR:
-            if any(t.bits == 0 and v.bits == v.ty.mask for v, t in operands):
-                return Tag.zero(width)
-    return _join_all(t for _, t in operands)
+    bits = tag_bits(
+        rule,
+        kind,
+        [v.bits for v, _ in operands],
+        [v.ty for v, _ in operands],
+        [t.bits for _, t in operands],
+        operands[0][0].ty if result_ty is None else result_ty,
+    )
+    return Tag(width, bits)
 
 
 def boundary_tag(

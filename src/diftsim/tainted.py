@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import taint
-from .bitvalue import BitType, BitValue, OpKind, eval_binop, eval_unop, make_bitvalue, to_int
-from .errors import InvalidType, WidthMismatch
+from .bitvalue import BitType, BitValue, OpKind, eval_binop
+from .errors import InvalidType
 from .taint import CoarseBoundary, FineGrained, PropagationRule, Tag
 
 _ON_EXCEPTION = ("record", "halt")
@@ -42,13 +42,6 @@ class DiftConfig:
         return self.mode.rule if isinstance(self.mode, FineGrained) else None
 
 
-def lift(v: BitValue, t: Tag, tag_width: int | None = None) -> DiftValue:
-    """Pair a value with its tag; tag_width, when given, is enforced."""
-    if tag_width is not None and t.width != tag_width:
-        raise WidthMismatch(f"tag width {t.width} does not match kernel width {tag_width}")
-    return DiftValue(v, t)
-
-
 def apply_binop(
     kind: OpKind,
     a: DiftValue,
@@ -57,32 +50,5 @@ def apply_binop(
     rule: PropagationRule,
 ) -> DiftValue:
     value = eval_binop(kind, a.value, b.value, result_ty)
-    tag = taint.propagate(rule, kind, [(a.value, a.tag), (b.value, b.tag)])
-    return DiftValue(value, tag)
-
-
-def apply_unop(
-    kind: OpKind,
-    a: DiftValue,
-    result_ty: BitType,
-    rule: PropagationRule,
-) -> DiftValue:
-    # Unary operators never kill taint; the tag passes through unchanged.
-    return DiftValue(eval_unop(kind, a.value, result_ty), a.tag)
-
-
-def apply_mux(
-    sel: DiftValue,
-    t_branch: DiftValue,
-    f_branch: DiftValue,
-    result_ty: BitType,
-    rule: PropagationRule,
-) -> DiftValue:
-    chosen = t_branch if to_int(sel.value) != 0 else f_branch
-    value = make_bitvalue(result_ty, to_int(chosen.value))
-    tag = taint.propagate(
-        rule,
-        OpKind.MUX,
-        [(sel.value, sel.tag), (t_branch.value, t_branch.tag), (f_branch.value, f_branch.tag)],
-    )
+    tag = taint.propagate(rule, kind, [(a.value, a.tag), (b.value, b.tag)], result_ty)
     return DiftValue(value, tag)

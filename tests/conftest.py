@@ -1,6 +1,13 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from diftsim import fixture_path, parse_inputs, parse_kernel
+
+# `python -m diftsim` subprocesses find the package in a source checkout too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def load_kernel(name):

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 """
 
+import itertools
 import json
 import random
 import time
@@ -18,6 +19,7 @@ from diftsim import (
     BitValue,
     CoarseBoundary,
     DiftConfig,
+    DiftValue,
     DivisionByZero,
     FineGrained,
     MonitorState,
@@ -34,7 +36,6 @@ from diftsim import (
     eval_binop,
     fixture_path,
     independence_oracle,
-    lift,
     make_bitvalue,
     propagate,
     reg_read,
@@ -104,27 +105,34 @@ def test_c01_value_semantics_oracle():
 
 def test_c02_precise_soundness():
     """Whenever the precise rule reports tag 0 with a tainted operand, the
-    independence oracle must confirm the result does not depend on it."""
+    independence oracle must confirm the result does not depend on it.
+    Operand and result widths range over 1..4 independently."""
     started = time.monotonic()
-    width = 4
     kills = 0
     oracle_cache = {}
+    widths = range(1, 5)
     for kind in sorted(BINARY_OPS, key=lambda k: k.value):
-        for sa in (False, True):
-            for sb in (False, True):
-                types = [BitType(width, sa), BitType(width, sb)]
-                r_ty = BitType(1) if kind in COMPARE_OPS else BitType(width, sa)
-                for tainted_pos in (0, 1):
-                    fixed_pos = 1 - tainted_pos
-                    for fixed_bits in range(1 << width):
-                        for tainted_bits in range(1 << width):
-                            operands = [None, None]
-                            operands[fixed_pos] = (BitValue(types[fixed_pos], fixed_bits), Tag(4, 0))
-                            operands[tainted_pos] = (BitValue(types[tainted_pos], tainted_bits), Tag(4, 0b1))
-                            if propagate(PRECISE, kind, operands).bits != 0:
+        r_types = (
+            [BitType(1)]
+            if kind in COMPARE_OPS
+            else [BitType(w, s) for w in widths for s in (False, True)]
+        )
+        for wa, wb, sa, sb in itertools.product(widths, widths, (False, True), (False, True)):
+            types = [BitType(wa, sa), BitType(wb, sb)]
+            for tainted_pos in (0, 1):
+                fixed_pos = 1 - tainted_pos
+                for fixed_bits in range(1 << types[fixed_pos].width):
+                    for tainted_bits in range(1 << types[tainted_pos].width):
+                        operands = [None, None]
+                        fixed = BitValue(types[fixed_pos], fixed_bits)
+                        tainted = BitValue(types[tainted_pos], tainted_bits)
+                        operands[fixed_pos] = (fixed, Tag(4, 0))
+                        operands[tainted_pos] = (tainted, Tag(4, 0b1))
+                        for r_ty in r_types:
+                            if propagate(PRECISE, kind, operands, r_ty).bits != 0:
                                 continue
                             kills += 1
-                            key = (kind, sa, sb, tainted_pos, fixed_bits)
+                            key = (kind, *types, r_ty, tainted_pos, fixed_bits)
                             if key not in oracle_cache:
                                 oracle_cache[key] = independence_oracle(
                                     kind,
@@ -134,7 +142,7 @@ def test_c02_precise_soundness():
                                     result_ty=r_ty,
                                 )
                             assert oracle_cache[key], (
-                                f"unsound kill: {kind.value} sa={sa} sb={sb} "
+                                f"unsound kill: {kind.value} {types[0]} {types[1]} -> {r_ty} "
                                 f"tainted={tainted_pos} fixed={fixed_bits}"
                             )
     elapsed = time.monotonic() - started
@@ -241,7 +249,7 @@ def test_c08_monitor_state_machine():
         for _ in range(rng.randint(3, 20)):
             op = rng.randrange(4)
             if op == 0:
-                checkpoint(state, "cp", "n", lift(observed, Tag(4, rng.randrange(16))), 1)
+                checkpoint(state, "cp", "n", DiftValue(observed, Tag(4, rng.randrange(16))), 1)
             elif op == 1:
                 reg_read(state, rng.randrange(4))
             elif op == 2:
@@ -279,7 +287,7 @@ def test_c10_determinism(tmp_path, capsys):
     for i in range(2):
         rep = tmp_path / f"rep{i}.json"
         dot = tmp_path / f"graph{i}.dot"
-        main(["run", fir4, fir4_inputs, "--rule", "precise", "--seed", "11", "--report", str(rep)])
+        main(["run", fir4, fir4_inputs, "--rule", "precise", "--report", str(rep)])
         main(["instrument", fir4, "--emit-dot", str(dot)])
         main(["check", fir4, "--samples", "100", "--seed", "11"])
         pairs.append((rep.read_bytes(), dot.read_bytes(), capsys.readouterr().out))

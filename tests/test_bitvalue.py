@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -169,23 +170,28 @@ def test_unop_examples():
 
 
 def test_binop_exhaustive_width_4_against_reference():
-    # Deeper widths are swept by the acceptance suite; w<=4 keeps this quick.
-    for width in range(1, 5):
-        for sa in (False, True):
-            for sb in (False, True):
-                a_ty, b_ty = BitType(width, sa), BitType(width, sb)
-                for kind in BINARY_OPS:
-                    r_ty = BitType(1) if kind in COMPARE_OPS else BitType(width, sa)
-                    for a_bits in range(1 << width):
-                        for b_bits in range(1 << width):
-                            a, b = BitValue(a_ty, a_bits), BitValue(b_ty, b_bits)
-                            try:
-                                expected = ref_binop(kind, a_bits, a_ty, b_bits, b_ty, r_ty)
-                            except ZeroDivisionError:
-                                with pytest.raises(DivisionByZero):
-                                    eval_binop(kind, a, b, r_ty)
-                                continue
-                            assert eval_binop(kind, a, b, r_ty).bits == expected
+    # Equal operand and result widths up to 4, then every mix of operand and
+    # result widths up to 3. Deeper widths are swept by the acceptance suite.
+    shapes = {(w, w, w) for w in range(1, 5)} | set(itertools.product(range(1, 4), repeat=3))
+    for wa, wb, wr in sorted(shapes):
+        for sa, sb, sr in itertools.product((False, True), repeat=3):
+            a_ty, b_ty = BitType(wa, sa), BitType(wb, sb)
+            for kind in BINARY_OPS:
+                if kind in COMPARE_OPS and sr:
+                    continue
+                r_ty = BitType(1) if kind in COMPARE_OPS else BitType(wr, sr)
+                for a_bits in range(1 << wa):
+                    for b_bits in range(1 << wb):
+                        a, b = BitValue(a_ty, a_bits), BitValue(b_ty, b_bits)
+                        try:
+                            expected = ref_binop(kind, a_bits, a_ty, b_bits, b_ty, r_ty)
+                        except ZeroDivisionError:
+                            with pytest.raises(DivisionByZero):
+                                eval_binop(kind, a, b, r_ty)
+                            continue
+                        assert eval_binop(kind, a, b, r_ty).bits == expected, (
+                            f"{kind.value} {a_bits}:{a_ty} {b_bits}:{b_ty} -> {r_ty}"
+                        )
 
 
 def test_outputs_always_canonical():

@@ -7,7 +7,6 @@ from diftsim import (
     DiftConfig,
     FineGrained,
     PropagationRule,
-    Tag,
     fixture_path,
     fuzz_properties,
     inputs_to_json,
@@ -61,6 +60,24 @@ def test_malformed_kernel_exits_2(tmp_path, capsys):
 
 def test_missing_file_exits_2(capsys):
     assert main(["run", "/nonexistent/kernel.json", OVERFLOW_CLEAN]) == 2
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["run", str(bad), OVERFLOW_CLEAN]) == 2
+    assert main(["run", OVERFLOW, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("not UTF-8 text") == 2
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["run", str(deep), OVERFLOW_CLEAN]) == 2
+    assert main(["run", OVERFLOW, str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("nested too deeply") == 2
 
 
 def test_usage_error_exits_1(capsys):
@@ -133,15 +150,15 @@ def test_fuzz_exits_0(capsys):
 
 
 def test_fuzz_counterexample_round_trips_through_run(tmp_path, capsys, monkeypatch):
-    # Break the propagation in-process, catch a counterexample, then feed its
+    # Break the tag rule in-process, catch a counterexample, then feed its
     # inputs back through cmd_run and confirm the recorded tags reproduce.
-    def xor_propagate(rule, kind, operands):
-        bits = 0
-        for _, tag in operands:
-            bits ^= tag.bits
-        return Tag(operands[0][1].width, bits)
+    def xor_tag_bits(rule, kind, bits, types, tags, result_ty):
+        acc = 0
+        for t in tags:
+            acc ^= t
+        return acc
 
-    monkeypatch.setattr(diftsim.taint, "propagate", xor_propagate)
+    monkeypatch.setattr(diftsim.taint, "tag_bits", xor_tag_bits)
     fir4 = load_kernel("fir4.json")
     report = fuzz_properties(fir4, trials=200, seed=5)
     cex = next(c for c in report.counterexamples if c.property == "monotonicity")
@@ -184,6 +201,6 @@ def test_module_entry_point_subprocess(tmp_path):
 
 def test_determinism_across_runs(tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    main(["run", DOT8, DOT8_INPUTS, "--rule", "precise", "--report", str(r1), "--seed", "9"])
-    main(["run", DOT8, DOT8_INPUTS, "--rule", "precise", "--report", str(r2), "--seed", "9"])
+    main(["run", DOT8, DOT8_INPUTS, "--rule", "precise", "--report", str(r1)])
+    main(["run", DOT8, DOT8_INPUTS, "--rule", "precise", "--report", str(r2)])
     assert r1.read_bytes() == r2.read_bytes()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -22,11 +23,17 @@ from diftsim import (
     check_consistency,
     fuzz_properties,
     independence_oracle,
+    make_bitvalue,
     parse_inputs,
+    propagate,
     reg_write,
     run_baseline,
     run_dift,
 )
+
+U4 = BitType(4)
+S4 = BitType(4, signed=True)
+U8 = BitType(8)
 
 UNION = PropagationRule.UNION
 PRECISE = PropagationRule.PRECISE
@@ -85,6 +92,111 @@ def mem_kernel(addr_tagged_load=False, size=4):
     kernel, diags = parse_kernel(json.dumps(doc))
     assert kernel is not None, diags
     return kernel
+
+
+def op_kernel(op, operand_types, result_ty, tag_width=4):
+    """One node applying op to inputs x0, x1, ... of the given types."""
+    from diftsim import parse_kernel
+
+    args = [f"x{i}" for i in range(len(operand_types))]
+    doc = {
+        "name": op,
+        "tag_width": tag_width,
+        "inputs": [
+            {"id": a, "width": t.width, "signed": t.signed} for a, t in zip(args, operand_types)
+        ],
+        "nodes": [
+            {
+                "id": "n",
+                "op": op,
+                "args": args,
+                "width": result_ty.width,
+                "signed": result_ty.signed,
+            }
+        ],
+        "outputs": [{"id": "out", "source": "n"}],
+    }
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    return kernel
+
+
+def test_mux_and_unary_result_widths_against_reference():
+    # Independent reference: decode by the operand's own signedness, then
+    # wrap into the result width; not complements within the operand width.
+    def signed_value(bits, ty):
+        return bits - (1 << ty.width) if ty.signed and bits >> (ty.width - 1) else bits
+
+    types = [BitType(w, s) for w in range(1, 4) for s in (False, True)]
+    for a_ty, r_ty in itertools.product(types, types):
+        if a_ty.width == r_ty.width:
+            continue
+        wrap = (1 << r_ty.width) - 1
+        for op, ref in (
+            ("not", lambda a: ~a & ((1 << a_ty.width) - 1)),
+            ("neg", lambda a: -signed_value(a, a_ty)),
+        ):
+            kernel = op_kernel(op, [a_ty], r_ty)
+            for a in range(1 << a_ty.width):
+                got = run_baseline(kernel, RunInputs(values={"x0": a}))
+                assert got == {"out": ref(a) & wrap}, (op, a, a_ty, r_ty)
+        kernel = op_kernel("mux", [BitType(1), a_ty, a_ty], r_ty)
+        for sel, t, f in itertools.product((0, 1), range(1 << a_ty.width), range(1 << a_ty.width)):
+            got = run_baseline(kernel, RunInputs(values={"x0": sel, "x1": t, "x2": f}))
+            assert got == {"out": signed_value(t if sel else f, a_ty) & wrap}
+    # The selected s4 value -6 sign-extends into u8.
+    kernel = op_kernel("mux", [BitType(1), S4, S4], U8)
+    assert run_baseline(kernel, RunInputs(values={"x0": 1, "x1": 10, "x2": 0})) == {"out": 250}
+
+
+def test_unary_tag_passthrough():
+    for op, a_ty, r_ty, value, expected in (
+        ("not", U4, U4, 0b0101, 0b1010),
+        ("neg", S4, S4, 3, 13),
+        ("not", U4, U8, 0b0101, 0b1010),
+        ("neg", S4, U8, 3, 253),
+    ):
+        kernel = op_kernel(op, [a_ty], r_ty)
+        for rule in (UNION, PRECISE):
+            for tag in (0, 0b10):
+                ri = RunInputs(values={"x0": value}, tags={"x0": tag})
+                assert run_dift(kernel, ri, fine(4, rule)).outputs == {"out": (expected, tag)}
+
+
+def test_mux_tag_rules():
+    kernel = op_kernel("mux", [BitType(1), U4, U4], U4)
+    ri = RunInputs(values={"x0": 1, "x1": 7, "x2": 2}, tags={"x0": 0b1, "x1": 0, "x2": 0b10})
+    # precise: selector and the chosen branch only; union: all three
+    assert run_dift(kernel, ri, fine(4, PRECISE)).outputs == {"out": (7, 0b1)}
+    assert run_dift(kernel, ri, fine(4, UNION)).outputs == {"out": (7, 0b11)}
+    quiet = RunInputs(values={"x0": 0, "x1": 7, "x2": 2}, tags={"x1": 0b10})
+    assert run_dift(kernel, quiet, fine(4, PRECISE)).outputs == {"out": (2, 0)}
+
+
+def test_precise_or_kill_judged_at_result_type():
+    # A u4 constant 15 is all ones in u4 but not in the u8 result: OR with a
+    # tainted u8 keeps the taint, since the result still depends on it.
+    from diftsim import parse_kernel
+
+    doc = {
+        "name": "or_widths",
+        "tag_width": 2,
+        "inputs": [{"id": "x", "width": 8, "signed": False}],
+        "constants": [{"id": "c", "width": 4, "signed": False, "value": 15}],
+        "nodes": [{"id": "n", "op": "or", "args": ["c", "x"], "width": 8, "signed": False}],
+        "outputs": [{"id": "out", "source": "n"}],
+    }
+    kernel, _ = parse_kernel(json.dumps(doc))
+    ri = RunInputs(values={"x": 0x30}, tags={"x": 0b1})
+    assert run_dift(kernel, ri, fine(2, PRECISE)).outputs == {"out": (63, 0b1)}
+    # The same constant as s4 is -1, all ones in every width: the kill holds.
+    doc["constants"][0]["signed"] = True
+    kernel, _ = parse_kernel(json.dumps(doc))
+    assert run_dift(kernel, ri, fine(2, PRECISE)).outputs == {"out": (255, 0)}
+    u2, u4 = BitType(2), BitType(4)
+    assert independence_oracle(OpKind.OR, [u2, u4], {1}, {0: 3}, result_ty=u4) is False
+    ops = [(make_bitvalue(u2, 3), Tag(2, 0)), (make_bitvalue(u4, 9), Tag(2, 0b1))]
+    assert propagate(PRECISE, OpKind.OR, ops, u4) == Tag(2, 0b1)
 
 
 def test_run_baseline_add():
@@ -265,15 +377,15 @@ def test_fuzz_reproducible(fir4):
 
 
 def test_mutant_rule_caught_by_monotonicity(fir4, monkeypatch):
-    # A broken propagation that drops joint label bits (xor instead of or)
+    # A broken tag rule that drops joint label bits (xor instead of or)
     # must be flagged by the union-rule monotonicity property.
-    def xor_propagate(rule, kind, operands):
-        bits = 0
-        for _, tag in operands:
-            bits ^= tag.bits
-        return Tag(operands[0][1].width, bits)
+    def xor_tag_bits(rule, kind, bits, types, tags, result_ty):
+        acc = 0
+        for t in tags:
+            acc ^= t
+        return acc
 
-    monkeypatch.setattr(diftsim.taint, "propagate", xor_propagate)
+    monkeypatch.setattr(diftsim.taint, "tag_bits", xor_tag_bits)
     report = fuzz_properties(fir4, trials=200, seed=5)
     assert any(c.property == "monotonicity" for c in report.counterexamples)
 
