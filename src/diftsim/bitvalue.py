@@ -8,11 +8,12 @@ way fixed-width hardware datapaths behave. Values are immutable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum, unique
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .errors import DivisionByZero, InvalidType, TypeMismatch
+from .errors import DivisionByZero, InvalidType, OutOfBoundsAddress, TypeMismatch
 
 MAX_WIDTH = 64
 
@@ -115,11 +116,16 @@ def make_bitvalue(ty: BitType, raw: int) -> BitValue:
     return BitValue(ty, raw & ty.mask)
 
 
+def sign_bit(ty: BitType) -> int:
+    """The sign bit of a signed ty, 0 for an unsigned one: canonical bits b
+    decode to (b ^ s) - s."""
+    return 1 << (ty.width - 1) if ty.signed else 0
+
+
 def decode(bits: int, ty: BitType) -> int:
     """Numeric value of canonical bits of ty, two's-complement decoded when signed."""
-    if ty.signed and bits >> (ty.width - 1):
-        return bits - (1 << ty.width)
-    return bits
+    s = sign_bit(ty)
+    return (bits ^ s) - s
 
 
 def to_int(v: BitValue) -> int:
@@ -142,54 +148,165 @@ def _mod(a: int, b: int) -> int:
 
 
 _ARITH = {
-    OpKind.ADD: int.__add__,
-    OpKind.SUB: int.__sub__,
-    OpKind.MUL: int.__mul__,
+    OpKind.ADD: operator.add,
+    OpKind.SUB: operator.sub,
+    OpKind.MUL: operator.mul,
     OpKind.DIV: _div,
     OpKind.MOD: _mod,
-    OpKind.AND: int.__and__,
-    OpKind.OR: int.__or__,
-    OpKind.XOR: int.__xor__,
-    OpKind.EQ: int.__eq__,
-    OpKind.NE: int.__ne__,
-    OpKind.LT: int.__lt__,
-    OpKind.LE: int.__le__,
-    OpKind.GT: int.__gt__,
-    OpKind.GE: int.__ge__,
+    OpKind.AND: operator.and_,
+    OpKind.OR: operator.or_,
+    OpKind.XOR: operator.xor,
+    OpKind.SHL: operator.lshift,
+    OpKind.SHR: operator.rshift,
+    OpKind.EQ: operator.eq,
+    OpKind.NE: operator.ne,
+    OpKind.LT: operator.lt,
+    OpKind.LE: operator.le,
+    OpKind.GT: operator.gt,
+    OpKind.GE: operator.ge,
 }
+# Operators whose result bits modulo 2^w depend only on their operands'
+# bits modulo 2^w (mux on the selected operand's).
+_WRAPPING = frozenset(
+    {
+        OpKind.ADD,
+        OpKind.SUB,
+        OpKind.MUL,
+        OpKind.AND,
+        OpKind.OR,
+        OpKind.XOR,
+        OpKind.SHL,
+        OpKind.NEG,
+        OpKind.MUX,
+    }
+)
 
 
-def apply_op(kind: OpKind, bits, types, result_ty: BitType) -> int:
-    """Canonical result bits of a value operator; the one definition of
-    value semantics, over canonical operand bits and their types.
+def pad_operands(seq):
+    """Three operands from one, two or three, repeating the last; the
+    specialised functions of value_fn and taint.tag_fn take three."""
+    return seq[0], seq[1 if len(seq) > 1 else 0], seq[-1]
+
+
+# The factories below keep (a bounded number of) the functions they make,
+# so nodes and kernels with the same parameters share one function.
+
+
+@lru_cache(maxsize=1024)
+def _arith(op, sx: int, sy: int, mask: int):
+    if sx or sy:
+        def arith(x, y, z):
+            return op((x ^ sx) - sx, (y ^ sy) - sy) & mask
+    else:
+        def arith(x, y, z):
+            return op(x, y) & mask
+    return arith
+
+
+@lru_cache(maxsize=1024)
+def _shift(op, sx: int, width: int, mask: int):
+    def shift(x, y, z):
+        return op((x ^ sx) - sx, y % width) & mask
+    return shift
+
+
+@lru_cache(maxsize=1024)
+def _not(mask: int):
+    def not_(x, y, z):
+        return ~x & mask
+    return not_
+
+
+@lru_cache(maxsize=1024)
+def _neg(sx: int, mask: int):
+    def neg(x, y, z):
+        return -((x ^ sx) - sx) & mask
+    return neg
+
+
+@lru_cache(maxsize=1024)
+def _mux(sy: int, sz: int, mask: int):
+    def mux(x, y, z):
+        return ((y ^ sy) - sy if x else (z ^ sz) - sz) & mask
+    return mux
+
+
+@lru_cache(maxsize=1024)
+def _load(memory: str, size: int, sy: int):
+    def load(cells, y, z):
+        i = (y ^ sy) - sy
+        if not 0 <= i < size:
+            raise OutOfBoundsAddress(f"address {i} outside {memory}[0..{size})")
+        return cells[i]
+    return load
+
+
+@lru_cache(maxsize=1024)
+def _store(memory: str, size: int, sy: int, sz: int, mask: int):
+    def store(cells, y, z):
+        i = (y ^ sy) - sy
+        if not 0 <= i < size:
+            raise OutOfBoundsAddress(f"address {i} outside {memory}[0..{size})")
+        cells[i] = bits = ((z ^ sz) - sz) & mask
+        return bits
+    return store
+
+
+def value_fn(kind: OpKind, types, result_ty: BitType | None):
+    """Specialise an operator to its operand and result types: the one
+    definition of value semantics, as a function f(x, y, z) of canonical
+    operand bits (pad_operands fills an arity below three) that returns
+    the canonical result bits.
 
     Operands are decoded by their own signedness and the exact result is
     wrapped into result_ty. div truncates toward zero and mod follows the
     dividend's sign; both raise DivisionByZero on a zero divisor. The
-    shift amount is the unsigned bits of b reduced modulo the result
-    width; shr is arithmetic when a is signed, logical otherwise.
-    Comparisons yield 0 or 1. not complements a within its own width;
-    neg negates its value. mux picks t when sel is nonzero, else f, and
-    rewraps the chosen value into result_ty. Result types are not
-    checked here; eval_binop and eval_unop check them.
+    shift amount is the unsigned bits of y reduced modulo the result
+    width; shr is arithmetic when x is signed, logical otherwise.
+    Comparisons yield 0 or 1. not complements x within its own width;
+    neg negates its value. mux picks y when x is nonzero, else z, and
+    rewraps the chosen value into result_ty.
+
+    For load and store, types[0] is the memory (its id, size and cell
+    type) and x its list of cell bits. The address y must lie in
+    [0, size), else OutOfBoundsAddress. load returns the cell; store
+    wraps z into the cell type, writes it, and returns it. Result types
+    are not checked here; eval_binop, eval_unop and validate check them.
     """
+    if kind is OpKind.LOAD:
+        mem = types[0]
+        return _load(mem.id, mem.size, sign_bit(types[1]))
+    if kind is OpKind.STORE:
+        mem, data = types[0], types[2]
+        s_data = sign_bit(data) if data.width < mem.cell.width else 0
+        return _store(mem.id, mem.size, sign_bit(types[1]), s_data, mem.cell.mask)
     mask = result_ty.mask
+    if kind in _WRAPPING:
+        # An operand at least as wide as the result changes no result bit
+        # by its sign, so it is not decoded.
+        signs = [sign_bit(ty) if ty.width < result_ty.width else 0 for ty in types]
+    else:
+        signs = [sign_bit(ty) for ty in types]
     if kind is OpKind.MUX:
-        chosen = 1 if bits[0] else 2
-        return decode(bits[chosen], types[chosen]) & mask
+        return _mux(signs[1], signs[2], mask)
     if kind is OpKind.NOT:
-        return ~bits[0] & types[0].mask & mask
-    a = decode(bits[0], types[0])
+        return _not(types[0].mask & mask)
     if kind is OpKind.NEG:
-        return -a & mask
-    if kind is OpKind.SHL:
-        return (a << bits[1] % result_ty.width) & mask
-    if kind is OpKind.SHR:
-        return (a >> bits[1] % result_ty.width) & mask
-    fn = _ARITH.get(kind)
-    if fn is None:
+        return _neg(signs[0], mask)
+    if kind is OpKind.SHL or kind is OpKind.SHR:
+        return _shift(_ARITH[kind], signs[0], result_ty.width, mask)
+    op = _ARITH.get(kind)
+    if op is None:
         raise TypeMismatch(f"{kind.value} is not a value operator")
-    return fn(a, decode(bits[1], types[1])) & mask
+    return _arith(op, signs[0], signs[1], mask)
+
+
+def apply_op(kind: OpKind, bits, types, result_ty: BitType) -> int:
+    """Canonical result bits of a value operator over canonical operand
+    bits and their types, as value_fn defines."""
+    if kind not in VALUE_OPS:
+        raise TypeMismatch(f"{kind.value} is not a value operator")
+    return value_fn(kind, types, result_ty)(*pad_operands(bits))
 
 
 def eval_binop(kind: OpKind, a: BitValue, b: BitValue, result_ty: BitType) -> BitValue:

@@ -8,9 +8,12 @@ file format is a single JSON document; unknown keys are rejected.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 
+from . import taint
 from .bitvalue import (
     COMPARE_OPS,
     BitType,
@@ -19,12 +22,17 @@ from .bitvalue import (
     apply_op,
     make_bitvalue,
     op_arity,
+    pad_operands,
     to_int,
+    value_fn,
 )
 from .errors import DivisionByZero, InvalidType
 from .policy_monitor import Policy, PolicyKind
-from .taint import MAX_TAG_WIDTH, FineGrained, Tag
+from .taint import MAX_TAG_WIDTH, FineGrained, PropagationRule, Tag
 from .tainted import DiftConfig
+
+# Larger memories are rejected: every run and every sample allocates all cells.
+MAX_MEMORY_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,32 @@ class Kernel:
     policies: tuple[Policy, ...] = ()
     outputs: tuple[OutputDecl, ...] = ()
 
+    @cached_property
+    def plan(self) -> Plan:
+        """This kernel lowered for the simulator, once per instance; the
+        kernel must be valid."""
+        return lower(self)
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A valid kernel lowered to slots. Every input, constant, memory and
+    node has a slot, numbered in that declaration order; a run keeps its
+    values (a memory's: the list of its cells) and tags in lists indexed
+    by slot.
+
+    Each node becomes one step (out, value_fn, x, y, z, union_fn,
+    precise_fn, watch): its slot, its bitvalue.value_fn, the slots of its
+    operands as bitvalue.pad_operands lays them out, its taint.tag_fn under
+    either rule, and the checkpoints on it as (decl, slot, type) in
+    declaration order.
+    """
+
+    steps: tuple[tuple, ...]
+    constants: tuple[int, ...]  # bits of each constant
+    early: tuple[tuple, ...]  # checkpoints on inputs and constants, as in watch
+    outputs: tuple[tuple[str, int], ...]  # (output id, source slot)
+
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -152,7 +186,10 @@ def _get_int(item: dict, key: str, loc: str, diags: list[Diagnostic], default=No
     return v
 
 
-def _get_type(item: dict, loc: str, diags: list[Diagnostic]) -> BitType | None:
+def _get_type(
+    item: dict, loc: str, diags: list[Diagnostic], shared: dict[tuple[int, bool], BitType]
+) -> BitType | None:
+    """The item's type; equal types within one parse are one BitType in shared."""
     width = _get_int(item, "width", loc, diags)
     signed = item.get("signed", False)
     if not isinstance(signed, bool):
@@ -160,11 +197,13 @@ def _get_type(item: dict, loc: str, diags: list[Diagnostic]) -> BitType | None:
         return None
     if width is None:
         return None
-    try:
-        return BitType(width, signed)
-    except InvalidType as e:
-        _err(diags, loc, str(e))
-        return None
+    ty = shared.get((width, signed))
+    if ty is None:
+        try:
+            ty = shared[width, signed] = BitType(width, signed)
+        except InvalidType as e:
+            _err(diags, loc, str(e))
+    return ty
 
 
 def _check_section(doc: dict, key: str, diags: list[Diagnostic]) -> list[dict]:
@@ -214,10 +253,11 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
         _err(diags, "kernel", f"tag_width must be an integer in 1..{MAX_TAG_WIDTH}")
         return None, diags
 
+    types: dict[tuple[int, bool], BitType] = {}
     inputs = []
     for item in _check_section(doc, "inputs", diags):
         iid = _get_str(item, "id", "inputs", diags)
-        ty = _get_type(item, f"input {iid}", diags)
+        ty = _get_type(item, f"input {iid}", diags, types)
         default_tag = _get_int(item, "default_tag", f"input {iid}", diags, default=0)
         if iid is None or ty is None or default_tag is None:
             continue
@@ -226,7 +266,7 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
     constants = []
     for item in _check_section(doc, "constants", diags):
         cid = _get_str(item, "id", "constants", diags)
-        ty = _get_type(item, f"constant {cid}", diags)
+        ty = _get_type(item, f"constant {cid}", diags, types)
         value = _get_int(item, "value", f"constant {cid}", diags)
         if cid is None or ty is None or value is None:
             continue
@@ -237,7 +277,7 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
         mid = _get_str(item, "id", "memories", diags)
         loc = f"memory {mid}"
         size = _get_int(item, "size", loc, diags)
-        ty = _get_type(item, loc, diags)
+        ty = _get_type(item, loc, diags, types)
         if mid is None or size is None or ty is None:
             continue
         init_raw = item.get("init", [])
@@ -271,7 +311,7 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
                 continue
             ty = None
         else:
-            ty = _get_type(item, loc, diags)
+            ty = _get_type(item, loc, diags, types)
             if ty is None:
                 continue
         if nid is None:
@@ -373,6 +413,8 @@ def validate(k: Kernel) -> list[Diagnostic]:
         declare(m.id, "memory")
         if m.size < 1:
             _err(diags, m.id, "memory size must be at least 1")
+        elif m.size > MAX_MEMORY_CELLS:
+            _err(diags, m.id, f"memory size must be at most {MAX_MEMORY_CELLS}")
         if len(m.init) > m.size:
             _err(diags, m.id, f"init has {len(m.init)} values for {m.size} cells")
         if len(m.init_tags) > m.size:
@@ -453,6 +495,52 @@ def validate(k: Kernel) -> list[Diagnostic]:
             _err(diags, out.id, f"output source {out.source} is not a value id")
 
     return diags
+
+
+# ---------------------------------------------------------------------------
+# Lowering
+# ---------------------------------------------------------------------------
+
+
+def lower(k: Kernel) -> Plan:
+    """The Plan of a valid kernel. Tag functions are looked up on the taint
+    module at lowering time, so a test can substitute the rule."""
+    slots: dict[str, int] = {}
+    types: list = []  # per slot; a memory's is its MemoryDecl
+    for decl_id, ty in itertools.chain(
+        ((i.id, i.ty) for i in k.inputs),
+        ((c.id, c.value.ty) for c in k.constants),
+        ((m.id, m) for m in k.memories),
+        ((n.id, n.ty) for n in k.nodes),
+    ):
+        slots[decl_id] = len(types)
+        types.append(ty)
+    watched = [(cp, slots[cp.arg], types[slots[cp.arg]]) for cp in k.checkpoints]
+    watches: dict[int, list] = {}
+    for w in watched:
+        watches.setdefault(w[1], []).append(w)
+    n_early = len(k.inputs) + len(k.constants)
+    steps = []
+    for n in k.nodes:
+        args = [slots[a] for a in n.args]
+        arg_types = [types[slot] for slot in args]
+        out = slots[n.id]
+        steps.append(
+            (
+                out,
+                value_fn(n.op, arg_types, n.ty),
+                *pad_operands(args),
+                taint.tag_fn(PropagationRule.UNION, n.op, arg_types, n.ty),
+                taint.tag_fn(PropagationRule.PRECISE, n.op, arg_types, n.ty),
+                tuple(watches.pop(out, ())),
+            )
+        )
+    return Plan(
+        steps=tuple(steps),
+        constants=tuple(c.value.bits for c in k.constants),
+        early=tuple(w for w in watched if w[1] < n_early),
+        outputs=tuple((o.id, slots[o.source]) for o in k.outputs),
+    )
 
 
 # ---------------------------------------------------------------------------

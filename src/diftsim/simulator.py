@@ -1,15 +1,17 @@
 """Kernel execution, differential consistency checking, the brute-force
 independence oracle, and the property fuzzer.
 
-run_baseline and run_dift share one node walk, _execute, over plain int
-value and tag slots: values come from bitvalue.apply_op and tags from
-taint.tag_bits. run_baseline is that walk with tags off; fine run_dift
-adds int tags and live checkpoints; coarse run_dift is the walk with tags
-off plus one boundary OR that every checkpoint and output observes.
-BitValue, Tag and DiftValue are built only at the edge: checkpoint
-submission. The walk follows the node list in order, so a single run is
-sequential; distinct runs over immutable kernels are independent. All
-randomness is seeded.
+run_baseline and run_dift share one walk, _execute, over the kernel's
+Plan (Kernel.plan, lowered once per kernel instance): a run keeps its
+values and tags in lists indexed by slot, and each step calls the
+node's value function from bitvalue.value_fn and, when tags are on, its
+union or precise tag function from taint.tag_fn. run_baseline is that
+walk with tags off; fine run_dift adds int tags and live checkpoints;
+coarse run_dift is the walk with tags off plus one boundary OR that
+every checkpoint and output observes. BitValue, Tag and DiftValue are
+built only at the edge: checkpoint submission. The walk follows the node
+list in order, so a single run is sequential; distinct runs over
+immutable kernels are independent. All randomness is seeded.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
-from . import taint
-from .bitvalue import COMPARE_OPS, BitType, BitValue, OpKind, apply_op, decode, op_arity
+from .bitvalue import COMPARE_OPS, BitType, BitValue, OpKind, apply_op, op_arity
 from .errors import EvalError, OutOfBoundsAddress, WidthMismatch, WidthTooLarge
 from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim
 from .policy_monitor import REG_TAG_IN, MonitorState, checkpoint, reg_read
@@ -143,11 +144,9 @@ def inputs_to_json(inputs: RunInputs) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _init_values(
-    k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None
-) -> tuple[dict[str, int], dict[str, BitType], dict[str, list[int]]]:
-    """Canonical bits of every input and constant, the type of every value
-    id, and the cells of every memory."""
+def _init_values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None) -> list:
+    """The value slots of a run: canonical bits of every input and
+    constant, the cell list of every memory, and a place for every node."""
 
     def warn(loc: str, msg: str) -> None:
         if diags is not None:
@@ -161,22 +160,14 @@ def _init_values(
     for unknown in set(inputs.memory) - {m.id for m in k.memories}:
         warn(unknown, "override for unknown memory ignored")
 
-    env: dict[str, int] = {}
-    types: dict[str, BitType] = {}
+    vals: list = []
     for inp in k.inputs:
-        types[inp.id] = inp.ty
         if inp.id in inputs.values:
-            env[inp.id] = inputs.values[inp.id] & inp.ty.mask
+            vals.append(inputs.values[inp.id] & inp.ty.mask)
         else:
             warn(inp.id, "input not assigned; defaulting to 0")
-            env[inp.id] = 0
-    for c in k.constants:
-        env[c.id] = c.value.bits
-        types[c.id] = c.value.ty
-    for n in k.nodes:
-        types[n.id] = n.ty
-
-    mems: dict[str, list[int]] = {}
+            vals.append(0)
+    vals += k.plan.constants
     for m in k.memories:
         cells = list(m.init) + [0] * (m.size - len(m.init))
         override = inputs.memory.get(m.id)
@@ -187,25 +178,29 @@ def _init_values(
                     node_id=m.id,
                 )
             cells[: len(override)] = [raw & m.cell.mask for raw in override]
-        mems[m.id] = cells
-    return env, types, mems
+        vals.append(cells)
+    vals += [0] * len(k.nodes)
+    return vals
 
 
-def _init_tags(k: Kernel, inputs: RunInputs, monitor: MonitorState) -> dict[str, int]:
-    """Tag bits of every input and constant. Input tags resolve as: explicit
-    override, else a nonzero REG_TAG_IN word, else the declared default."""
+def _init_tags(k: Kernel, inputs: RunInputs, monitor: MonitorState) -> list:
+    """The tag slots of a run: tag bits of every input, 0 for constants and
+    nodes, and every memory's list of cell tags. Input tags resolve as:
+    explicit override, else a nonzero REG_TAG_IN word, else the declared
+    default."""
     mask = (1 << k.tag_width) - 1
     tag_in = reg_read(monitor, REG_TAG_IN)
-    tags: dict[str, int] = {}
+    tags: list = []
     for inp in k.inputs:
         if inp.id in inputs.tags:
-            tags[inp.id] = inputs.tags[inp.id] & mask
+            tags.append(inputs.tags[inp.id] & mask)
         elif tag_in:
-            tags[inp.id] = tag_in & mask
+            tags.append(tag_in & mask)
         else:
-            tags[inp.id] = inp.default_tag
-    for c in k.constants:
-        tags[c.id] = 0
+            tags.append(inp.default_tag)
+    tags += [0] * len(k.constants)
+    tags += [list(m.init_tags) + [0] * (m.size - len(m.init_tags)) for m in k.memories]
+    tags += [0] * len(k.nodes)
     return tags
 
 
@@ -213,62 +208,33 @@ def _locate(exc: EvalError, node_id: str, step: int) -> EvalError:
     if exc.node_id is None:
         exc.node_id = node_id
         exc.step = step
-        exc.args = (f"{exc.args[0]} (node {node_id}, step {step})",)
+        # An address trap names its memory and address; others get the place.
+        if not isinstance(exc, OutOfBoundsAddress):
+            exc.args = (f"{exc.args[0]} (node {node_id}, step {step})",)
     return exc
 
 
-def _execute(
-    k: Kernel,
-    env: dict[str, int],
-    types: dict[str, BitType],
-    mems: dict[str, list[int]],
-    rule: PropagationRule | None = None,
-    tags: dict[str, int] | None = None,
-    mem_tags: dict[str, list[int]] | None = None,
-    watched: dict[str, list] | None = None,
-    fire=None,
-) -> tuple[int, bool]:
-    """The one node walk: values by apply_op, and tags by taint.tag_bits
-    when tags is given, all as plain ints. After each node, every
-    checkpoint in watched[node id] goes to fire(cp, step); fire returning
-    True halts the walk. Returns (steps executed, halted)."""
-    # The rule is read from its module on every walk so a test can substitute it.
-    value_of, tag_of = apply_op, taint.tag_bits
-    watched = watched or {}
-    mem_decls = {m.id: m for m in k.memories}
-    for step, node in enumerate(k.nodes, start=1):
-        op, args = node.op, node.args
+def _execute(k: Kernel, vals: list, tags: list | None = None, precise: bool = False, fire=None):
+    """The one walk over k.plan: each step sets its value slot by its value
+    function and, when tags is given, its tag slot by its union or precise
+    tag function. After each step, every checkpoint watching it goes to
+    fire((decl, slot, type), step); fire returning True halts the walk.
+    Returns (steps executed, halted)."""
+    for step, (out, value_of, x, y, z, union_of, precise_of, watch) in enumerate(
+        k.plan.steps, start=1
+    ):
         try:
-            if op is OpKind.LOAD or op is OpKind.STORE:
-                mem = mem_decls[args[0]]
-                addr = args[1]
-                i = decode(env[addr], types[addr])
-                if not 0 <= i < mem.size:
-                    raise OutOfBoundsAddress(
-                        f"address {i} outside {mem.id}[0..{mem.size})", node_id=node.id, step=step
-                    )
-                if op is OpKind.LOAD:
-                    env[node.id] = mems[mem.id][i]
-                    if tags is not None:
-                        cell_tag = mem_tags[mem.id][i]
-                        tags[node.id] = tag_of(rule, op, (), (), (tags[addr], cell_tag), node.ty)
-                else:
-                    data = args[2]
-                    mems[mem.id][i] = decode(env[data], types[data]) & mem.cell.mask
-                    if tags is not None:
-                        data_tags = (tags[addr], tags[data])
-                        mem_tags[mem.id][i] = tag_of(rule, op, (), (), data_tags, mem.cell)
-            else:
-                bits = [env[a] for a in args]
-                tys = [types[a] for a in args]
-                env[node.id] = value_of(op, bits, tys, node.ty)
-                if tags is not None:
-                    tags[node.id] = tag_of(rule, op, bits, tys, [tags[a] for a in args], node.ty)
+            vx, vy, vz = vals[x], vals[y], vals[z]
+            vals[out] = value_of(vx, vy, vz)
+            if tags is not None:
+                tag_of = precise_of if precise else union_of
+                tags[out] = tag_of(vx, vy, vz, tags[x], tags[y], tags[z])
         except EvalError as e:
-            raise _locate(e, node.id, step)
-        for cp in watched.get(node.id, ()):
-            if fire(cp, step):
-                return step, True
+            raise _locate(e, k.nodes[step - 1].id, step)
+        if watch and fire is not None:
+            for w in watch:
+                if fire(w, step):
+                    return step, True
     return len(k.nodes), False
 
 
@@ -276,9 +242,9 @@ def run_baseline(
     k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None = None
 ) -> dict[str, int]:
     """Execute the kernel without any tracking; checkpoints are no-ops."""
-    env, types, mems = _init_values(k, inputs, diags)
-    _execute(k, env, types, mems)
-    return {o.id: env[o.source] for o in k.outputs}
+    vals = _init_values(k, inputs, diags)
+    _execute(k, vals)
+    return {oid: vals[slot] for oid, slot in k.plan.outputs}
 
 
 def run_dift(
@@ -303,42 +269,37 @@ def run_dift(
         )
     if monitor is None:
         monitor = MonitorState.for_kernel(k)
-    env, types, mems = _init_values(k, inputs, diags)
-    tags: dict[str, int] | None = _init_tags(k, inputs, monitor)
+    vals = _init_values(k, inputs, diags)
+    tags: list | None = _init_tags(k, inputs, monitor)
     rule = cfg.rule
-    mem_tags = None
     if rule is None:
         boundary = 0
-        for t in itertools.chain(tags.values(), *(m.init_tags for m in k.memories)):
+        for t in itertools.chain(tags[: len(k.inputs)], *(m.init_tags for m in k.memories)):
             boundary |= t
         tags = None
-    else:
-        mem_tags = {m.id: list(m.init_tags) + [0] * (m.size - len(m.init_tags)) for m in k.memories}
     halt = cfg.on_exception == "halt"
-
-    watched: dict[str, list] = {}
-    for cp in k.checkpoints:
-        watched.setdefault(cp.arg, []).append(cp)
     observations: list[tuple[str, int]] = []
 
-    def fire(cp, step: int) -> bool:
+    def fire(watch: tuple, step: int) -> bool:
         """Submit one checkpoint observation; True means halt now."""
-        tag = boundary if tags is None else tags[cp.arg]
-        observed = DiftValue(BitValue(types[cp.arg], env[cp.arg]), Tag(k.tag_width, tag))
+        cp, slot, ty = watch
+        tag = boundary if tags is None else tags[slot]
+        observed = DiftValue(BitValue(ty, vals[slot]), Tag(k.tag_width, tag))
         exc = checkpoint(monitor, cp.id, cp.arg, observed, step)
         observations.append((cp.id, tag))
         return exc is not None and halt
 
     # Checkpoints on inputs and constants observe before any node runs.
-    halted = any(fire(cp, 0) for cp in k.checkpoints if cp.arg in env)
+    halted = any(fire(w, 0) for w in k.plan.early)
     steps = 0
     if not halted:
-        steps, halted = _execute(k, env, types, mems, rule, tags, mem_tags, watched, fire)
+        steps, halted = _execute(k, vals, tags, rule is PropagationRule.PRECISE, fire)
 
     outputs: dict[str, tuple[int, int]] = {}
     if not halted:
         outputs = {
-            o.id: (env[o.source], boundary if tags is None else tags[o.source]) for o in k.outputs
+            oid: (vals[slot], boundary if tags is None else tags[slot])
+            for oid, slot in k.plan.outputs
         }
     return SimulationReport(
         outputs=outputs,

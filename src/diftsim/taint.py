@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .bitvalue import VALUE_OPS, BitType, BitValue, OpKind, decode, op_arity
+from .bitvalue import VALUE_OPS, BitType, BitValue, OpKind, op_arity, pad_operands, sign_bit
 from .errors import ArityMismatch, InvalidType, TypeMismatch, WidthMismatch
 
 MAX_TAG_WIDTH = 32
@@ -79,6 +80,85 @@ def _join_all(tags: Iterable[Tag]) -> Tag:
     return acc
 
 
+def _join(x, y, z, tx, ty, tz):
+    return tx | ty | tz
+
+
+def _zero_kill(x, y, z, tx, ty, tz):
+    if (tx == 0 and x == 0) or (ty == 0 and y == 0):
+        return 0
+    return tx | ty
+
+
+def _mux_select(x, y, z, tx, ty, tz):
+    return tx | (ty if x else tz)
+
+
+# As in bitvalue, the factories keep the functions they make, for sharing.
+@lru_cache(maxsize=1024)
+def _ones_kill(kx: int, ky: int):
+    def ones_kill(x, y, z, tx, ty, tz):
+        if (tx == 0 and (x & kx) == kx) or (ty == 0 and (y & ky) == ky):
+            return 0
+        return tx | ty
+    return ones_kill
+
+
+@lru_cache(maxsize=1024)
+def _load(sy: int):
+    def load(cells, addr, z, cell_tags, addr_tag, tz):
+        return addr_tag | cell_tags[(addr ^ sy) - sy]
+    return load
+
+
+@lru_cache(maxsize=1024)
+def _store(sy: int, precise: bool):
+    def store(cells, addr, data, cell_tags, addr_tag, data_tag):
+        cell_tags[(addr ^ sy) - sy] = tag = data_tag if precise else addr_tag | data_tag
+        return tag
+    return store
+
+
+def _all_ones_mask(ty: BitType, result_ty: BitType) -> int:
+    """k such that bits b of ty, decoded and wrapped to result_ty, are all
+    ones there iff b & k == k: a narrower signed operand must be -1, any
+    other must cover the result's bits (never, if unsigned and narrower)."""
+    return ty.mask if ty.signed and ty.width < result_ty.width else result_ty.mask
+
+
+def tag_fn(rule: PropagationRule, kind: OpKind, types: Sequence, result_ty: BitType | None):
+    """Specialise the tag rule of one operator to its operand and result
+    types: the one definition of the tag rules, as a function
+    f(x, y, z, tx, ty, tz) of the operand bits and tag bits laid out as
+    for bitvalue.value_fn, returning the result tag bits.
+
+    UNION joins every operand tag (for mux: selector and both branches).
+    PRECISE starts from the union and applies the taint-kill identities
+    listed in the module docstring; x|c kills only when the untainted c,
+    decoded by its own signedness and wrapped to result_ty, is all ones
+    there. Memory operations join tags alone: load returns its address
+    tag joined with the addressed cell's tag (x is the cell list and tx
+    the cells' tags) under either rule; store writes the cell's new tag,
+    the address and value tags joined, under PRECISE the value tag alone,
+    and returns it. Store runs after the value function has checked the
+    address.
+    """
+    if kind is OpKind.LOAD:
+        return _load(sign_bit(types[1]))
+    if kind is OpKind.STORE:
+        return _store(sign_bit(types[1]), rule is PropagationRule.PRECISE)
+    if rule is PropagationRule.PRECISE:
+        if kind is OpKind.MUX:
+            return _mux_select
+        if kind is OpKind.MUL or kind is OpKind.AND:
+            return _zero_kill
+        if kind is OpKind.OR:
+            return _ones_kill(
+                _all_ones_mask(types[0], result_ty), _all_ones_mask(types[1], result_ty)
+            )
+    return _join
+
+
 def tag_bits(
     rule: PropagationRule,
     kind: OpKind,
@@ -87,34 +167,8 @@ def tag_bits(
     tags: Sequence[int],
     result_ty: BitType,
 ) -> int:
-    """Result tag bits of one operation; the one definition of the tag rules.
-
-    UNION joins every operand tag (for mux: selector and both branches).
-    PRECISE starts from the union and applies the taint-kill identities
-    listed in the module docstring; x|c kills only when the untainted c,
-    decoded by its own signedness and wrapped to result_ty, is all ones
-    there. Memory operations use tags alone: (address, cell) for load,
-    joined under either rule, and (address, value) for store, whose
-    result is the cell's new tag: under PRECISE the value tag alone.
-    """
-    if rule is PropagationRule.PRECISE:
-        if kind is OpKind.MUX:
-            return tags[0] | tags[1 if bits[0] else 2]
-        if kind is OpKind.MUL or kind is OpKind.AND:
-            if any(t == 0 and b == 0 for b, t in zip(bits, tags)):
-                return 0
-        elif kind is OpKind.OR:
-            mask = result_ty.mask
-            if any(
-                t == 0 and decode(b, ty) & mask == mask for b, ty, t in zip(bits, types, tags)
-            ):
-                return 0
-        elif kind is OpKind.STORE:
-            return tags[1]
-    acc = 0
-    for t in tags:
-        acc |= t
-    return acc
+    """Result tag bits of one value operation, as tag_fn defines."""
+    return tag_fn(rule, kind, types, result_ty)(*pad_operands(bits), *pad_operands(tags))
 
 
 def propagate(

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -9,10 +10,13 @@ from diftsim import (
     PropagationRule,
     fixture_path,
     fuzz_properties,
+    has_errors,
     inputs_to_json,
+    parse_kernel,
     run_dift,
 )
 from diftsim.cli import main
+from diftsim.kernel_ir import MAX_MEMORY_CELLS
 from conftest import load_kernel
 
 FIR4 = str(fixture_path("fir4.json"))
@@ -78,6 +82,26 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
     assert main(["run", OVERFLOW, str(deep)]) == 2
     err = capsys.readouterr().err
     assert err.count("nested too deeply") == 2
+
+
+def test_oversized_memory_exits_2(tmp_path, capsys):
+    # Rejected at parse time, before any run or sample allocates the cells.
+    doc = json.loads(pathlib.Path(OVERFLOW).read_text())
+    for size in (2**20 + 1, 2**40):
+        doc["memories"][0]["size"] = size
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        kernel, diags = parse_kernel(big.read_text())
+        assert kernel is None
+        assert [str(d) for d in diags] == [
+            f"error: buf: memory size must be at most {MAX_MEMORY_CELLS}"
+        ]
+        for argv in (["run", str(big), OVERFLOW_CLEAN], ["check", str(big)], ["fuzz", str(big)]):
+            assert main(argv) == 2
+            assert str(diags[0]) in capsys.readouterr().err
+    doc["memories"][0]["size"] = MAX_MEMORY_CELLS
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None and not has_errors(diags)
 
 
 def test_usage_error_exits_1(capsys):
@@ -152,14 +176,11 @@ def test_fuzz_exits_0(capsys):
 def test_fuzz_counterexample_round_trips_through_run(tmp_path, capsys, monkeypatch):
     # Break the tag rule in-process, catch a counterexample, then feed its
     # inputs back through cmd_run and confirm the recorded tags reproduce.
-    def xor_tag_bits(rule, kind, bits, types, tags, result_ty):
-        acc = 0
-        for t in tags:
-            acc ^= t
-        return acc
+    def xor_tag_fn(rule, kind, types, result_ty):
+        return lambda x, y, z, tx, ty, tz: tx ^ ty  # fir4's nodes are all binary
 
-    monkeypatch.setattr(diftsim.taint, "tag_bits", xor_tag_bits)
-    fir4 = load_kernel("fir4.json")
+    monkeypatch.setattr(diftsim.taint, "tag_fn", xor_tag_fn)
+    fir4 = load_kernel("fir4.json")  # parsed here: its plan is lowered under the mutant
     report = fuzz_properties(fir4, trials=200, seed=5)
     cex = next(c for c in report.counterexamples if c.property == "monotonicity")
 

@@ -2,14 +2,20 @@ import itertools
 import json
 import random
 
+from dataclasses import replace
+
 import pytest
 
 import diftsim.taint
-from conftest import load_inputs
+from conftest import load_inputs, load_kernel
 from diftsim import (
+    BINARY_OPS,
+    COMPARE_OPS,
     BitType,
     CoarseBoundary,
     DiftConfig,
+    DivisionByZero,
+    EvalError,
     FineGrained,
     MonitorState,
     OpKind,
@@ -30,6 +36,8 @@ from diftsim import (
     run_baseline,
     run_dift,
 )
+from diftsim.simulator import _zero_tag_kernel
+from test_bitvalue import ref_binop, ref_to_int, ref_wrap
 
 U4 = BitType(4)
 S4 = BitType(4, signed=True)
@@ -376,16 +384,15 @@ def test_fuzz_reproducible(fir4):
     assert fuzz_properties(fir4, 50, seed=4) == fuzz_properties(fir4, 50, seed=4)
 
 
-def test_mutant_rule_caught_by_monotonicity(fir4, monkeypatch):
+def test_mutant_rule_caught_by_monotonicity(monkeypatch):
     # A broken tag rule that drops joint label bits (xor instead of or)
     # must be flagged by the union-rule monotonicity property.
-    def xor_tag_bits(rule, kind, bits, types, tags, result_ty):
-        acc = 0
-        for t in tags:
-            acc ^= t
-        return acc
+    def xor_tag_fn(rule, kind, types, result_ty):
+        return lambda x, y, z, tx, ty, tz: tx ^ ty  # fir4's nodes are all binary
 
-    monkeypatch.setattr(diftsim.taint, "tag_bits", xor_tag_bits)
+    monkeypatch.setattr(diftsim.taint, "tag_fn", xor_tag_fn)
+    # Parsed here, not the session fixture, whose plan may already exist.
+    fir4 = load_kernel("fir4.json")
     report = fuzz_properties(fir4, trials=200, seed=5)
     assert any(c.property == "monotonicity" for c in report.counterexamples)
 
@@ -397,3 +404,235 @@ def test_halted_run_reports_no_outputs(overflow_demo):
         fine(2, on_exception="halt"),
     )
     assert rep.halted and rep.outputs == {} and rep.steps_executed == 1
+
+
+SWEEP_TYPES = [BitType(w, s) for w in range(1, 4) for s in (False, True)]
+
+
+def sweep_kernel(op, operand_types, result_types):
+    """Inputs x0, x1, ... of the operand types and one node rj = op(x0, ...)
+    per result type, each read by its output oj."""
+    from diftsim import parse_kernel
+
+    args = [f"x{i}" for i in range(len(operand_types))]
+    doc = {
+        "name": f"sweep_{op}",
+        "tag_width": 4,
+        "inputs": [
+            {"id": a, "width": t.width, "signed": t.signed} for a, t in zip(args, operand_types)
+        ],
+        "nodes": [
+            {"id": f"r{j}", "op": op, "args": args, "width": r.width, "signed": r.signed}
+            for j, r in enumerate(result_types)
+        ],
+        "outputs": [{"id": f"o{j}", "source": f"r{j}"} for j in range(len(result_types))],
+    }
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    return kernel
+
+
+def sweep_through_walk(kind, operand_types, ref):
+    """Every operand value: run_baseline against ref(values, result type);
+    union tags the OR of the operand tags; every precise kill confirmed by
+    independence_oracle. Returns the number of kills seen."""
+    result_types = [BitType(1)] if kind in COMPARE_OPS else SWEEP_TYPES
+    kernel = sweep_kernel(kind.value, operand_types, result_types)
+    args = [f"x{i}" for i in range(len(operand_types))]
+    all_tags = (1 << len(args)) - 1
+    kills = 0
+    for values in itertools.product(*(range(1 << t.width) for t in operand_types)):
+        vals = dict(zip(args, values))
+        try:
+            want = {f"o{j}": ref(values, r) for j, r in enumerate(result_types)}
+        except ZeroDivisionError:
+            with pytest.raises(DivisionByZero):
+                run_baseline(kernel, RunInputs(values=vals))
+            continue
+        assert run_baseline(kernel, RunInputs(values=vals)) == want, (kind, operand_types, values)
+        tags = {a: 1 << i for i, a in enumerate(args)}
+        rep = run_dift(kernel, RunInputs(vals, tags), fine(4, UNION))
+        assert rep.outputs == {r: (v, all_tags) for r, v in want.items()}
+        for pos, a in enumerate(args):
+            rep = run_dift(kernel, RunInputs(vals, {a: 1}), fine(4, PRECISE))
+            for j, r_ty in enumerate(result_types):
+                value, tag = rep.outputs[f"o{j}"]
+                assert value == want[f"o{j}"] and tag in (0, 1)
+                if tag == 0:
+                    kills += 1
+                    fixed = {p: v for p, v in enumerate(values) if p != pos}
+                    assert independence_oracle(kind, operand_types, {pos}, fixed, r_ty), (
+                        kind, operand_types, r_ty, pos, values
+                    )
+    return kills
+
+
+def test_every_value_opcode_through_the_walk():
+    # One kernel per opcode and operand types, with one node per result
+    # type: the specialised value and tag functions of every signature run
+    # through run_baseline and run_dift, against the test-local references.
+    kills = 0
+    for kind in sorted(BINARY_OPS, key=lambda k: k.value):
+        for a_ty, b_ty in itertools.product(SWEEP_TYPES, SWEEP_TYPES):
+
+            def ref(values, r_ty, kind=kind, a_ty=a_ty, b_ty=b_ty):
+                return ref_binop(kind, values[0], a_ty, values[1], b_ty, r_ty)
+
+            kills += sweep_through_walk(kind, [a_ty, b_ty], ref)
+    for a_ty in SWEEP_TYPES:
+        kills += sweep_through_walk(
+            OpKind.NOT, [a_ty], lambda v, r, a_ty=a_ty: ref_wrap(~v[0] & a_ty.mask, r.width)
+        )
+        kills += sweep_through_walk(
+            OpKind.NEG,
+            [a_ty],
+            lambda v, r, a_ty=a_ty: ref_wrap(-ref_to_int(v[0], a_ty.width, a_ty.signed), r.width),
+        )
+    for t_ty, f_ty in itertools.product(SWEEP_TYPES, SWEEP_TYPES):
+
+        def mux_ref(v, r, t_ty=t_ty, f_ty=f_ty):
+            bits, ty = (v[1], t_ty) if v[0] else (v[2], f_ty)
+            return ref_wrap(ref_to_int(bits, ty.width, ty.signed), r.width)
+
+        kills += sweep_through_walk(OpKind.MUX, [BitType(1), t_ty, f_ty], mux_ref)
+    assert kills > 0
+
+
+def test_memory_opcodes_through_the_walk():
+    # load and store for every address and data type of widths 1..3,
+    # against a local reference: the address decodes by its own signedness
+    # and must lie in [0, 3); a store wraps the data into the u2 cell.
+    from diftsim import parse_kernel
+
+    init, init_tags = [1, 2, 3], [4, 0, 8]
+    for a_ty, d_ty in itertools.product(SWEEP_TYPES, SWEEP_TYPES):
+        doc = {
+            "name": "memsweep",
+            "tag_width": 4,
+            "inputs": [
+                {"id": "a", "width": a_ty.width, "signed": a_ty.signed},
+                {"id": "d", "width": d_ty.width, "signed": d_ty.signed},
+            ],
+            "constants": [{"id": "zero", "width": 1, "value": 0}],
+            "memories": [
+                {"id": "m", "size": 3, "width": 2, "init": init, "init_tags": init_tags}
+            ],
+            "nodes": [
+                {"id": "ld", "op": "load", "args": ["m", "a"], "width": 2},
+                {"id": "st", "op": "store", "args": ["m", "a", "d"]},
+                {"id": "ld0", "op": "load", "args": ["m", "zero"], "width": 2},
+            ],
+            "outputs": [{"id": "before", "source": "ld"}, {"id": "cell0", "source": "ld0"}],
+        }
+        kernel, diags = parse_kernel(json.dumps(doc))
+        assert kernel is not None, diags
+        for a, d in itertools.product(range(1 << a_ty.width), range(1 << d_ty.width)):
+            ri = RunInputs({"a": a, "d": d}, {"a": 1, "d": 2})
+            i = ref_to_int(a, a_ty.width, a_ty.signed)
+            if not 0 <= i < 3:
+                for run in (
+                    lambda: run_baseline(kernel, ri),
+                    lambda: run_dift(kernel, ri, fine(4, UNION)),
+                    lambda: run_dift(kernel, ri, fine(4, PRECISE)),
+                ):
+                    with pytest.raises(OutOfBoundsAddress) as e:
+                        run()
+                    assert (e.value.node_id, e.value.step) == ("ld", 1)
+                    assert str(e.value) == f"address {i} outside m[0..3)"
+                continue
+            stored = ref_wrap(ref_to_int(d, d_ty.width, d_ty.signed), 2)
+            cell0 = stored if i == 0 else init[0]
+            assert run_baseline(kernel, ri) == {"before": init[i], "cell0": cell0}
+            union = run_dift(kernel, ri, fine(4, UNION)).outputs
+            precise = run_dift(kernel, ri, fine(4, PRECISE)).outputs
+            # load: address tag | cell tag; store: the cell's tag becomes
+            # address | data under union, data alone under precise.
+            assert union["before"] == precise["before"] == (init[i], 1 | init_tags[i])
+            assert union["cell0"] == (cell0, 0b11 if i == 0 else init_tags[0])
+            assert precise["cell0"] == (cell0, 0b10 if i == 0 else init_tags[0])
+
+
+def trap_kernel():
+    """load (step 1), div (2), mod (3), store (4); inputs pick which traps."""
+    from diftsim import parse_kernel
+
+    doc = {
+        "name": "traps",
+        "tag_width": 2,
+        "inputs": [
+            {"id": "la", "width": 4},
+            {"id": "a", "width": 4},
+            {"id": "b", "width": 4},
+            {"id": "c", "width": 4},
+            {"id": "sa", "width": 4, "signed": True},
+        ],
+        "memories": [{"id": "m", "size": 4, "width": 8}],
+        "policies": [{"name": "any", "kind": "deny_if_any"}],
+        "nodes": [
+            {"id": "ld", "op": "load", "args": ["m", "la"], "width": 8},
+            {"id": "q", "op": "div", "args": ["a", "b"], "width": 4},
+            {"id": "r", "op": "mod", "args": ["a", "c"], "width": 4},
+            {"id": "st", "op": "store", "args": ["m", "sa", "ld"]},
+        ],
+        "checkpoints": [{"id": "cp_q", "arg": "q", "policy": "any"}],
+        "outputs": [{"id": "out", "source": "r"}],
+    }
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    return kernel
+
+
+@pytest.mark.parametrize(
+    "values, exc_type, node, step, message",
+    [
+        ({"la": 5}, OutOfBoundsAddress, "ld", 1, "address 5 outside m[0..4)"),
+        ({"b": 0}, DivisionByZero, "q", 2, "division by zero (node q, step 2)"),
+        ({"c": 0}, DivisionByZero, "r", 3, "modulo by zero (node r, step 3)"),
+        ({"sa": 15}, OutOfBoundsAddress, "st", 4, "address -1 outside m[0..4)"),
+    ],
+)
+def test_traps_name_their_node_step_and_message(values, exc_type, node, step, message):
+    kernel = trap_kernel()
+    ri = RunInputs(values={"la": 1, "a": 7, "b": 2, "c": 3, "sa": 2, **values})
+    runs = [lambda: run_baseline(kernel, ri)]
+    for on_exception in ("record", "halt"):
+        for cfg in (
+            fine(2, UNION, on_exception),
+            fine(2, PRECISE, on_exception),
+            DiftConfig(2, CoarseBoundary(), on_exception),
+        ):
+            runs.append(lambda cfg=cfg: run_dift(kernel, ri, cfg))
+    for run in runs:
+        with pytest.raises(EvalError) as e:
+            run()
+        assert type(e.value) is exc_type
+        assert (e.value.node_id, e.value.step, str(e.value)) == (node, step, message)
+
+
+def test_equal_kernels_stay_equal_after_a_run():
+    a, b = tiny_add_kernel(), tiny_add_kernel()
+    assert run_baseline(a, RunInputs(values={"a": 1, "b": 2})) == {"out": 3}
+    assert a == b and hash(a) == hash(b)
+    assert a == replace(a, name=a.name)
+
+
+def test_zero_tag_kernel_runs_its_own_plan():
+    # The zeroed copy must not run the original's plan, whose memory holds
+    # initial tags: the load of a tagged cell stays untainted there.
+    from diftsim import parse_kernel
+
+    doc = {
+        "name": "tagged_cell",
+        "tag_width": 2,
+        "inputs": [{"id": "i", "width": 1}],
+        "memories": [{"id": "m", "size": 2, "width": 4, "init": [5], "init_tags": [0b10]}],
+        "nodes": [{"id": "ld", "op": "load", "args": ["m", "i"], "width": 4}],
+        "outputs": [{"id": "out", "source": "ld"}],
+    }
+    kernel, _ = parse_kernel(json.dumps(doc))
+    ri = RunInputs(values={"i": 0}, tags={"i": 0})
+    assert run_dift(kernel, ri, fine(2)).outputs == {"out": (5, 0b10)}
+    zeroed = _zero_tag_kernel(kernel)
+    assert run_dift(zeroed, ri, fine(2)).outputs == {"out": (5, 0)}
+    assert zeroed.plan is not kernel.plan
+    assert run_dift(kernel, ri, fine(2)).outputs == {"out": (5, 0b10)}
