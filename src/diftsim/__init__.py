@@ -31,7 +31,6 @@ from .errors import (
     InvalidType,
     OutOfBoundsAddress,
     TypeMismatch,
-    UnknownPolicy,
     WidthMismatch,
     WidthTooLarge,
 )
@@ -63,10 +62,8 @@ from .policy_monitor import (
     Policy,
     PolicyKind,
     SecurityException,
-    Verdict,
     checkpoint,
     drain_exceptions,
-    evaluate_policy,
     reg_read,
     reg_write,
 )

@@ -23,10 +23,6 @@ class ArityMismatch(DiftError):
     """Operand count does not match the operator."""
 
 
-class UnknownPolicy(DiftError):
-    """Checkpoint refers to a policy the monitor does not know."""
-
-
 class BadAddress(DiftError):
     """Register access outside the monitor register file."""
 

@@ -121,8 +121,9 @@ class Plan:
     Each node becomes one step (out, value_fn, x, y, z, union_fn,
     precise_fn, watch): its slot, its bitvalue.value_fn, the slots of its
     operands as bitvalue.pad_operands lays them out, its taint.tag_fn under
-    either rule, and the checkpoints on it as (decl, slot, type) in
-    declaration order.
+    either rule, and the checkpoints on it in declaration order, each as
+    (checkpoint id, argument id, argument slot, Policy) with its policy
+    resolved by name.
     """
 
     steps: tuple[tuple, ...]
@@ -515,10 +516,11 @@ def lower(k: Kernel) -> Plan:
     ):
         slots[decl_id] = len(types)
         types.append(ty)
-    watched = [(cp, slots[cp.arg], types[slots[cp.arg]]) for cp in k.checkpoints]
+    policies = {p.name: p for p in k.policies}
+    watched = [(cp.id, cp.arg, slots[cp.arg], policies[cp.policy]) for cp in k.checkpoints]
     watches: dict[int, list] = {}
     for w in watched:
-        watches.setdefault(w[1], []).append(w)
+        watches.setdefault(w[2], []).append(w)
     n_early = len(k.inputs) + len(k.constants)
     steps = []
     for n in k.nodes:
@@ -538,7 +540,7 @@ def lower(k: Kernel) -> Plan:
     return Plan(
         steps=tuple(steps),
         constants=tuple(c.value.bits for c in k.constants),
-        early=tuple(w for w in watched if w[1] < n_early),
+        early=tuple(w for w in watched if w[2] < n_early),
         outputs=tuple((o.id, slots[o.source]) for o in k.outputs),
     )
 

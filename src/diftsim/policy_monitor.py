@@ -1,18 +1,19 @@
 """Security checkpoints, policies, and the monitor state machine.
 
-The monitor receives checkpoint tags, evaluates the bound policy, and on
-deny queues a SecurityException, raises the interrupt-pending flag, and
-mirrors its state into a four-word I/O register file through which
-software observes and clears it.
+The monitor receives the tag bits a checkpoint observes, never the
+value, judges them by the checkpoint's policy, and on deny queues a
+SecurityException, raises the interrupt-pending flag, and mirrors its
+state into a four-word I/O register file through which software
+observes and clears it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
-from .errors import BadAddress, UnknownPolicy, WidthMismatch
-from .tainted import DiftValue
+from .errors import BadAddress
 from .taint import Tag
 
 REG_STATUS = 0  # bit 0 = irq pending; writing bit 0 clears irq and the queue
@@ -22,11 +23,6 @@ REG_TAG_OUT = 3  # tag bits of the most recent denied checkpoint
 
 _WORD_MASK = 0xFFFFFFFF
 _ADDRESSES = (REG_STATUS, REG_EXC_COUNT, REG_TAG_IN, REG_TAG_OUT)
-
-
-class Verdict(Enum):
-    ALLOW = "allow"
-    DENY = "deny"
 
 
 class PolicyKind(Enum):
@@ -41,6 +37,16 @@ class Policy:
     kind: PolicyKind
     mask: Tag | None = None  # meaningful for deny_if_mask only
 
+    @cached_property
+    def denied_bits(self) -> int:
+        """The tag bits whose presence denies: none, any, or the mask's.
+        A deny_if_mask policy must have a mask (kernel_ir.validate)."""
+        if self.kind is PolicyKind.ALLOW_ALL:
+            return 0
+        if self.kind is PolicyKind.DENY_IF_ANY:
+            return -1
+        return self.mask.bits
+
 
 @dataclass(frozen=True)
 class SecurityException:
@@ -53,32 +59,13 @@ class SecurityException:
 
 @dataclass
 class MonitorState:
-    """Single-writer monitor: one simulation run mutates it at a time."""
+    """Single-writer monitor: one simulation run mutates it at a time. It
+    holds no policies (each checkpoint brings its own), so one state can
+    serve runs of different kernels in turn."""
 
-    policies: dict[str, Policy]
-    bindings: dict[str, str]  # checkpoint id -> policy name
     exceptions: list[SecurityException] = field(default_factory=list)
     irq: bool = False
     registers: list[int] = field(default_factory=lambda: [0, 0, 0, 0])  # words at 0..3
-
-    @classmethod
-    def for_kernel(cls, kernel) -> "MonitorState":
-        return cls(
-            policies={p.name: p for p in kernel.policies},
-            bindings={cp.id: cp.policy for cp in kernel.checkpoints},
-        )
-
-
-def evaluate_policy(p: Policy, t: Tag) -> Verdict:
-    if p.kind is PolicyKind.ALLOW_ALL:
-        return Verdict.ALLOW
-    if p.kind is PolicyKind.DENY_IF_ANY:
-        return Verdict.DENY if t.bits != 0 else Verdict.ALLOW
-    if p.mask is None:
-        raise UnknownPolicy(f"policy {p.name} has kind deny_if_mask but no mask")
-    if p.mask.width != t.width:
-        raise WidthMismatch(f"mask width {p.mask.width} does not match tag width {t.width}")
-    return Verdict.DENY if (t.bits & p.mask.bits) != 0 else Verdict.ALLOW
 
 
 def _sync_registers(state: MonitorState) -> None:
@@ -90,31 +77,29 @@ def checkpoint(
     state: MonitorState,
     checkpoint_id: str,
     node_id: str,
-    v: DiftValue,
+    policy: Policy,
+    tag_bits: int,
     step: int,
 ) -> SecurityException | None:
-    """Submit a value's tag to the monitor; returns the exception on deny.
+    """Submit the tag bits a checkpoint observed; returns the exception
+    when its policy denies them.
 
     Checkpoints never modify the observed value. On deny the exception is
     queued, irq raised, and the registers updated (REG_TAG_OUT receives
     the denying tag bits).
     """
-    policy_name = state.bindings.get(checkpoint_id)
-    if policy_name is None or policy_name not in state.policies:
-        raise UnknownPolicy(f"checkpoint {checkpoint_id} has no registered policy")
-    policy = state.policies[policy_name]
-    if evaluate_policy(policy, v.tag) is Verdict.ALLOW:
+    if not tag_bits & policy.denied_bits:
         return None
     exc = SecurityException(
         checkpoint_id=checkpoint_id,
         node_id=node_id,
-        tag_bits=v.tag.bits,
+        tag_bits=tag_bits,
         step=step,
-        policy_name=policy_name,
+        policy_name=policy.name,
     )
     state.exceptions.append(exc)
     state.irq = True
-    state.registers[REG_TAG_OUT] = v.tag.bits & _WORD_MASK
+    state.registers[REG_TAG_OUT] = tag_bits & _WORD_MASK
     _sync_registers(state)
     return exc
 

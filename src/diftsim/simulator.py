@@ -8,10 +8,11 @@ node's value function from bitvalue.value_fn and, when tags are on, its
 union or precise tag function from taint.tag_fn. run_baseline is that
 walk with tags off; fine run_dift adds int tags and live checkpoints;
 coarse run_dift is the walk with tags off plus one boundary OR that
-every checkpoint and output observes. BitValue, Tag and DiftValue are
-built only at the edge: checkpoint submission. The walk follows the node
-list in order, so a single run is sequential; distinct runs over
-immutable kernels are independent. All randomness is seeded.
+every checkpoint and output observes. A checkpoint submits its tag bits
+and its policy, resolved when the kernel was lowered, to the monitor.
+The walk follows the node list in order, so a single run is sequential;
+distinct runs over immutable kernels are independent. All randomness is
+seeded.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import json
 import random
 from dataclasses import dataclass, field, replace
 
-from .bitvalue import COMPARE_OPS, BitType, BitValue, OpKind, apply_op, op_arity
+from .bitvalue import COMPARE_OPS, BitType, OpKind, apply_op, op_arity
 from .errors import EvalError, OutOfBoundsAddress, WidthMismatch, WidthTooLarge
 from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim
 from .policy_monitor import REG_TAG_IN, MonitorState, checkpoint, reg_read
-from .taint import CoarseBoundary, FineGrained, PropagationRule, Tag
-from .tainted import DiftConfig, DiftValue
+from .taint import CoarseBoundary, FineGrained, PropagationRule
+from .tainted import DiftConfig
 
 _ORACLE_MAX_WIDTH = 6
 
@@ -152,13 +153,14 @@ def _init_values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None) -
         if diags is not None:
             diags.append(Diagnostic("warning", loc, msg))
 
-    known = {i.id for i in k.inputs}
-    for unknown in set(inputs.values) - known:
-        warn(unknown, "value for unknown input ignored")
-    for unknown in set(inputs.tags) - known:
-        warn(unknown, "tag for unknown input ignored")
-    for unknown in set(inputs.memory) - {m.id for m in k.memories}:
-        warn(unknown, "override for unknown memory ignored")
+    if diags is not None:
+        known = {i.id for i in k.inputs}
+        for unknown in set(inputs.values) - known:
+            warn(unknown, "value for unknown input ignored")
+        for unknown in set(inputs.tags) - known:
+            warn(unknown, "tag for unknown input ignored")
+        for unknown in set(inputs.memory) - {m.id for m in k.memories}:
+            warn(unknown, "override for unknown memory ignored")
 
     vals: list = []
     for inp in k.inputs:
@@ -183,11 +185,9 @@ def _init_values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None) -
     return vals
 
 
-def _init_tags(k: Kernel, inputs: RunInputs, monitor: MonitorState) -> list:
-    """The tag slots of a run: tag bits of every input, 0 for constants and
-    nodes, and every memory's list of cell tags. Input tags resolve as:
-    explicit override, else a nonzero REG_TAG_IN word, else the declared
-    default."""
+def _input_tags(k: Kernel, inputs: RunInputs, monitor: MonitorState) -> list:
+    """Tag bits of every input: explicit override, else a nonzero
+    REG_TAG_IN word, else the declared default."""
     mask = (1 << k.tag_width) - 1
     tag_in = reg_read(monitor, REG_TAG_IN)
     tags: list = []
@@ -198,19 +198,22 @@ def _init_tags(k: Kernel, inputs: RunInputs, monitor: MonitorState) -> list:
             tags.append(tag_in & mask)
         else:
             tags.append(inp.default_tag)
-    tags += [0] * len(k.constants)
+    return tags
+
+
+def _init_tags(k: Kernel, input_tags: list) -> list:
+    """The tag slots of a fine run: the input tags, 0 for constants and
+    nodes, and every memory's list of cell tags."""
+    tags = input_tags + [0] * len(k.constants)
     tags += [list(m.init_tags) + [0] * (m.size - len(m.init_tags)) for m in k.memories]
     tags += [0] * len(k.nodes)
     return tags
 
 
 def _locate(exc: EvalError, node_id: str, step: int) -> EvalError:
-    if exc.node_id is None:
-        exc.node_id = node_id
-        exc.step = step
-        # An address trap names its memory and address; others get the place.
-        if not isinstance(exc, OutOfBoundsAddress):
-            exc.args = (f"{exc.args[0]} (node {node_id}, step {step})",)
+    exc.node_id = node_id
+    exc.step = step
+    exc.args = (f"{exc.args[0]} (node {node_id}, step {step})",)
     return exc
 
 
@@ -218,7 +221,7 @@ def _execute(k: Kernel, vals: list, tags: list | None = None, precise: bool = Fa
     """The one walk over k.plan: each step sets its value slot by its value
     function and, when tags is given, its tag slot by its union or precise
     tag function. After each step, every checkpoint watching it goes to
-    fire((decl, slot, type), step); fire returning True halts the walk.
+    fire(watch entry, step); fire returning True halts the walk.
     Returns (steps executed, halted)."""
     for step, (out, value_of, x, y, z, union_of, precise_of, watch) in enumerate(
         k.plan.steps, start=1
@@ -268,25 +271,26 @@ def run_dift(
             f"config tag width {cfg.tag_width} does not match kernel {k.tag_width}"
         )
     if monitor is None:
-        monitor = MonitorState.for_kernel(k)
+        monitor = MonitorState()
     vals = _init_values(k, inputs, diags)
-    tags: list | None = _init_tags(k, inputs, monitor)
+    input_tags = _input_tags(k, inputs, monitor)
     rule = cfg.rule
+    tags = None
     if rule is None:
         boundary = 0
-        for t in itertools.chain(tags[: len(k.inputs)], *(m.init_tags for m in k.memories)):
+        for t in itertools.chain(input_tags, *(m.init_tags for m in k.memories)):
             boundary |= t
-        tags = None
+    else:
+        tags = _init_tags(k, input_tags)
     halt = cfg.on_exception == "halt"
     observations: list[tuple[str, int]] = []
 
     def fire(watch: tuple, step: int) -> bool:
         """Submit one checkpoint observation; True means halt now."""
-        cp, slot, ty = watch
+        cp_id, node_id, slot, policy = watch
         tag = boundary if tags is None else tags[slot]
-        observed = DiftValue(BitValue(ty, vals[slot]), Tag(k.tag_width, tag))
-        exc = checkpoint(monitor, cp.id, cp.arg, observed, step)
-        observations.append((cp.id, tag))
+        exc = checkpoint(monitor, cp_id, node_id, policy, tag, step)
+        observations.append((cp_id, tag))
         return exc is not None and halt
 
     # Checkpoints on inputs and constants observe before any node runs.

@@ -19,7 +19,6 @@ from diftsim import (
     BitValue,
     CoarseBoundary,
     DiftConfig,
-    DiftValue,
     DivisionByZero,
     FineGrained,
     MonitorState,
@@ -36,7 +35,6 @@ from diftsim import (
     eval_binop,
     fixture_path,
     independence_oracle,
-    make_bitvalue,
     propagate,
     reg_read,
     reg_write,
@@ -240,16 +238,13 @@ def test_c08_monitor_state_machine():
     """irq holds exactly when the queue is nonempty, and REG_EXC_COUNT
     equals the queue length, under 1000 random operation sequences."""
     rng = random.Random(SEED)
-    observed = make_bitvalue(BitType(8), 7)
+    deny_any = Policy("any", PolicyKind.DENY_IF_ANY)
     for _ in range(1000):
-        state = MonitorState(
-            policies={"any": Policy("any", PolicyKind.DENY_IF_ANY)},
-            bindings={"cp": "any"},
-        )
+        state = MonitorState()
         for _ in range(rng.randint(3, 20)):
             op = rng.randrange(4)
             if op == 0:
-                checkpoint(state, "cp", "n", DiftValue(observed, Tag(4, rng.randrange(16))), 1)
+                checkpoint(state, "cp", "n", deny_any, rng.randrange(16), 1)
             elif op == 1:
                 reg_read(state, rng.randrange(4))
             elif op == 2:

@@ -4,9 +4,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from diftsim import (
+    CheckpointDecl,
     DiftConfig,
     FineGrained,
+    Policy,
+    PolicyKind,
     PropagationRule,
+    Tag,
     const_fold,
     dead_code_elim,
     emit_dot,
@@ -147,6 +151,24 @@ def test_validator_rules():
     )
     kernel, diags = parse(store_as_source)
     assert kernel is None and any("not a value id" in d.message for d in diags)
+
+
+def test_validate_rejects_mask_of_other_width_than_tags():
+    # parse_kernel makes every mask at the kernel's tag width; a kernel
+    # built by hand can hold another width, and validate must catch it
+    # before a run judges tag bits against the mask.
+    kernel, diags = parse(minimal_doc())
+    assert kernel is not None, diags
+    masked = replace(
+        kernel,
+        policies=(Policy("p", PolicyKind.DENY_IF_MASK, mask=Tag(4, 0b1)),),
+        checkpoints=(CheckpointDecl("cp", "a", "p"),),
+    )
+    assert [(d.severity, d.location, d.message) for d in validate(masked)] == [
+        ("error", "p", "mask width does not match kernel tag width")
+    ]
+    same_width = replace(masked, policies=(Policy("p", PolicyKind.DENY_IF_MASK, mask=Tag(2, 0b1)),))
+    assert validate(same_width) == []
 
 
 def test_validate_on_valid_fixture_is_clean(fir4, dot8, overflow_demo):

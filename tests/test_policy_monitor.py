@@ -9,10 +9,8 @@ from diftsim import (
     REG_TAG_IN,
     REG_TAG_OUT,
     BadAddress,
-    BitType,
     CoarseBoundary,
     DiftConfig,
-    DiftValue,
     FineGrained,
     MonitorState,
     Policy,
@@ -20,13 +18,8 @@ from diftsim import (
     PropagationRule,
     RunInputs,
     Tag,
-    UnknownPolicy,
-    Verdict,
-    WidthMismatch,
     checkpoint,
     drain_exceptions,
-    evaluate_policy,
-    make_bitvalue,
     reg_read,
     reg_write,
     run_dift,
@@ -34,54 +27,47 @@ from diftsim import (
 from conftest import load_inputs
 
 UNION_CFG = lambda tw: DiftConfig(tw, FineGrained(PropagationRule.UNION))
+DENY_ANY = Policy("deny_any", PolicyKind.DENY_IF_ANY)
 
 
-def make_state():
-    return MonitorState(
-        policies={"deny_any": Policy("deny_any", PolicyKind.DENY_IF_ANY)},
-        bindings={"cp0": "deny_any", "cp1": "deny_any", "cp2": "deny_any"},
-    )
-
-
-def observed(tag_bits, width=4):
-    return DiftValue(make_bitvalue(BitType(8), 5), Tag(width, tag_bits))
-
-
-def test_evaluate_policy():
-    deny_any = Policy("p", PolicyKind.DENY_IF_ANY)
-    assert evaluate_policy(deny_any, Tag(4, 0)) is Verdict.ALLOW
-    assert evaluate_policy(deny_any, Tag(4, 0b10)) is Verdict.DENY
+def test_checkpoint_judges_each_policy_kind():
     masked = Policy("m", PolicyKind.DENY_IF_MASK, mask=Tag(4, 0b01))
-    assert evaluate_policy(masked, Tag(4, 0b10)) is Verdict.ALLOW
-    assert evaluate_policy(masked, Tag(4, 0b11)) is Verdict.DENY
-    assert evaluate_policy(Policy("a", PolicyKind.ALLOW_ALL), Tag(4, 0b11)) is Verdict.ALLOW
-    with pytest.raises(WidthMismatch):
-        evaluate_policy(masked, Tag(8, 0b1))
+    allow_all = Policy("a", PolicyKind.ALLOW_ALL)
+    for policy, tag_bits, denies in (
+        (DENY_ANY, 0, False),
+        (DENY_ANY, 0b10, True),
+        (masked, 0b10, False),
+        (masked, 0b11, True),
+        (allow_all, 0, False),
+        (allow_all, 0b11, False),
+    ):
+        state = MonitorState()
+        exc = checkpoint(state, "cp0", "n0", policy, tag_bits, 3)
+        assert (exc is not None) == denies == state.irq
+        assert state.exceptions == ([exc] if denies else [])
+        if denies:
+            assert exc.policy_name == policy.name
+            assert reg_read(state, REG_TAG_OUT) == tag_bits
 
 
 def test_checkpoint_allow_keeps_state():
-    state = make_state()
-    assert checkpoint(state, "cp0", "n0", observed(0), 1) is None
+    state = MonitorState()
+    assert checkpoint(state, "cp0", "n0", DENY_ANY, 0, 1) is None
     assert state.irq is False
     assert state.exceptions == []
     assert reg_read(state, REG_STATUS) == 0
 
 
 def test_checkpoint_deny_updates_everything():
-    state = make_state()
-    exc = checkpoint(state, "cp0", "n0", observed(0b1), 7)
+    state = MonitorState()
+    exc = checkpoint(state, "cp0", "n0", DENY_ANY, 0b1, 7)
     assert exc is not None
     assert (exc.checkpoint_id, exc.node_id, exc.tag_bits, exc.step) == ("cp0", "n0", 1, 7)
+    assert exc.policy_name == "deny_any"
     assert state.irq is True
     assert reg_read(state, REG_STATUS) == 1
     assert reg_read(state, REG_EXC_COUNT) == 1
     assert reg_read(state, REG_TAG_OUT) == 1
-
-
-def test_checkpoint_unknown_policy():
-    state = make_state()
-    with pytest.raises(UnknownPolicy):
-        checkpoint(state, "nope", "n0", observed(1), 1)
 
 
 def test_two_denying_checkpoints_queue_in_run_order(overflow_demo):
@@ -92,9 +78,29 @@ def test_two_denying_checkpoints_queue_in_run_order(overflow_demo):
     assert [(e.checkpoint_id, e.step) for e in rep.exceptions] == [("cp_addr", 1), ("cp_enc", 4)]
 
 
+def test_one_monitor_serves_runs_of_different_kernels(overflow_demo, fir4):
+    # The monitor holds no policies of its own, so one state can watch a
+    # tainted overflow_demo run and then a fir4 run; both runs' exceptions
+    # queue in run order.
+    monitor = MonitorState()
+    first = run_dift(overflow_demo, load_inputs("overflow_tainted.json"), UNION_CFG(2), monitor)
+    assert [e.checkpoint_id for e in first.exceptions] == ["cp_addr"]
+    assert reg_read(monitor, REG_EXC_COUNT) == 1
+    assert reg_read(monitor, REG_TAG_OUT) == first.exceptions[0].tag_bits
+    # x1's default tag 0b0010 reaches y, which mask_label1 (mask 0b0010) denies.
+    second = run_dift(fir4, load_inputs("fir4_inputs.json"), UNION_CFG(4), monitor)
+    assert second.exceptions[:1] == first.exceptions
+    fir_excs = second.exceptions[1:]
+    assert [(e.checkpoint_id, e.policy_name) for e in fir_excs] == [("cp_y", "mask_label1")]
+    assert monitor.exceptions == list(second.exceptions)
+    assert second.irq is True
+    assert reg_read(monitor, REG_EXC_COUNT) == 2
+    assert reg_read(monitor, REG_TAG_OUT) == fir_excs[0].tag_bits == 0b0010
+
+
 def test_register_clear_semantics():
-    state = make_state()
-    checkpoint(state, "cp0", "n0", observed(0b1), 1)
+    state = MonitorState()
+    checkpoint(state, "cp0", "n0", DENY_ANY, 0b1, 1)
     assert reg_read(state, REG_EXC_COUNT) == 1
     reg_write(state, REG_STATUS, 1)
     assert reg_read(state, REG_STATUS) == 0
@@ -104,7 +110,7 @@ def test_register_clear_semantics():
 
 
 def test_register_tag_in_and_read_only_words():
-    state = make_state()
+    state = MonitorState()
     reg_write(state, REG_TAG_IN, 0xABC)
     assert reg_read(state, REG_TAG_IN) == 0xABC
     reg_write(state, REG_EXC_COUNT, 99)
@@ -112,13 +118,13 @@ def test_register_tag_in_and_read_only_words():
     reg_write(state, REG_TAG_OUT, 99)
     assert reg_read(state, REG_TAG_OUT) == 0
     # writing STATUS without bit 0 is a no-op
-    checkpoint(state, "cp0", "n0", observed(0b1), 1)
+    checkpoint(state, "cp0", "n0", DENY_ANY, 0b1, 1)
     reg_write(state, REG_STATUS, 2)
     assert reg_read(state, REG_EXC_COUNT) == 1
 
 
 def test_bad_register_address():
-    state = make_state()
+    state = MonitorState()
     with pytest.raises(BadAddress):
         reg_read(state, 4)
     with pytest.raises(BadAddress):
@@ -126,10 +132,10 @@ def test_bad_register_address():
 
 
 def test_drain_exceptions_order():
-    state = make_state()
+    state = MonitorState()
     assert drain_exceptions(state) == []
     for i, cp in enumerate(("cp0", "cp1", "cp2")):
-        checkpoint(state, cp, f"n{i}", observed(0b1), i + 1)
+        checkpoint(state, cp, f"n{i}", DENY_ANY, 0b1, i + 1)
     drained = drain_exceptions(state)
     assert [e.checkpoint_id for e in drained] == ["cp0", "cp1", "cp2"]
     assert state.exceptions == []
@@ -161,7 +167,7 @@ def test_drain_order_matches_node_order_three_checkpoints():
     }
     kernel, diags = parse_kernel(json.dumps(doc))
     assert kernel is not None, diags
-    monitor = MonitorState.for_kernel(kernel)
+    monitor = MonitorState()
     ri = RunInputs(values={"a": 3}, tags={"a": 1})
     run_dift(kernel, ri, UNION_CFG(2), monitor=monitor)
     drained = drain_exceptions(monitor)
@@ -171,11 +177,11 @@ def test_drain_order_matches_node_order_three_checkpoints():
 
 def test_irq_iff_queue_nonempty_random_ops():
     rng = random.Random(2024)
-    state = make_state()
+    state = MonitorState()
     for _ in range(3000):
         op = rng.randrange(4)
         if op == 0:
-            checkpoint(state, "cp0", "n0", observed(rng.randrange(16)), 1)
+            checkpoint(state, "cp0", "n0", DENY_ANY, rng.randrange(16), 1)
         elif op == 1:
             reg_read(state, rng.randrange(4))
         elif op == 2:

@@ -12,8 +12,10 @@ from diftsim import (
     BINARY_OPS,
     COMPARE_OPS,
     BitType,
+    BitValue,
     CoarseBoundary,
     DiftConfig,
+    DiftValue,
     DivisionByZero,
     EvalError,
     FineGrained,
@@ -320,7 +322,7 @@ def test_step_zero_checkpoint_on_input():
 
 def test_reg_tag_in_overrides_default_tags(fir4):
     inputs = load_inputs("fir4_inputs.json")
-    monitor = MonitorState.for_kernel(fir4)
+    monitor = MonitorState()
     reg_write(monitor, REG_TAG_IN, 0b0100)
     rep = run_dift(fir4, inputs, fine(4), monitor=monitor)
     # every input tag becomes 0b0100; the masked policy (mask 0b0010) allows
@@ -538,7 +540,7 @@ def test_memory_opcodes_through_the_walk():
                     with pytest.raises(OutOfBoundsAddress) as e:
                         run()
                     assert (e.value.node_id, e.value.step) == ("ld", 1)
-                    assert str(e.value) == f"address {i} outside m[0..3)"
+                    assert str(e.value) == f"address {i} outside m[0..3) (node ld, step 1)"
                 continue
             stored = ref_wrap(ref_to_int(d, d_ty.width, d_ty.signed), 2)
             cell0 = stored if i == 0 else init[0]
@@ -585,10 +587,10 @@ def trap_kernel():
 @pytest.mark.parametrize(
     "values, exc_type, node, step, message",
     [
-        ({"la": 5}, OutOfBoundsAddress, "ld", 1, "address 5 outside m[0..4)"),
+        ({"la": 5}, OutOfBoundsAddress, "ld", 1, "address 5 outside m[0..4) (node ld, step 1)"),
         ({"b": 0}, DivisionByZero, "q", 2, "division by zero (node q, step 2)"),
         ({"c": 0}, DivisionByZero, "r", 3, "modulo by zero (node r, step 3)"),
-        ({"sa": 15}, OutOfBoundsAddress, "st", 4, "address -1 outside m[0..4)"),
+        ({"sa": 15}, OutOfBoundsAddress, "st", 4, "address -1 outside m[0..4) (node st, step 4)"),
     ],
 )
 def test_traps_name_their_node_step_and_message(values, exc_type, node, step, message):
@@ -636,3 +638,33 @@ def test_zero_tag_kernel_runs_its_own_plan():
     assert run_dift(zeroed, ri, fine(2)).outputs == {"out": (5, 0)}
     assert zeroed.plan is not kernel.plan
     assert run_dift(kernel, ri, fine(2)).outputs == {"out": (5, 0b10)}
+
+
+def test_runs_build_no_values_tags_or_tagged_values(monkeypatch):
+    # Runs work on int slots and hand the monitor tag bits: once a kernel
+    # is parsed, lowering it and running it in every mode builds no
+    # BitValue, Tag or DiftValue.
+    runs = [
+        (load_kernel(f"{name}.json"), load_inputs(inputs))
+        for name, inputs in (
+            ("fir4", "fir4_inputs.json"),
+            ("dot8", "dot8_inputs.json"),
+            ("overflow_demo", "overflow_tainted.json"),
+        )
+    ]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built during a run")
+
+    for cls in (BitValue, Tag, DiftValue):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for kernel, ri in runs:
+        tw = kernel.tag_width
+        run_baseline(kernel, ri)
+        for on_exception in ("record", "halt"):
+            for cfg in (
+                fine(tw, UNION, on_exception),
+                fine(tw, PRECISE, on_exception),
+                DiftConfig(tw, CoarseBoundary(), on_exception),
+            ):
+                run_dift(kernel, ri, cfg)
