@@ -12,6 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from . import taint
 from .bitvalue import (
@@ -504,10 +505,17 @@ def validate(k: Kernel) -> list[Diagnostic]:
 
 
 def lower(k: Kernel) -> Plan:
-    """The Plan of a valid kernel. Tag functions are looked up on the taint
-    module at lowering time, so a test can substitute the rule."""
+    """The Plan of a valid kernel. Each distinct node signature (op, result
+    type, operand types) is specialised once per call. Tag functions are
+    looked up on the taint module at lowering time, so a test can
+    substitute the rule."""
     slots: dict[str, int] = {}
     types: list = []  # per slot; a memory's is its MemoryDecl
+    # Per slot, what a signature holds for it as an operand: the index of
+    # its type among the kernel's distinct types, or a memory's id, since
+    # hashing a MemoryDecl walks its init cells.
+    keys: list = []
+    type_index: dict = {}
     for decl_id, ty in itertools.chain(
         ((i.id, i.ty) for i in k.inputs),
         ((c.id, c.value.ty) for c in k.constants),
@@ -516,26 +524,33 @@ def lower(k: Kernel) -> Plan:
     ):
         slots[decl_id] = len(types)
         types.append(ty)
+        if isinstance(ty, MemoryDecl):
+            keys.append(ty.id)
+        else:
+            keys.append(type_index.setdefault(ty, len(type_index)))
     policies = {p.name: p for p in k.policies}
     watched = [(cp.id, cp.arg, slots[cp.arg], policies[cp.policy]) for cp in k.checkpoints]
     watches: dict[int, list] = {}
     for w in watched:
         watches.setdefault(w[2], []).append(w)
     n_early = len(k.inputs) + len(k.constants)
+    tag_fn = taint.tag_fn
+    fns: dict[tuple, tuple] = {}  # signature -> (value_fn, union fn, precise fn)
     steps = []
     for n in k.nodes:
         args = [slots[a] for a in n.args]
-        arg_types = [types[slot] for slot in args]
         out = slots[n.id]
-        steps.append(
-            (
-                out,
+        signature = (n.op, keys[out], *[keys[slot] for slot in args])
+        f = fns.get(signature)
+        if f is None:
+            arg_types = [types[slot] for slot in args]
+            f = fns[signature] = (
                 value_fn(n.op, arg_types, n.ty),
-                *pad_operands(args),
-                taint.tag_fn(PropagationRule.UNION, n.op, arg_types, n.ty),
-                taint.tag_fn(PropagationRule.PRECISE, n.op, arg_types, n.ty),
-                tuple(watches.pop(out, ())),
+                tag_fn(PropagationRule.UNION, n.op, arg_types, n.ty),
+                tag_fn(PropagationRule.PRECISE, n.op, arg_types, n.ty),
             )
+        steps.append(
+            (out, f[0], *pad_operands(args), f[1], f[2], tuple(watches.pop(out, ())))
         )
     return Plan(
         steps=tuple(steps),
@@ -602,15 +617,13 @@ def dead_code_elim(k: Kernel) -> Kernel:
 _VALUE_KINDS = frozenset({"input", "const", "memory", "op", "output"})
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     id: str
     kind: str
     label: str
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     src: str
     dst: str
     kind: str  # "value" | "tag"
@@ -638,28 +651,47 @@ class InstrumentedGraph:
         return tuple(e for e in self.edges if e.dst == self.monitor_id)
 
 
-def kernel_value_graph(k: Kernel) -> tuple[tuple[GraphNode, ...], tuple[GraphEdge, ...]]:
-    """The kernel's value nodes and edges in declaration order."""
+def _value_graph(k: Kernel) -> tuple[list[GraphNode], list[GraphEdge], dict[str, str]]:
+    """kernel_value_graph, plus each declaration's value node id. An
+    argument no declaration names (the kernel is invalid) still gets its
+    edge, as every graph id is the declaration id behind a prefix."""
     nodes: list[GraphNode] = []
     edges: list[GraphEdge] = []
+    vid: dict[str, str] = {}
     for inp in k.inputs:
-        nodes.append(GraphNode(f"v:{inp.id}", "input", f"{inp.id} : {inp.ty}"))
+        vid[inp.id] = node_id = "v:" + inp.id
+        nodes.append(GraphNode(node_id, "input", f"{inp.id} : {inp.ty}"))
     for c in k.constants:
-        nodes.append(GraphNode(f"v:{c.id}", "const", f"{c.id} = {to_int(c.value)} : {c.value.ty}"))
+        vid[c.id] = node_id = "v:" + c.id
+        nodes.append(GraphNode(node_id, "const", f"{c.id} = {to_int(c.value)} : {c.value.ty}"))
     for m in k.memories:
-        nodes.append(GraphNode(f"v:{m.id}", "memory", f"{m.id}[{m.size}] : {m.cell}"))
+        vid[m.id] = node_id = "v:" + m.id
+        nodes.append(GraphNode(node_id, "memory", f"{m.id}[{m.size}] : {m.cell}"))
+    suffixes: dict[tuple, str] = {}  # (op, type) -> label suffix
     for n in k.nodes:
+        v = vid[n.id] = "v:" + n.id
         if n.op is OpKind.STORE:
-            nodes.append(GraphNode(f"v:{n.id}", "op", f"{n.id}: store"))
+            label = n.id + ": store"
         else:
-            nodes.append(GraphNode(f"v:{n.id}", "op", f"{n.id} = {n.op.value} : {n.ty}"))
+            suffix = suffixes.get((n.op, n.ty))
+            if suffix is None:
+                suffix = suffixes[n.op, n.ty] = f" = {n.op.value} : {n.ty}"
+            label = n.id + suffix
+        nodes.append(GraphNode(v, "op", label))
         for a in n.args:
-            edges.append(GraphEdge(f"v:{a}", f"v:{n.id}", "value"))
+            edges.append(GraphEdge(vid.get(a) or "v:" + a, v, "value"))
         if n.op is OpKind.STORE:
-            edges.append(GraphEdge(f"v:{n.id}", f"v:{n.args[0]}", "value"))
+            edges.append(GraphEdge(v, vid.get(n.args[0]) or "v:" + n.args[0], "value"))
     for o in k.outputs:
-        nodes.append(GraphNode(f"v:{o.id}", "output", o.id))
-        edges.append(GraphEdge(f"v:{o.source}", f"v:{o.id}", "value"))
+        v = vid[o.id] = "v:" + o.id
+        nodes.append(GraphNode(v, "output", o.id))
+        edges.append(GraphEdge(vid.get(o.source) or "v:" + o.source, v, "value"))
+    return nodes, edges, vid
+
+
+def kernel_value_graph(k: Kernel) -> tuple[tuple[GraphNode, ...], tuple[GraphEdge, ...]]:
+    """The kernel's value nodes and edges in declaration order."""
+    nodes, edges, _ = _value_graph(k)
     return tuple(nodes), tuple(edges)
 
 
@@ -667,34 +699,34 @@ def instrument(k: Kernel, cfg: DiftConfig) -> InstrumentedGraph:
     """Add a tag wire per value wire, a propagation node per op node, and
     one monitor consuming every checkpoint's tag wire; the value sub-graph
     is untouched."""
-    vnodes, vedges = kernel_value_graph(k)
+    nodes, edges, vid = _value_graph(k)
     rule_label = cfg.mode.rule.value if isinstance(cfg.mode, FineGrained) else "boundary"
-    tnodes: list[GraphNode] = []
-    tedges: list[GraphEdge] = []
+    tid: dict[str, str] = {}
     for inp in k.inputs:
-        tnodes.append(GraphNode(f"t:{inp.id}", "tag", f"{inp.id}.tag = {inp.default_tag}"))
+        tid[inp.id] = node_id = "t:" + inp.id
+        nodes.append(GraphNode(node_id, "tag", f"{inp.id}.tag = {inp.default_tag}"))
     for c in k.constants:
-        tnodes.append(GraphNode(f"t:{c.id}", "tag", f"{c.id}.tag = 0"))
+        tid[c.id] = node_id = "t:" + c.id
+        nodes.append(GraphNode(node_id, "tag", f"{c.id}.tag = 0"))
     for m in k.memories:
-        tnodes.append(GraphNode(f"t:{m.id}", "tag", f"{m.id}.tags"))
+        tid[m.id] = node_id = "t:" + m.id
+        nodes.append(GraphNode(node_id, "tag", f"{m.id}.tags"))
+    tag_suffix = f".tag = {rule_label}"
     for n in k.nodes:
-        tnodes.append(GraphNode(f"t:{n.id}", "tagop", f"{n.id}.tag = {rule_label}"))
+        t = tid[n.id] = "t:" + n.id
+        nodes.append(GraphNode(t, "tagop", n.id + tag_suffix))
         for a in n.args:
-            tedges.append(GraphEdge(f"t:{a}", f"t:{n.id}", "tag"))
+            edges.append(GraphEdge(tid.get(a) or "t:" + a, t, "tag"))
         if n.op is OpKind.STORE:
-            tedges.append(GraphEdge(f"t:{n.id}", f"t:{n.args[0]}", "tag"))
+            edges.append(GraphEdge(t, tid.get(n.args[0]) or "t:" + n.args[0], "tag"))
     for o in k.outputs:
-        tedges.append(GraphEdge(f"t:{o.source}", f"v:{o.id}", "tag"))
-    monitor = GraphNode("monitor:0", "monitor", "monitor")
+        edges.append(GraphEdge(tid.get(o.source) or "t:" + o.source, vid[o.id], "tag"))
+    nodes.append(GraphNode("monitor:0", "monitor", "monitor"))
     for cp in k.checkpoints:
-        tedges.append(
-            GraphEdge(f"t:{cp.arg}", "monitor:0", "tag", label=f"{cp.id}: {cp.policy}")
-        )
+        label = f"{cp.id}: {cp.policy}"
+        edges.append(GraphEdge(tid.get(cp.arg) or "t:" + cp.arg, "monitor:0", "tag", label))
     return InstrumentedGraph(
-        name=k.name,
-        nodes=vnodes + tuple(tnodes) + (monitor,),
-        edges=vedges + tuple(tedges),
-        monitor_id="monitor:0",
+        name=k.name, nodes=tuple(nodes), edges=tuple(edges), monitor_id="monitor:0"
     )
 
 
@@ -712,39 +744,36 @@ _DOT_STYLES = {
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if '"' in s or "\\" in s:
+        s = s.replace("\\", "\\\\").replace('"', '\\"')
+    return '"' + s + '"'
 
 
 def emit_dot(g: Kernel | InstrumentedGraph) -> str:
     """Deterministic DOT rendering: value edges solid, tag edges dashed,
     monitor double-outlined. Identical input gives byte-identical output."""
     if isinstance(g, Kernel):
-        name = g.name
-        nodes, edges = kernel_value_graph(g)
-        extra_nodes = []
-        extra_edges = []
+        nodes, edges, _ = _value_graph(g)
         for cp in g.checkpoints:
-            extra_nodes.append(GraphNode(f"c:{cp.id}", "checkpoint", f"{cp.id}: {cp.policy}"))
-            extra_edges.append(GraphEdge(f"v:{cp.arg}", f"c:{cp.id}", "tag"))
-        nodes = nodes + tuple(extra_nodes)
-        edges = edges + tuple(extra_edges)
+            nodes.append(GraphNode(f"c:{cp.id}", "checkpoint", f"{cp.id}: {cp.policy}"))
+            edges.append(GraphEdge(f"v:{cp.arg}", f"c:{cp.id}", "tag"))
     else:
-        name = g.name
         nodes, edges = g.nodes, g.edges
     lines = [
-        f"digraph {_quote(name)} {{",
+        f"digraph {_quote(g.name)} {{",
         "  rankdir=LR;",
         "  node [fontname=\"Helvetica\", fontsize=10];",
     ]
     for n in nodes:
         lines.append(f"  {_quote(n.id)} [{_DOT_STYLES[n.kind]}, label={_quote(n.label)}];")
     for e in edges:
-        attrs = []
-        if e.kind == "tag":
-            attrs.append("style=dashed, color=gray40")
         if e.label:
-            attrs.append(f"label={_quote(e.label)}, fontsize=9")
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
+            style = "style=dashed, color=gray40, " if e.kind == "tag" else ""
+            suffix = f" [{style}label={_quote(e.label)}, fontsize=9]"
+        elif e.kind == "tag":
+            suffix = " [style=dashed, color=gray40]"
+        else:
+            suffix = ""
         lines.append(f"  {_quote(e.src)} -> {_quote(e.dst)}{suffix};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -3,6 +3,9 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
+from diftsim import kernel_ir, taint
 from diftsim import (
     CheckpointDecl,
     DiftConfig,
@@ -339,10 +342,116 @@ def test_emit_dot_empty_kernel():
     assert "monitor" not in dot
 
 
-def test_emit_dot_matches_golden(fir4):
-    expected = (GOLDEN / "fir4_instrumented.dot").read_text()
-    assert emit_dot(instrument(fir4, cfg_for(fir4))) == expected
-    assert "style=dashed" in expected and "monitor" in expected
+# Every id, the kernel name, the policy name and the checkpoint id carry a
+# quote or a backslash, and every kind of declaration is present.
+ESCAPED_DOC = {
+    "name": 'esc "k" \\ 1',
+    "tag_width": 2,
+    "inputs": [{"id": 'a"1', "width": 4, "signed": False, "default_tag": 1}],
+    "constants": [{"id": "c\\2", "width": 4, "signed": True, "value": -3}],
+    "memories": [{"id": 'm"\\', "size": 4, "width": 4, "signed": False}],
+    "nodes": [
+        {"id": 'ld\\"x', "op": "load", "args": ['m"\\', 'a"1'], "width": 4, "signed": False},
+        {"id": 's"', "op": "add", "args": ['ld\\"x', "c\\2"], "width": 4, "signed": False},
+        {"id": "st\\", "op": "store", "args": ['m"\\', 'a"1', 's"']},
+    ],
+    "policies": [{"name": 'p"\\q', "kind": "deny_if_any"}],
+    "checkpoints": [
+        {"id": 'cp"1\\', "arg": 's"', "policy": 'p"\\q'},
+        {"id": "cp\\0", "arg": 'a"1', "policy": 'p"\\q'},
+    ],
+    "outputs": [{"id": 'o\\"', "source": 's"'}],
+}
+
+
+def golden_kernel(name, request):
+    if name == "escaped":
+        kernel, diags = parse(ESCAPED_DOC)
+        assert kernel is not None, diags
+        return kernel
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize(
+    "name, view",
+    [
+        ("fir4", "instrumented"),
+        ("fir4", "plain"),
+        ("dot8", "instrumented"),
+        ("dot8", "plain"),
+        ("overflow_demo", "instrumented"),
+        ("overflow_demo", "plain"),
+        ("escaped", "instrumented"),
+        ("escaped", "plain"),
+    ],
+)
+def test_emit_dot_matches_golden(name, view, request):
+    kernel = golden_kernel(name, request)
+    graph = instrument(kernel, cfg_for(kernel)) if view == "instrumented" else kernel
+    expected = (GOLDEN / f"{name}_{view}.dot").read_text()
+    assert emit_dot(graph) == expected
+    if view == "instrumented":
+        assert "style=dashed" in expected and "monitor" in expected
+    else:
+        assert "monitor" not in expected
+
+
+def test_emit_dot_escapes_quotes_and_backslashes():
+    # DOT quoted strings escape " as \" and \ as \\; the raw strings below
+    # are the bytes emit_dot writes.
+    kernel, _ = parse(ESCAPED_DOC)
+    instrumented = emit_dot(instrument(kernel, cfg_for(kernel)))
+    plain = emit_dot(kernel)
+    for dot in (instrumented, plain):
+        assert dot.startswith(r'digraph "esc \"k\" \\ 1" {' + "\n")
+        assert r'"v:ld\\\"x" [shape=box, style=rounded, label="ld\\\"x = load : u4"];' in dot
+        assert r'"v:m\"\\" -> "v:ld\\\"x";' in dot
+    label = r'label="cp\"1\\: p\"\\q", fontsize=9'
+    assert r'"t:s\"" -> "monitor:0" [style=dashed, color=gray40, ' + label + "];" in instrumented
+    assert r'"c:cp\\0" [shape=diamond, label="cp\\0: p\"\\q"];' in plain
+
+
+def test_lower_specialises_each_distinct_signature_once(monkeypatch):
+    calls = {"value_fn": 0, "tag_fn": 0}
+
+    def counted(name, fn):
+        def count(*args):
+            calls[name] += 1
+            return fn(*args)
+        return count
+
+    monkeypatch.setattr(kernel_ir, "value_fn", counted("value_fn", kernel_ir.value_fn))
+    monkeypatch.setattr(taint, "tag_fn", counted("tag_fn", taint.tag_fn))
+    u8 = {"width": 8}
+    kernel, diags = parse(
+        {
+            "name": "repeats",
+            "tag_width": 2,
+            "inputs": [{"id": "a", **u8}, {"id": "b", **u8}, {"id": "s", "width": 4, "signed": True}],
+            "memories": [{"id": "m1", "size": 4, **u8}, {"id": "m2", "size": 4, **u8}],
+            "nodes": [
+                {"id": "n1", "op": "add", "args": ["a", "b"], **u8},  # add u8 (u8, u8)
+                {"id": "n2", "op": "add", "args": ["b", "n1"], **u8},
+                {"id": "n3", "op": "add", "args": ["n2", "n2"], **u8},
+                {"id": "n4", "op": "add", "args": ["a", "b"], "width": 9},  # add u9 (u8, u8)
+                {"id": "n5", "op": "add", "args": ["a", "s"], **u8},  # add u8 (u8, s4)
+                {"id": "n6", "op": "add", "args": ["b", "s"], **u8},
+                {"id": "n7", "op": "mul", "args": ["a", "b"], **u8},  # mul u8 (u8, u8)
+                {"id": "l1", "op": "load", "args": ["m1", "s"], **u8},  # load m1 s4
+                {"id": "l2", "op": "load", "args": ["m2", "s"], **u8},  # load m2 s4
+                {"id": "l3", "op": "load", "args": ["m2", "s"], **u8},
+                {"id": "w1", "op": "store", "args": ["m1", "s", "n3"]},  # store m1 (s4, u8)
+                {"id": "w2", "op": "store", "args": ["m1", "s", "n6"]},
+                {"id": "w3", "op": "store", "args": ["m2", "s", "n7"]},  # store m2 (s4, u8)
+            ],
+            "outputs": [{"id": "out", "source": "n4"}],
+        }
+    )
+    assert kernel is not None, diags
+    plan = kernel_ir.lower(kernel)
+    distinct = 8
+    assert calls == {"value_fn": distinct, "tag_fn": 2 * distinct}
+    assert len(plan.steps) == len(kernel.nodes)
 
 
 def test_pass_composition_preserves_runs(fir4, dot8, overflow_demo):

@@ -611,6 +611,55 @@ def test_traps_name_their_node_step_and_message(values, exc_type, node, step, me
         assert (e.value.node_id, e.value.step, str(e.value)) == (node, step, message)
 
 
+def twin_memory_kernel():
+    """Two memories of one size and cell type: each store and each load has
+    the same operand and result types as its twin on the other memory."""
+    from diftsim import parse_kernel
+
+    doc = {
+        "name": "twins",
+        "tag_width": 2,
+        "inputs": [
+            {"id": a, "width": 4} for a in ("sa1", "sa2", "la1", "la2")
+        ] + [{"id": "v", "width": 8}, {"id": "w", "width": 8}],
+        "memories": [{"id": "m1", "size": 4, "width": 8}, {"id": "m2", "size": 4, "width": 8}],
+        "nodes": [
+            {"id": "s1", "op": "store", "args": ["m1", "sa1", "v"]},
+            {"id": "s2", "op": "store", "args": ["m2", "sa2", "w"]},
+            {"id": "l1", "op": "load", "args": ["m1", "la1"], "width": 8},
+            {"id": "l2", "op": "load", "args": ["m2", "la2"], "width": 8},
+        ],
+        "outputs": [{"id": "o1", "source": "l1"}, {"id": "o2", "source": "l2"}],
+    }
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    return kernel
+
+
+def test_twin_memories_keep_their_own_cells_and_names():
+    kernel = twin_memory_kernel()
+    values = {"sa1": 1, "sa2": 1, "la1": 1, "la2": 1, "v": 5, "w": 9}
+    ri = RunInputs(values=values, tags={"v": 0b01, "w": 0b10})
+    assert run_baseline(kernel, ri) == {"o1": 5, "o2": 9}
+    for rule in (UNION, PRECISE):
+        assert run_dift(kernel, ri, fine(2, rule)).outputs == {"o1": (5, 0b01), "o2": (9, 0b10)}
+    for bad, node, step, message in [
+        ({"sa1": 5}, "s1", 1, "address 5 outside m1[0..4) (node s1, step 1)"),
+        ({"sa2": 5}, "s2", 2, "address 5 outside m2[0..4) (node s2, step 2)"),
+        ({"la1": 6}, "l1", 3, "address 6 outside m1[0..4) (node l1, step 3)"),
+        ({"la2": 6}, "l2", 4, "address 6 outside m2[0..4) (node l2, step 4)"),
+    ]:
+        ri = RunInputs(values={**values, **bad})
+        for run in (
+            lambda: run_baseline(kernel, ri),
+            lambda: run_dift(kernel, ri, fine(2, UNION)),
+            lambda: run_dift(kernel, ri, coarse(2)),
+        ):
+            with pytest.raises(OutOfBoundsAddress) as e:
+                run()
+            assert (e.value.node_id, e.value.step, str(e.value)) == (node, step, message)
+
+
 def test_equal_kernels_stay_equal_after_a_run():
     a, b = tiny_add_kernel(), tiny_add_kernel()
     assert run_baseline(a, RunInputs(values={"a": 1, "b": 2})) == {"out": 3}
