@@ -49,7 +49,6 @@ from .kernel_ir import (
     emit_dot,
     has_errors,
     instrument,
-    kernel_value_graph,
     parse_kernel,
     validate,
 )

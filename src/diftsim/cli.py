@@ -1,8 +1,9 @@
 """Command-line entry point: run, instrument, check, fuzz.
 
 Exit codes: 0 success / no deny, 10 at least one security exception,
-1 usage error, 2 parse or validation failure, 3 evaluation error
-(division by zero, out-of-bounds address). 2 and 3 preempt 10.
+1 usage error, 2 parse or validation failure or an unreadable input or
+unwritable output path, 3 evaluation error (division by zero,
+out-of-bounds address). 2 and 3 preempt 10.
 """
 
 from __future__ import annotations
@@ -68,6 +69,24 @@ def _read_file(path: str) -> str:
         raise _InvalidInput(f"error: {path}: not UTF-8 text") from None
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise _InvalidInput(f"error: {path}: cannot write ({e.strerror or e})") from None
+
+
+def _count(text: str) -> int:
+    """argparse type of --samples and --trials: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _load_kernel(path: str) -> Kernel:
     kernel, diags = parse_kernel(_read_file(path))
     _print_diags(diags)
@@ -101,7 +120,7 @@ def cmd_run(args) -> int:
     _print_diags(diags)
     text = report.to_json()
     if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
+        _write_file(args.report, text)
     else:
         sys.stdout.write(text)
     print(
@@ -117,7 +136,7 @@ def cmd_instrument(args) -> int:
     cfg = DiftConfig(kernel.tag_width, FineGrained(PropagationRule.UNION))
     dot = emit_dot(instrument(kernel, cfg))
     if args.emit_dot:
-        Path(args.emit_dot).write_text(dot, encoding="utf-8")
+        _write_file(args.emit_dot, dot)
     else:
         sys.stdout.write(dot)
     return EXIT_OK
@@ -172,13 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="differential consistency check")
     p_check.add_argument("kernel")
-    p_check.add_argument("--samples", type=int, default=1000)
+    p_check.add_argument("--samples", type=_count, default=1000)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.set_defaults(func=cmd_check)
 
     p_fuzz = sub.add_parser("fuzz", help="property fuzzing with seeded trials")
     p_fuzz.add_argument("kernel")
-    p_fuzz.add_argument("--trials", type=int, default=200)
+    p_fuzz.add_argument("--trials", type=_count, default=200)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.set_defaults(func=cmd_fuzz)
     return parser

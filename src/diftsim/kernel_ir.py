@@ -12,7 +12,6 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple
 
 from . import taint
 from .bitvalue import (
@@ -29,7 +28,7 @@ from .bitvalue import (
 )
 from .errors import DivisionByZero, InvalidType
 from .policy_monitor import Policy, PolicyKind
-from .taint import MAX_TAG_WIDTH, FineGrained, PropagationRule, Tag
+from .taint import MAX_TAG_WIDTH, PropagationRule, Tag
 from .tainted import DiftConfig
 
 # Larger memories are rejected: every run and every sample allocates all cells.
@@ -614,166 +613,110 @@ def dead_code_elim(k: Kernel) -> Kernel:
 # Instrumentation and DOT export
 # ---------------------------------------------------------------------------
 
-_VALUE_KINDS = frozenset({"input", "const", "memory", "op", "output"})
-
-
-class GraphNode(NamedTuple):
-    id: str
-    kind: str
-    label: str
-
-
-class GraphEdge(NamedTuple):
-    src: str
-    dst: str
-    kind: str  # "value" | "tag"
-    label: str = ""
-
-
 @dataclass(frozen=True)
 class InstrumentedGraph:
-    """A kernel's value graph plus tag wires, per-op propagation nodes,
-    and one monitor node fed by the checkpoints' tag wires."""
+    """A kernel instrumented for tracking: a tag wire per value wire, a
+    propagation node per op node under rule ("union", "precise" or
+    "boundary"), and one monitor fed by the checkpoints' tag wires. The
+    graph exists to be drawn; emit_dot draws it from the kernel."""
 
-    name: str
-    nodes: tuple[GraphNode, ...]
-    edges: tuple[GraphEdge, ...]
-    monitor_id: str
-
-    def value_view(self) -> tuple[tuple[GraphNode, ...], tuple[GraphEdge, ...]]:
-        """The value sub-graph, with tag and monitor structure stripped."""
-        return (
-            tuple(n for n in self.nodes if n.kind in _VALUE_KINDS),
-            tuple(e for e in self.edges if e.kind == "value"),
-        )
-
-    def monitor_inputs(self) -> tuple[GraphEdge, ...]:
-        return tuple(e for e in self.edges if e.dst == self.monitor_id)
-
-
-def _value_graph(k: Kernel) -> tuple[list[GraphNode], list[GraphEdge], dict[str, str]]:
-    """kernel_value_graph, plus each declaration's value node id. An
-    argument no declaration names (the kernel is invalid) still gets its
-    edge, as every graph id is the declaration id behind a prefix."""
-    nodes: list[GraphNode] = []
-    edges: list[GraphEdge] = []
-    vid: dict[str, str] = {}
-    for inp in k.inputs:
-        vid[inp.id] = node_id = "v:" + inp.id
-        nodes.append(GraphNode(node_id, "input", f"{inp.id} : {inp.ty}"))
-    for c in k.constants:
-        vid[c.id] = node_id = "v:" + c.id
-        nodes.append(GraphNode(node_id, "const", f"{c.id} = {to_int(c.value)} : {c.value.ty}"))
-    for m in k.memories:
-        vid[m.id] = node_id = "v:" + m.id
-        nodes.append(GraphNode(node_id, "memory", f"{m.id}[{m.size}] : {m.cell}"))
-    suffixes: dict[tuple, str] = {}  # (op, type) -> label suffix
-    for n in k.nodes:
-        v = vid[n.id] = "v:" + n.id
-        if n.op is OpKind.STORE:
-            label = n.id + ": store"
-        else:
-            suffix = suffixes.get((n.op, n.ty))
-            if suffix is None:
-                suffix = suffixes[n.op, n.ty] = f" = {n.op.value} : {n.ty}"
-            label = n.id + suffix
-        nodes.append(GraphNode(v, "op", label))
-        for a in n.args:
-            edges.append(GraphEdge(vid.get(a) or "v:" + a, v, "value"))
-        if n.op is OpKind.STORE:
-            edges.append(GraphEdge(v, vid.get(n.args[0]) or "v:" + n.args[0], "value"))
-    for o in k.outputs:
-        v = vid[o.id] = "v:" + o.id
-        nodes.append(GraphNode(v, "output", o.id))
-        edges.append(GraphEdge(vid.get(o.source) or "v:" + o.source, v, "value"))
-    return nodes, edges, vid
-
-
-def kernel_value_graph(k: Kernel) -> tuple[tuple[GraphNode, ...], tuple[GraphEdge, ...]]:
-    """The kernel's value nodes and edges in declaration order."""
-    nodes, edges, _ = _value_graph(k)
-    return tuple(nodes), tuple(edges)
+    kernel: Kernel
+    rule: str
 
 
 def instrument(k: Kernel, cfg: DiftConfig) -> InstrumentedGraph:
-    """Add a tag wire per value wire, a propagation node per op node, and
-    one monitor consuming every checkpoint's tag wire; the value sub-graph
-    is untouched."""
-    nodes, edges, vid = _value_graph(k)
-    rule_label = cfg.mode.rule.value if isinstance(cfg.mode, FineGrained) else "boundary"
-    tid: dict[str, str] = {}
-    for inp in k.inputs:
-        tid[inp.id] = node_id = "t:" + inp.id
-        nodes.append(GraphNode(node_id, "tag", f"{inp.id}.tag = {inp.default_tag}"))
-    for c in k.constants:
-        tid[c.id] = node_id = "t:" + c.id
-        nodes.append(GraphNode(node_id, "tag", f"{c.id}.tag = 0"))
-    for m in k.memories:
-        tid[m.id] = node_id = "t:" + m.id
-        nodes.append(GraphNode(node_id, "tag", f"{m.id}.tags"))
-    tag_suffix = f".tag = {rule_label}"
-    for n in k.nodes:
-        t = tid[n.id] = "t:" + n.id
-        nodes.append(GraphNode(t, "tagop", n.id + tag_suffix))
-        for a in n.args:
-            edges.append(GraphEdge(tid.get(a) or "t:" + a, t, "tag"))
-        if n.op is OpKind.STORE:
-            edges.append(GraphEdge(t, tid.get(n.args[0]) or "t:" + n.args[0], "tag"))
-    for o in k.outputs:
-        edges.append(GraphEdge(tid.get(o.source) or "t:" + o.source, vid[o.id], "tag"))
-    nodes.append(GraphNode("monitor:0", "monitor", "monitor"))
-    for cp in k.checkpoints:
-        label = f"{cp.id}: {cp.policy}"
-        edges.append(GraphEdge(tid.get(cp.arg) or "t:" + cp.arg, "monitor:0", "tag", label))
-    return InstrumentedGraph(
-        name=k.name, nodes=tuple(nodes), edges=tuple(edges), monitor_id="monitor:0"
-    )
+    """k with cfg's tracking logic added; the value graph is untouched."""
+    return InstrumentedGraph(k, cfg.rule.value if cfg.rule is not None else "boundary")
 
 
-_DOT_STYLES = {
-    "input": "shape=ellipse",
-    "const": "shape=box",
-    "memory": "shape=box3d",
-    "op": "shape=box, style=rounded",
-    "output": "shape=ellipse, style=bold",
-    "checkpoint": "shape=diamond",
-    "tag": 'shape=box, style="rounded,dashed", color=gray40, fontcolor=gray40',
-    "tagop": 'shape=box, style="rounded,dashed", color=gray40, fontcolor=gray40',
-    "monitor": "shape=box, peripheries=2",
-}
+_TAG_NODE = 'shape=box, style="rounded,dashed", color=gray40, fontcolor=gray40, label="'
+_TAG_EDGE = " [style=dashed, color=gray40];"
 
 
-def _quote(s: str) -> str:
+def _esc(s: str) -> str:
+    """s escaped for a DOT quoted string. Escaping is per character, so
+    _esc(a + b) == _esc(a) + _esc(b)."""
     if '"' in s or "\\" in s:
-        s = s.replace("\\", "\\\\").replace('"', '\\"')
-    return '"' + s + '"'
+        return s.replace("\\", "\\\\").replace('"', '\\"')
+    return s
 
 
 def emit_dot(g: Kernel | InstrumentedGraph) -> str:
     """Deterministic DOT rendering: value edges solid, tag edges dashed,
-    monitor double-outlined. Identical input gives byte-identical output."""
-    if isinstance(g, Kernel):
-        nodes, edges, _ = _value_graph(g)
-        for cp in g.checkpoints:
-            nodes.append(GraphNode(f"c:{cp.id}", "checkpoint", f"{cp.id}: {cp.policy}"))
-            edges.append(GraphEdge(f"v:{cp.arg}", f"c:{cp.id}", "tag"))
-    else:
-        nodes, edges = g.nodes, g.edges
-    lines = [
-        f"digraph {_quote(g.name)} {{",
-        "  rankdir=LR;",
-        "  node [fontname=\"Helvetica\", fontsize=10];",
-    ]
-    for n in nodes:
-        lines.append(f"  {_quote(n.id)} [{_DOT_STYLES[n.kind]}, label={_quote(n.label)}];")
-    for e in edges:
-        if e.label:
-            style = "style=dashed, color=gray40, " if e.kind == "tag" else ""
-            suffix = f" [{style}label={_quote(e.label)}, fontsize=9]"
-        elif e.kind == "tag":
-            suffix = " [style=dashed, color=gray40]"
+    monitor double-outlined. A plain Kernel is drawn as its value graph
+    with a diamond per checkpoint. Identical input gives byte-identical
+    output.
+
+    One pass over the declarations escapes each declaration id once and
+    fills four line lists: value nodes, tag nodes (or checkpoint nodes),
+    value edges, tag edges (or checkpoint edges). An argument no
+    declaration names (the kernel is invalid) is drawn all the same."""
+    k, rule = (g, None) if isinstance(g, Kernel) else (g.kernel, g.rule)
+    tags = rule is not None
+    vnodes: list[str] = []
+    tnodes: list[str] = []
+    vedges: list[str] = []
+    tedges: list[str] = []
+    esc: dict[str, str] = {}  # declaration id -> escaped id
+    for inp in k.inputs:
+        i = esc[inp.id] = _esc(inp.id)
+        vnodes.append(f'  "v:{i}" [shape=ellipse, label="{i} : {inp.ty}"];')
+        if tags:
+            tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tag = {inp.default_tag}"];')
+    for c in k.constants:
+        i = esc[c.id] = _esc(c.id)
+        vnodes.append(f'  "v:{i}" [shape=box, label="{i} = {to_int(c.value)} : {c.value.ty}"];')
+        if tags:
+            tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tag = 0"];')
+    for m in k.memories:
+        i = esc[m.id] = _esc(m.id)
+        vnodes.append(f'  "v:{i}" [shape=box3d, label="{i}[{m.size}] : {m.cell}"];')
+        if tags:
+            tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tags"];')
+    tag_suffix = f'.tag = {rule}"];'
+    for n in k.nodes:
+        i = esc[n.id] = _esc(n.id)
+        store = n.op is OpKind.STORE
+        suffix = ': store"];' if store else f' = {n.op.value} : {n.ty}"];'
+        vnodes.append(f'  "v:{i}" [shape=box, style=rounded, label="{i}{suffix}')
+        srcs = [esc.get(a) or _esc(a) for a in n.args]
+        vedges.extend([f'  "v:{a}" -> "v:{i}";' for a in srcs])
+        if store:
+            vedges.append(f'  "v:{i}" -> "v:{srcs[0]}";')
+        if tags:
+            tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}{tag_suffix}')
+            tedges.extend([f'  "t:{a}" -> "t:{i}"{_TAG_EDGE}' for a in srcs])
+            if store:
+                tedges.append(f'  "t:{i}" -> "t:{srcs[0]}"{_TAG_EDGE}')
+    for o in k.outputs:
+        i = esc[o.id] = _esc(o.id)
+        a = esc.get(o.source) or _esc(o.source)
+        vnodes.append(f'  "v:{i}" [shape=ellipse, style=bold, label="{i}"];')
+        vedges.append(f'  "v:{a}" -> "v:{i}";')
+        if tags:
+            tedges.append(f'  "t:{a}" -> "v:{i}"{_TAG_EDGE}')
+    if tags:
+        tnodes.append('  "monitor:0" [shape=box, peripheries=2, label="monitor"];')
+    for cp in k.checkpoints:
+        a = esc.get(cp.arg) or _esc(cp.arg)
+        c = _esc(cp.id)
+        label = f"{c}: {_esc(cp.policy)}"
+        if tags:
+            tedges.append(
+                f'  "t:{a}" -> "monitor:0" [style=dashed, color=gray40, label="{label}", fontsize=9];'
+            )
         else:
-            suffix = ""
-        lines.append(f"  {_quote(e.src)} -> {_quote(e.dst)}{suffix};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            tnodes.append(f'  "c:{c}" [shape=diamond, label="{label}"];')
+            tedges.append(f'  "v:{a}" -> "c:{c}"{_TAG_EDGE}')
+    return "\n".join(
+        [
+            f'digraph "{_esc(k.name)}" {{',
+            "  rankdir=LR;",
+            '  node [fontname="Helvetica", fontsize=10];',
+            *vnodes,
+            *tnodes,
+            *vedges,
+            *tedges,
+            "}\n",
+        ]
+    )

@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import diftsim.taint
 from diftsim import (
     DiftConfig,
@@ -156,6 +158,40 @@ def test_instrument_invalid_kernel_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"name": "x", "tag_width": 2, "mystery": []}')
     assert main(["instrument", str(bad)]) == 2
+
+
+def test_instrument_unwritable_dot_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "fir4.dot"
+    assert main(["instrument", FIR4, "--emit-dot", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {missing}: cannot write (") and err.endswith(")\n")
+    assert err.count("\n") == 1
+
+
+def test_run_unwritable_report_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "report.json"
+    assert main(["run", OVERFLOW, OVERFLOW_TAINTED, "--report", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {missing}: cannot write (") and err.endswith(")\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", FIR4, "--samples", "-3"], "argument --samples: must be at least 1, got -3"),
+        (["check", FIR4, "--samples", "0"], "argument --samples: must be at least 1, got 0"),
+        (["fuzz", FIR4, "--trials", "-2"], "argument --trials: must be at least 1, got -2"),
+        (["fuzz", FIR4, "--trials", "two"], "argument --trials: invalid int value: 'two'"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"usage error: {message}\n"
 
 
 def test_check_exits_0_with_stable_summary(capsys):

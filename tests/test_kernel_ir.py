@@ -7,9 +7,17 @@ import pytest
 
 from diftsim import kernel_ir, taint
 from diftsim import (
+    BitType,
     CheckpointDecl,
+    CoarseBoundary,
     DiftConfig,
     FineGrained,
+    InputDecl,
+    InstrumentedGraph,
+    Kernel,
+    Node,
+    OpKind,
+    OutputDecl,
     Policy,
     PolicyKind,
     PropagationRule,
@@ -18,7 +26,6 @@ from diftsim import (
     dead_code_elim,
     emit_dot,
     instrument,
-    kernel_value_graph,
     parse_kernel,
     run_dift,
     sample_inputs,
@@ -302,31 +309,55 @@ def test_dce_drops_exactly_two_on_dot8(dot8):
         assert run_dift(dot8, ri, cfg).outputs == run_dift(slim, ri, cfg).outputs
 
 
+def dot_body(dot):
+    """The node and edge lines of a DOT text: header and footer cut."""
+    return dot.splitlines()[3:-1]
+
+
+def test_instrument_records_kernel_and_rule(fir4):
+    for mode, rule in (
+        (FineGrained(UNION), "union"),
+        (FineGrained(PropagationRule.PRECISE), "precise"),
+        (CoarseBoundary(), "boundary"),
+    ):
+        cfg = DiftConfig(fir4.tag_width, mode)
+        assert instrument(fir4, cfg) == InstrumentedGraph(fir4, rule)
+
+
 def test_instrument_structure_counts(fir4):
-    graph = instrument(fir4, cfg_for(fir4))
-    ops = [n for n in graph.nodes if n.kind == "op"]
-    tag_ops = [n for n in graph.nodes if n.kind == "tagop"]
-    assert len(ops) == len(fir4.nodes)
-    assert len(tag_ops) == len(fir4.nodes)
-    assert len(graph.monitor_inputs()) == len(fir4.checkpoints)
-    # every tag node pairs with exactly one value node
-    value_ids = {n.id for n in graph.nodes if n.kind in ("input", "const", "memory", "op")}
-    for n in graph.nodes:
-        if n.kind in ("tag", "tagop"):
-            assert "v:" + n.id[2:] in value_ids
+    body = dot_body(emit_dot(instrument(fir4, cfg_for(fir4))))
+    nodes = [line for line in body if " -> " not in line]
+    ids = [line.split('"')[1] for line in nodes]
+    # every input, constant, memory and op has a value node and, in the
+    # same order, a tag node; outputs (style=bold) have only a value node
+    values = [i for i, line in zip(ids, nodes) if i.startswith("v:") and "style=bold" not in line]
+    decls = (fir4.inputs, fir4.constants, fir4.memories, fir4.nodes)
+    assert values == ["v:" + d.id for section in decls for d in section]
+    assert [i for i in ids if i.startswith("t:")] == ["t:" + v[2:] for v in values]
+    ops = [line for line in nodes if line.startswith('  "v:') and "shape=box, style=rounded" in line]
+    tag_ops = [line for line in nodes if line.endswith('.tag = union"];')]
+    assert len(ops) == len(tag_ops) == len(fir4.nodes)
+    monitor_edges = [line for line in body if '-> "monitor:0"' in line]
+    assert len(monitor_edges) == len(fir4.checkpoints)
 
 
 def test_instrument_zero_checkpoints_keeps_monitor():
     kernel, _ = parse(minimal_doc())
-    graph = instrument(kernel, cfg_for(kernel))
-    assert any(n.kind == "monitor" for n in graph.nodes)
-    assert graph.monitor_inputs() == ()
+    body = dot_body(emit_dot(instrument(kernel, cfg_for(kernel))))
+    assert '  "monitor:0" [shape=box, peripheries=2, label="monitor"];' in body
+    assert not any('-> "monitor:0"' in line for line in body)
 
 
 def test_instrument_value_view_isomorphic(fir4, dot8, overflow_demo):
+    # The instrumented view's value lines are the plain view's lines
+    # without its checkpoint (c:) nodes and edges.
     for kernel in (fir4, dot8, overflow_demo):
-        graph = instrument(kernel, cfg_for(kernel))
-        assert graph.value_view() == kernel_value_graph(kernel)
+        instrumented = emit_dot(instrument(kernel, cfg_for(kernel)))
+        plain = emit_dot(kernel)
+        assert instrumented.splitlines()[:3] == plain.splitlines()[:3]
+        plain_values = [line for line in dot_body(plain) if '"c:' not in line]
+        assert all(line.startswith('  "v:') for line in plain_values)
+        assert [line for line in dot_body(instrumented) if line.startswith('  "v:')] == plain_values
 
 
 def test_emit_dot_deterministic(fir4):
@@ -364,11 +395,41 @@ ESCAPED_DOC = {
 }
 
 
+# validate rejects this kernel: an argument no declaration names (its id
+# holds a quote), a store to a value, and a checkpoint and an output on
+# undeclared ids. The goldens pin what emit_dot draws for it anyway.
+U4 = BitType(4, False)
+INVALID_KERNEL = Kernel(
+    name="invalid",
+    tag_width=2,
+    inputs=(InputDecl("a", U4, 1),),
+    nodes=(
+        Node("n", OpKind.ADD, ("a", 'u"x'), U4),
+        Node("st", OpKind.STORE, ("n", "a", "n")),
+    ),
+    checkpoints=(
+        CheckpointDecl("cp", 'gh"ost', "p"),
+        CheckpointDecl("cq", "n", "p"),
+    ),
+    policies=(Policy("p", PolicyKind.DENY_IF_ANY),),
+    outputs=(OutputDecl("o", "mis\\sing"),),
+)
+
+GOLDEN_CONFIGS = {
+    "instrumented": lambda k: DiftConfig(k.tag_width, FineGrained(UNION)),
+    "precise": lambda k: DiftConfig(k.tag_width, FineGrained(PropagationRule.PRECISE)),
+    "coarse": lambda k: DiftConfig(k.tag_width, CoarseBoundary()),
+}
+
+
 def golden_kernel(name, request):
     if name == "escaped":
         kernel, diags = parse(ESCAPED_DOC)
         assert kernel is not None, diags
         return kernel
+    if name == "invalid":
+        assert any(d.severity == "error" for d in validate(INVALID_KERNEL))
+        return INVALID_KERNEL
     return request.getfixturevalue(name)
 
 
@@ -377,23 +438,27 @@ def golden_kernel(name, request):
     [
         ("fir4", "instrumented"),
         ("fir4", "plain"),
+        ("fir4", "precise"),
+        ("fir4", "coarse"),
         ("dot8", "instrumented"),
         ("dot8", "plain"),
         ("overflow_demo", "instrumented"),
         ("overflow_demo", "plain"),
         ("escaped", "instrumented"),
         ("escaped", "plain"),
+        ("invalid", "instrumented"),
+        ("invalid", "plain"),
     ],
 )
 def test_emit_dot_matches_golden(name, view, request):
     kernel = golden_kernel(name, request)
-    graph = instrument(kernel, cfg_for(kernel)) if view == "instrumented" else kernel
+    graph = kernel if view == "plain" else instrument(kernel, GOLDEN_CONFIGS[view](kernel))
     expected = (GOLDEN / f"{name}_{view}.dot").read_text()
     assert emit_dot(graph) == expected
-    if view == "instrumented":
-        assert "style=dashed" in expected and "monitor" in expected
-    else:
+    if view == "plain":
         assert "monitor" not in expected
+    else:
+        assert "style=dashed" in expected and "monitor" in expected
 
 
 def test_emit_dot_escapes_quotes_and_backslashes():
