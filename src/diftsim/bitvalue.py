@@ -22,6 +22,10 @@ MAX_WIDTH = 64
 class OpKind(Enum):
     """Closed operator set of the dataflow IR; parsers reject anything else."""
 
+    # Members are singletons and compare by identity, so hashing by
+    # identity agrees with ==; Enum's own __hash__ hashes the name in Python.
+    __hash__ = object.__hash__
+
     ADD = "add"
     SUB = "sub"
     MUL = "mul"
@@ -69,12 +73,15 @@ UNARY_OPS = frozenset({OpKind.NOT, OpKind.NEG})
 VALUE_OPS = BINARY_OPS | UNARY_OPS | {OpKind.MUX}
 
 
+# Operand count of each operator: mux and store take three.
+OP_ARITY = {
+    kind: 1 if kind in UNARY_OPS else 2 if kind in BINARY_OPS or kind is OpKind.LOAD else 3
+    for kind in OpKind
+}
+
+
 def op_arity(kind: OpKind) -> int:
-    if kind in UNARY_OPS:
-        return 1
-    if kind in BINARY_OPS or kind is OpKind.LOAD:
-        return 2
-    return 3  # mux and store
+    return OP_ARITY[kind]
 
 
 @dataclass(frozen=True)

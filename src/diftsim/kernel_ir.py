@@ -16,12 +16,11 @@ from functools import cached_property
 from . import taint
 from .bitvalue import (
     COMPARE_OPS,
+    OP_ARITY,
     BitType,
     BitValue,
     OpKind,
     apply_op,
-    make_bitvalue,
-    op_arity,
     pad_operands,
     to_int,
     value_fn,
@@ -156,10 +155,7 @@ _ITEM_KEYS = {
     "checkpoints": {"id", "arg", "policy"},
     "outputs": {"id", "source"},
 }
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+_OP_BY_NAME = {kind.value: kind for kind in OpKind}
 
 
 def _err(diags: list[Diagnostic], loc: str, msg: str) -> None:
@@ -181,7 +177,7 @@ def _get_int(item: dict, key: str, loc: str, diags: list[Diagnostic], default=No
         _err(diags, loc, f"missing required key {key}")
         return None
     v = item[key]
-    if not _is_int(v):
+    if type(v) is not int:
         _err(diags, loc, f"{key} must be an integer")
         return None
     return v
@@ -212,17 +208,15 @@ def _check_section(doc: dict, key: str, diags: list[Diagnostic]) -> list[dict]:
     if not isinstance(raw, list):
         _err(diags, key, f"{key} must be a list")
         return []
-    items = []
-    for i, item in enumerate(raw):
-        loc = f"{key}[{i}]"
-        if not isinstance(item, dict):
-            _err(diags, loc, "entry must be an object")
-            continue
-        unknown = set(item) - _ITEM_KEYS[key]
-        if unknown:
-            _err(diags, loc, f"unknown keys: {', '.join(sorted(unknown))}")
-            continue
-        items.append(item)
+    allowed = _ITEM_KEYS[key]
+    items = [item for item in raw if type(item) is dict and allowed.issuperset(item)]
+    if len(items) < len(raw):
+        for i, item in enumerate(raw):
+            if type(item) is not dict:
+                _err(diags, f"{key}[{i}]", "entry must be an object")
+            elif not allowed.issuperset(item):
+                unknown = ", ".join(sorted(set(item) - allowed))
+                _err(diags, f"{key}[{i}]", f"unknown keys: {unknown}")
     return items
 
 
@@ -249,29 +243,43 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
         _err(diags, "kernel", f"unknown keys: {', '.join(sorted(unknown))}")
 
     name = _get_str(doc, "name", "kernel", diags) or ""
-    tag_width = _get_int(doc, "tag_width", "kernel", diags)
-    if tag_width is None or not 1 <= tag_width <= MAX_TAG_WIDTH:
+    tag_width = doc.get("tag_width")
+    if type(tag_width) is not int or not 1 <= tag_width <= MAX_TAG_WIDTH:
         _err(diags, "kernel", f"tag_width must be an integer in 1..{MAX_TAG_WIDTH}")
         return None, diags
 
+    # Inputs, constants and nodes, the sections that grow with a kernel,
+    # read an item's fields directly and take its type from types by the
+    # raw (width, signed) pair, checked to be an int and a bool first:
+    # (True, False) == (1, False) as a key. An item that fails that test,
+    # or has a type not met before, goes through the _get_* helpers, which
+    # report what is wrong with it.
     types: dict[tuple[int, bool], BitType] = {}
     inputs = []
     for item in _check_section(doc, "inputs", diags):
-        iid = _get_str(item, "id", "inputs", diags)
-        ty = _get_type(item, f"input {iid}", diags, types)
-        default_tag = _get_int(item, "default_tag", f"input {iid}", diags, default=0)
-        if iid is None or ty is None or default_tag is None:
-            continue
+        iid, width, signed = item.get("id"), item.get("width"), item.get("signed", False)
+        default_tag = item.get("default_tag", 0)
+        ty = types.get((width, signed)) if type(width) is int and type(signed) is bool else None
+        if ty is None or type(iid) is not str or not iid or type(default_tag) is not int:
+            iid = _get_str(item, "id", "inputs", diags)
+            ty = _get_type(item, f"input {iid}", diags, types)
+            default_tag = _get_int(item, "default_tag", f"input {iid}", diags, default=0)
+            if iid is None or ty is None or default_tag is None:
+                continue
         inputs.append(InputDecl(iid, ty, default_tag))
 
     constants = []
     for item in _check_section(doc, "constants", diags):
-        cid = _get_str(item, "id", "constants", diags)
-        ty = _get_type(item, f"constant {cid}", diags, types)
-        value = _get_int(item, "value", f"constant {cid}", diags)
-        if cid is None or ty is None or value is None:
-            continue
-        constants.append(ConstDecl(cid, make_bitvalue(ty, value)))
+        cid, width, signed = item.get("id"), item.get("width"), item.get("signed", False)
+        value = item.get("value")
+        ty = types.get((width, signed)) if type(width) is int and type(signed) is bool else None
+        if ty is None or type(cid) is not str or not cid or type(value) is not int:
+            cid = _get_str(item, "id", "constants", diags)
+            ty = _get_type(item, f"constant {cid}", diags, types)
+            value = _get_int(item, "value", f"constant {cid}", diags)
+            if cid is None or ty is None or value is None:
+                continue
+        constants.append(ConstDecl(cid, BitValue(ty, value & ty.mask)))
 
     memories = []
     for item in _check_section(doc, "memories", diags):
@@ -283,40 +291,44 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
             continue
         init_raw = item.get("init", [])
         tags_raw = item.get("init_tags", [])
-        if not isinstance(init_raw, list) or not all(_is_int(x) for x in init_raw):
+        if type(init_raw) is not list or not all(type(x) is int for x in init_raw):
             _err(diags, loc, "init must be a list of integers")
             continue
-        if not isinstance(tags_raw, list) or not all(_is_int(x) for x in tags_raw):
+        if type(tags_raw) is not list or not all(type(x) is int for x in tags_raw):
             _err(diags, loc, "init_tags must be a list of integers")
             continue
-        init = tuple(make_bitvalue(ty, x).bits for x in init_raw)
+        init = tuple([x & ty.mask for x in init_raw])
         memories.append(MemoryDecl(mid, size, ty, init, tuple(tags_raw)))
 
     nodes = []
     for item in _check_section(doc, "nodes", diags):
-        nid = _get_str(item, "id", "nodes", diags)
-        loc = f"node {nid}"
-        op_raw = item.get("op")
-        try:
-            op = OpKind(op_raw)
-        except ValueError:
-            _err(diags, loc, f"unknown op {op_raw!r}")
-            continue
-        args = item.get("args")
-        if not isinstance(args, list) or not all(isinstance(a, str) for a in args):
-            _err(diags, loc, "args must be a list of ids")
-            continue
+        nid, op_raw, args = item.get("id"), item.get("op"), item.get("args")
+        op = _OP_BY_NAME.get(op_raw) if type(op_raw) is str else None
+        args_ok = type(args) is list and all(type(a) is str for a in args)
         if op is OpKind.STORE:
-            if "width" in item or "signed" in item:
-                _err(diags, loc, "store nodes must not declare a result type")
-                continue
-            ty = None
+            ty, typed = None, "width" not in item and "signed" not in item
         else:
-            ty = _get_type(item, loc, diags, types)
-            if ty is None:
+            width, signed = item.get("width"), item.get("signed", False)
+            ty = types.get((width, signed)) if type(width) is int and type(signed) is bool else None
+            typed = ty is not None
+        if op is None or not args_ok or not typed or type(nid) is not str or not nid:
+            nid = _get_str(item, "id", "nodes", diags)
+            loc = f"node {nid}"
+            if op is None:
+                _err(diags, loc, f"unknown op {op_raw!r}")
                 continue
-        if nid is None:
-            continue
+            if not args_ok:
+                _err(diags, loc, "args must be a list of ids")
+                continue
+            if not typed:
+                if op is OpKind.STORE:
+                    _err(diags, loc, "store nodes must not declare a result type")
+                    continue
+                ty = _get_type(item, loc, diags, types)
+                if ty is None:
+                    continue
+            if nid is None:
+                continue
         nodes.append(Node(nid, op, tuple(args), ty))
 
     policies = []
@@ -392,26 +404,26 @@ def validate(k: Kernel) -> list[Diagnostic]:
         return diags
     tag_limit = 1 << k.tag_width
 
-    seen: set[str] = set()
-
-    def declare(item_id: str, what: str) -> None:
-        if item_id in seen:
-            _err(diags, item_id, f"duplicate id ({what})")
-        seen.add(item_id)
-
+    seen: set[str] = set()  # every id declared so far
     values: dict[str, BitType] = {}
     mems: dict[str, MemoryDecl] = {}
 
     for inp in k.inputs:
-        declare(inp.id, "input")
+        if inp.id in seen:
+            _err(diags, inp.id, "duplicate id (input)")
+        seen.add(inp.id)
         if not 0 <= inp.default_tag < tag_limit:
             _err(diags, inp.id, f"default_tag {inp.default_tag} out of range")
         values[inp.id] = inp.ty
     for c in k.constants:
-        declare(c.id, "constant")
+        if c.id in seen:
+            _err(diags, c.id, "duplicate id (constant)")
+        seen.add(c.id)
         values[c.id] = c.value.ty
     for m in k.memories:
-        declare(m.id, "memory")
+        if m.id in seen:
+            _err(diags, m.id, "duplicate id (memory)")
+        seen.add(m.id)
         if m.size < 1:
             _err(diags, m.id, "memory size must be at least 1")
         elif m.size > MAX_MEMORY_CELLS:
@@ -437,61 +449,52 @@ def validate(k: Kernel) -> list[Diagnostic]:
         elif p.mask is not None:
             _err(diags, p.name, f"{p.kind.value} does not take a mask")
 
-    def check_value_arg(node_id: str, arg: str) -> None:
-        if arg not in values:
-            if arg in mems:
-                _err(diags, node_id, f"argument {arg} is a memory, not a value")
-            else:
-                _err(diags, node_id, f"argument {arg} is not defined yet")
-
     for node in k.nodes:
-        declare(node.id, "node")
-        if len(node.args) != op_arity(node.op):
-            _err(
-                diags,
-                node.id,
-                f"{node.op.value} takes {op_arity(node.op)} args, got {len(node.args)}",
-            )
+        nid, op, args, ty = node.id, node.op, node.args, node.ty
+        if nid in seen:
+            _err(diags, nid, "duplicate id (node)")
+        seen.add(nid)
+        arity = OP_ARITY[op]
+        if len(args) != arity:
+            _err(diags, nid, f"{op.value} takes {arity} args, got {len(args)}")
             continue
-        if node.op is OpKind.LOAD:
-            mem = mems.get(node.args[0])
+        if op is OpKind.LOAD or op is OpKind.STORE:
+            mem = mems.get(args[0])
             if mem is None:
-                _err(diags, node.id, f"load target {node.args[0]} is not a memory")
-            check_value_arg(node.id, node.args[1])
-            if node.ty is None:
-                _err(diags, node.id, "load must declare a result type")
-            elif mem is not None and node.ty != mem.cell:
-                _err(
-                    diags,
-                    node.id,
-                    f"load result type {node.ty} does not match cell type {mem.cell}",
-                )
-        elif node.op is OpKind.STORE:
-            if node.args[0] not in mems:
-                _err(diags, node.id, f"store target {node.args[0]} is not a memory")
-            check_value_arg(node.id, node.args[1])
-            check_value_arg(node.id, node.args[2])
-            if node.ty is not None:
-                _err(diags, node.id, "store has no result type")
-        else:
-            for arg in node.args:
-                check_value_arg(node.id, arg)
-            if node.ty is None:
-                _err(diags, node.id, "node must declare a result type")
-            elif node.op in COMPARE_OPS and (node.ty.width != 1 or node.ty.signed):
-                _err(diags, node.id, "comparison result type must be u1")
-        if node.op is not OpKind.STORE and node.ty is not None:
-            values[node.id] = node.ty
+                _err(diags, nid, f"{op.value} target {args[0]} is not a memory")
+            args = args[1:]
+        for arg in args:
+            if arg not in values:
+                what = "is a memory, not a value" if arg in mems else "is not defined yet"
+                _err(diags, nid, f"argument {arg} {what}")
+        if op is OpKind.STORE:
+            if ty is not None:
+                _err(diags, nid, "store has no result type")
+            continue
+        if ty is None:
+            what = "load" if op is OpKind.LOAD else "node"
+            _err(diags, nid, f"{what} must declare a result type")
+            continue
+        if op is OpKind.LOAD:
+            if mem is not None and ty != mem.cell:
+                _err(diags, nid, f"load result type {ty} does not match cell type {mem.cell}")
+        elif op in COMPARE_OPS and (ty.width != 1 or ty.signed):
+            _err(diags, nid, "comparison result type must be u1")
+        values[nid] = ty
 
     for cp in k.checkpoints:
-        declare(cp.id, "checkpoint")
+        if cp.id in seen:
+            _err(diags, cp.id, "duplicate id (checkpoint)")
+        seen.add(cp.id)
         if cp.arg not in values:
             _err(diags, cp.id, f"checkpoint argument {cp.arg} is not a value id")
         if cp.policy not in policy_names:
             _err(diags, cp.id, f"checkpoint names unknown policy {cp.policy}")
 
     for out in k.outputs:
-        declare(out.id, "output")
+        if out.id in seen:
+            _err(diags, out.id, "duplicate id (output)")
+        seen.add(out.id)
         if out.source not in values:
             _err(diags, out.id, f"output source {out.source} is not a value id")
 

@@ -22,6 +22,7 @@ from diftsim import (
     PolicyKind,
     PropagationRule,
     Tag,
+    check_consistency,
     const_fold,
     dead_code_elim,
     emit_dot,
@@ -184,6 +185,270 @@ def test_validate_rejects_mask_of_other_width_than_tags():
 def test_validate_on_valid_fixture_is_clean(fir4, dot8, overflow_demo):
     for kernel in (fir4, dot8, overflow_demo):
         assert validate(kernel) == []
+
+
+# One malformed document per diagnostic branch of parse_kernel and
+# validate, with the exact diagnostics it yields, in order.
+W8 = {"width": 8}
+W4 = {"width": 4}
+MEM = {"id": "m", "size": 4, "width": 8}
+
+
+def node(nid="n", op="add", args=("a", "a"), **fields):
+    return {"id": nid, "op": op, "args": args, **fields}
+
+
+def bad(*message):
+    return [f"error: {m}" for m in message]
+
+
+DIAGNOSTIC_CASES = {
+    "invalid-json": ('{\n  "name": "x",\n  ???\n}', bad(
+        "line 3: invalid JSON: Expecting property name enclosed in double quotes")),
+    "too-deep": ("[" * 100000, bad("kernel: JSON nested too deeply")),
+    "top-not-object": ("[1]", bad("kernel: top-level document must be an object")),
+    "top-unknown-keys": (minimal_doc(zeta=1, alpha=2), bad("kernel: unknown keys: alpha, zeta")),
+    "name-missing-tag_width-0": ({"tag_width": 0}, bad(
+        "kernel: name must be a non-empty string",
+        "kernel: tag_width must be an integer in 1..32")),
+    "tag_width-true": (minimal_doc(tag_width=True), bad("kernel: tag_width must be an integer in 1..32")),
+    "tag_width-missing": ({"name": "k"}, bad("kernel: tag_width must be an integer in 1..32")),
+    "tag_width-str": (minimal_doc(tag_width="2"), bad("kernel: tag_width must be an integer in 1..32")),
+    "tag_width-33": (minimal_doc(tag_width=33), bad("kernel: tag_width must be an integer in 1..32")),
+    "entry-not-object": (minimal_doc(inputs=[5, {"id": "a", **W8}], outputs=["o"]), bad(
+        "inputs[0]: entry must be an object", "outputs[0]: entry must be an object")),
+    "item-unknown-keys": (minimal_doc(inputs=[{"id": "a", **W8, "zeta": 1, "alpha": 2}]), bad(
+        "inputs[0]: unknown keys: alpha, zeta")),
+    "section-not-list": (minimal_doc(nodes={"id": "n"}, policies="p"), bad(
+        "nodes: nodes must be a list", "policies: policies must be a list")),
+    "id-missing": (minimal_doc(inputs=[{"width": 8}]), bad("inputs: id must be a non-empty string")),
+    "id-empty": (minimal_doc(inputs=[{"id": "", "width": 8}]), bad(
+        "inputs: id must be a non-empty string")),
+    "id-list-width-true": (minimal_doc(inputs=[{"id": ["a"], "width": True}]), bad(
+        "inputs: id must be a non-empty string", "input None: width must be an integer")),
+    "ids-missing-everywhere": (
+        minimal_doc(
+            constants=[{"width": 8}],
+            memories=[{"id": 3, "size": "4", "width": 8}],
+            nodes=[{"op": "frob"}, {"op": "add", "args": "a", **W8}, {"op": "add", "args": ["a", "a"], **W8}],
+            policies=[{"kind": "nope"}, {"kind": "deny_if_any"}],
+            checkpoints=[{"arg": [], "policy": ""}],
+            outputs=[{"source": 1}, {"id": "o2"}],
+        ),
+        bad(
+            "constants: id must be a non-empty string",
+            "constant None: missing required key value",
+            "memories: id must be a non-empty string",
+            "memory None: size must be an integer",
+            "nodes: id must be a non-empty string",
+            "node None: unknown op 'frob'",
+            "nodes: id must be a non-empty string",
+            "node None: args must be a list of ids",
+            "nodes: id must be a non-empty string",
+            "policies: name must be a non-empty string",
+            "policy None: unknown policy kind 'nope'",
+            "policies: name must be a non-empty string",
+            "checkpoints: id must be a non-empty string",
+            "checkpoint None: arg must be a non-empty string",
+            "checkpoint None: policy must be a non-empty string",
+            "outputs: id must be a non-empty string",
+            "output None: source must be a non-empty string",
+            "output o2: source must be a non-empty string",
+        ),
+    ),
+    "width-missing": (minimal_doc(inputs=[{"id": "a"}]), bad("input a: missing required key width")),
+    "width-true": (minimal_doc(inputs=[{"id": "a", "width": True}]), bad(
+        "input a: width must be an integer")),
+    "width-float": (minimal_doc(inputs=[{"id": "a", "width": 8.0}]), bad(
+        "input a: width must be an integer")),
+    "width-65-twice": (minimal_doc(inputs=[{"id": "a", "width": 65}, {"id": "b", "width": 65}]), bad(
+        "input a: width must be in 1..64, got 65", "input b: width must be in 1..64, got 65")),
+    "width-0-signed": (minimal_doc(inputs=[{"id": "a", "width": 0, "signed": True}]), bad(
+        "input a: width must be in 1..64, got 0")),
+    "signed-list": (minimal_doc(inputs=[{"id": "a", **W8, "signed": []}]), bad(
+        "input a: signed must be a boolean")),
+    "width-true-signed-list": (minimal_doc(inputs=[{"id": "a", "width": True, "signed": []}]), bad(
+        "input a: width must be an integer", "input a: signed must be a boolean")),
+    "width-65-signed-list": (minimal_doc(inputs=[{"id": "a", "width": 65, "signed": []}]), bad(
+        "input a: signed must be a boolean")),
+    # (True, False) == (1, False) and (8, 0) == (8, False) as dict keys.
+    "width-true-after-1": (minimal_doc(inputs=[{"id": "a", "width": 1}, {"id": "b", "width": True}]), bad(
+        "input b: width must be an integer")),
+    "signed-0-after-false": (minimal_doc(inputs=[{"id": "a", **W8}, {"id": "b", **W8, "signed": 0}]), bad(
+        "input b: signed must be a boolean")),
+    "default_tag-bad": (
+        minimal_doc(inputs=[{"id": "a", **W8, "default_tag": True}, {"id": "b", **W8, "default_tag": "1"}]),
+        bad("input a: default_tag must be an integer", "input b: default_tag must be an integer"),
+    ),
+    "constant-bad": (
+        minimal_doc(constants=[
+            {"id": "k", **W8}, {"id": "k2", **W8, "value": 1.0}, {"id": "k3", "width": 65, "value": False},
+        ]),
+        bad(
+            "constant k: missing required key value",
+            "constant k2: value must be an integer",
+            "constant k3: width must be in 1..64, got 65",
+            "constant k3: value must be an integer",
+        ),
+    ),
+    "op-unknown": (minimal_doc(nodes=[node(op="frob"), node("n2", op="ADD")]), bad(
+        "node n: unknown op 'frob'", "node n2: unknown op 'ADD'")),
+    "op-list": (minimal_doc(nodes=[node(op=["add"], **W8)]), bad("node n: unknown op ['add']")),
+    "op-dict": (minimal_doc(nodes=[node(op={"add": 1}, **W8)]), bad("node n: unknown op {'add': 1}")),
+    "op-missing": (minimal_doc(nodes=[{"id": "n", "args": ["a", "a"], **W8}]), bad(
+        "node n: unknown op None")),
+    "args-not-list": (minimal_doc(nodes=[node(args="aa", **W8), {"id": "n2", "op": "not", **W8}]), bad(
+        "node n: args must be a list of ids", "node n2: args must be a list of ids")),
+    "args-non-string": (minimal_doc(nodes=[node(args=["a", 1], **W8)]), bad(
+        "node n: args must be a list of ids")),
+    "node-type-bad": (minimal_doc(nodes=[node(), node("n2", width=True, signed=1)]), bad(
+        "node n: missing required key width",
+        "node n2: width must be an integer",
+        "node n2: signed must be a boolean")),
+    "store-width": (minimal_doc(memories=[MEM], nodes=[node("s", "store", ["m", "a", "a"], width=8)]), bad(
+        "node s: store nodes must not declare a result type")),
+    "store-signed": (
+        minimal_doc(memories=[MEM], nodes=[node("s", "store", ["m", "a", "a"], signed=False)]),
+        bad("node s: store nodes must not declare a result type"),
+    ),
+    "memory-size-and-width": (minimal_doc(memories=[{"id": "m"}, {"id": "m2", "size": True, "width": 65}]), bad(
+        "memory m: missing required key size",
+        "memory m: missing required key width",
+        "memory m2: size must be an integer",
+        "memory m2: width must be in 1..64, got 65")),
+    "init-bool": (minimal_doc(memories=[{**MEM, "init": [1, True]}]), bad(
+        "memory m: init must be a list of integers")),
+    "init-float": (minimal_doc(memories=[{**MEM, "init": [1.5]}]), bad(
+        "memory m: init must be a list of integers")),
+    "init-not-list": (minimal_doc(memories=[{**MEM, "init": 3, "init_tags": [True]}]), bad(
+        "memory m: init must be a list of integers")),
+    "init_tags-bool": (minimal_doc(memories=[{**MEM, "init": [1], "init_tags": [False]}]), bad(
+        "memory m: init_tags must be a list of integers")),
+    "init_tags-str": (minimal_doc(memories=[{**MEM, "init_tags": ["1"]}]), bad(
+        "memory m: init_tags must be a list of integers")),
+    "kind-unknown": (minimal_doc(policies=[{"name": "p", "kind": "deny"}]), bad(
+        "policy p: unknown policy kind 'deny'")),
+    "kind-list": (minimal_doc(policies=[{"name": "p", "kind": ["deny_if_any"]}]), bad(
+        "policy p: unknown policy kind ['deny_if_any']")),
+    "kind-missing": (minimal_doc(policies=[{"name": "p"}]), bad("policy p: unknown policy kind None")),
+    "mask-list": (minimal_doc(policies=[{"name": "p", "kind": "deny_if_mask", "mask": [1]}]), bad(
+        "policy p: mask must be an integer")),
+    "mask-bool": (minimal_doc(policies=[{"name": "p", "kind": "deny_if_mask", "mask": True}]), bad(
+        "policy p: mask must be an integer")),
+    "mask-out-of-range": (
+        minimal_doc(policies=[
+            {"name": "p", "kind": "deny_if_mask", "mask": 4}, {"name": "q", "kind": "deny_if_mask", "mask": -1},
+        ]),
+        bad("policy p: mask 4 out of range for tag width 2", "policy q: mask -1 out of range for tag width 2"),
+    ),
+    "checkpoint-fields": (minimal_doc(checkpoints=[{"id": "c"}, {"id": "c2", "arg": "a", "policy": 1}]), bad(
+        "checkpoint c: arg must be a non-empty string",
+        "checkpoint c: policy must be a non-empty string",
+        "checkpoint c2: policy must be a non-empty string")),
+    "output-source-missing": (minimal_doc(outputs=[{"id": "out"}]), bad(
+        "output out: source must be a non-empty string")),
+    "validate-declarations": (
+        minimal_doc(
+            inputs=[{"id": "a", **W8, "default_tag": 4}, {"id": "a", **W8}],
+            constants=[{"id": "k", "width": 4, "value": 300}],
+            memories=[
+                {"id": "m", "size": 0, **W8},
+                {"id": "big", "size": (1 << 20) + 1, **W8},
+                {"id": "full", "size": 2, **W8, "init": [1, 2, 3], "init_tags": [0, 4, 0]},
+            ],
+            policies=[{"name": "p", "kind": "deny_if_mask"}, {"name": "p", "kind": "allow_all", "mask": 1}],
+            checkpoints=[{"id": "c", "arg": "m", "policy": "nope"}, {"id": "k", "arg": "a", "policy": "p"}],
+            outputs=[{"id": "out", "source": "ghost"}],
+        ),
+        bad(
+            "a: default_tag 4 out of range",
+            "a: duplicate id (input)",
+            "m: memory size must be at least 1",
+            "big: memory size must be at most 1048576",
+            "full: init has 3 values for 2 cells",
+            "full: init_tags has 3 values for 2 cells",
+            "full: init_tags contains a tag out of range",
+            "p: deny_if_mask requires a mask",
+            "p: duplicate policy name",
+            "p: allow_all does not take a mask",
+            "c: checkpoint argument m is not a value id",
+            "c: checkpoint names unknown policy nope",
+            "k: duplicate id (checkpoint)",
+            "out: output source ghost is not a value id",
+        ),
+    ),
+    "validate-nodes": (
+        minimal_doc(
+            memories=[MEM],
+            nodes=[
+                node("n1", args=["a"], **W8),
+                node("n2", "not", ["a", "a", "a"], **W8),
+                node("n3", args=["a", "later"], **W8),
+                node("n4", args=["m", "a"], **W8),
+                node("n5", "lt", width=1, signed=True),
+                node("n6", "eq", width=2),
+                node("l1", "load", ["a", "a"], **W8),
+                node("l2", "load", ["m", "m"], width=4),
+                node("s1", "store", ["a", "a", "a"]),
+                node("s2", "store", ["m", "ghost", "m"]),
+                node("later", **W8),
+                node("n1", "neg", ["a"], **W8),
+            ],
+            checkpoints=[{"id": "c", "arg": "s1", "policy": "p"}],
+            outputs=[{"id": "out", "source": "s2"}],
+        ),
+        bad(
+            "n1: add takes 2 args, got 1",
+            "n2: not takes 1 args, got 3",
+            "n3: argument later is not defined yet",
+            "n4: argument m is a memory, not a value",
+            "n5: comparison result type must be u1",
+            "n6: comparison result type must be u1",
+            "l1: load target a is not a memory",
+            "l2: argument m is a memory, not a value",
+            "l2: load result type u4 does not match cell type u8",
+            "s1: store target a is not a memory",
+            "s2: argument ghost is not defined yet",
+            "s2: argument m is a memory, not a value",
+            "n1: duplicate id (node)",
+            "c: checkpoint argument s1 is not a value id",
+            "c: checkpoint names unknown policy p",
+            "out: output source s2 is not a value id",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(DIAGNOSTIC_CASES))
+def test_parse_diagnostics_golden(case):
+    doc, expected = DIAGNOSTIC_CASES[case]
+    kernel, diags = parse_kernel(doc if isinstance(doc, str) else json.dumps(doc))
+    assert kernel is None
+    assert [str(d) for d in diags] == expected
+
+
+def test_validate_diagnostics_golden():
+    # Branches parse_kernel never reaches: the Kernel is built by hand.
+    m = kernel_ir.MemoryDecl("m", 4, U4)
+    kernel = Kernel(
+        name="hand",
+        tag_width=2,
+        inputs=(InputDecl("a", U4),),
+        memories=(m,),
+        nodes=(
+            Node("l", OpKind.LOAD, ("m", "a")),
+            Node("n", OpKind.ADD, ("a", "a")),
+            Node("s", OpKind.STORE, ("m", "a", "a"), U4),
+        ),
+    )
+    assert [str(d) for d in validate(kernel)] == bad(
+        "l: load must declare a result type",
+        "n: node must declare a result type",
+        "s: store has no result type",
+    )
+    assert [str(d) for d in validate(replace(kernel, tag_width=33))] == bad(
+        "kernel: tag_width must be in 1..32"
+    )
 
 
 def test_const_fold_basic():
@@ -538,3 +803,41 @@ def test_passes_idempotent_on_fixtures(fir4, dot8, overflow_demo):
         assert const_fold(folded) == folded
         slim = dead_code_elim(kernel)
         assert dead_code_elim(slim) == slim
+
+
+# ROADMAP Open item 1: the passes break behaviour on these two kernels.
+# The fix must remove the xfail markers.
+@pytest.mark.xfail(strict=True, reason="ROADMAP Open item 1: dead_code_elim drops a dead node that traps")
+def test_dce_keeps_dead_division_that_traps():
+    kernel, diags = parse(
+        minimal_doc(
+            inputs=[{"id": "a", "width": 4}, {"id": "b", "width": 4}],
+            nodes=[node("q", "div", ["a", "b"], width=4), node("s", **W4)],
+            outputs=[{"id": "out", "source": "s"}],
+        )
+    )
+    assert kernel is not None, diags
+    report = check_consistency(kernel, cfg_for(kernel), samples=200, seed=0)
+    assert report.mismatches == ()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP Open item 1: const_fold reorders coarse-mode exceptions")
+@pytest.mark.parametrize("on_exception", ["record", "halt"])
+def test_const_fold_keeps_coarse_exception_order(on_exception):
+    kernel, diags = parse(
+        minimal_doc(
+            inputs=[{"id": "a", "width": 4}],
+            constants=[{"id": "k", "width": 4, "value": 3}],
+            nodes=[node("n0", **W4), node("f", args=["k", "k"], **W4)],
+            policies=[{"name": "any", "kind": "deny_if_any"}],
+            checkpoints=[
+                {"id": "c0", "arg": "n0", "policy": "any"},
+                {"id": "c1", "arg": "f", "policy": "any"},
+            ],
+            outputs=[{"id": "out", "source": "n0"}],
+        )
+    )
+    assert kernel is not None, diags
+    cfg = DiftConfig(kernel.tag_width, CoarseBoundary(), on_exception)
+    report = check_consistency(kernel, cfg, samples=50, seed=0)
+    assert report.mismatches == ()
