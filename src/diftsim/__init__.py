@@ -6,8 +6,6 @@ checkpoints with a policy monitor, and ships a simulator plus compiler
 passes that provably preserve values, tags, and the exception sequence.
 """
 
-from importlib import resources
-
 from .bitvalue import (
     BINARY_OPS,
     COMPARE_OPS,
@@ -99,4 +97,6 @@ __version__ = "0.1.0"
 
 def fixture_path(name: str):
     """Path to one of the shipped demo kernels or inputs files."""
+    from importlib import resources  # imported lazily: no CLI command needs it
+
     return resources.files(__name__) / "fixtures" / name

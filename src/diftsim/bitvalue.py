@@ -9,7 +9,7 @@ way fixed-width hardware datapaths behave. Values are immutable.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum, unique
 from functools import cached_property, lru_cache
 
@@ -84,16 +84,16 @@ def op_arity(kind: OpKind) -> int:
     return OP_ARITY[kind]
 
 
-@dataclass(frozen=True)
-class BitType:
+class BitType(namedtuple("BitType", "width signed")):
     """Declared width and signedness of a wire or storage cell."""
 
-    width: int
-    signed: bool = False
+    # No __slots__: mask is cached in the instance's __dict__.
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.width, int) or not 1 <= self.width <= MAX_WIDTH:
-            raise InvalidType(f"width must be in 1..{MAX_WIDTH}, got {self.width!r}")
+    def __new__(cls, width: int, signed: bool = False):
+        if not isinstance(width, int) or not 1 <= width <= MAX_WIDTH:
+            raise InvalidType(f"width must be in 1..{MAX_WIDTH}, got {width!r}")
+        return tuple.__new__(cls, (width, signed))
 
     @cached_property
     def mask(self) -> int:
@@ -103,16 +103,16 @@ class BitType:
         return f"{'s' if self.signed else 'u'}{self.width}"
 
 
-@dataclass(frozen=True)
-class BitValue:
+class BitValue(namedtuple("BitValue", "ty bits")):
     """A canonical bit pattern of a BitType; bits is always in [0, 2^width)."""
 
-    ty: BitType
-    bits: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.bits, int) or not 0 <= self.bits <= self.ty.mask:
-            raise InvalidType(f"bits {self.bits!r} not canonical for {self.ty}")
+    def __new__(cls, ty: BitType, bits: int):
+        if not isinstance(bits, int) or not 0 <= bits <= ty.mask:
+            raise InvalidType(f"bits {bits!r} not canonical for {ty}")
+        return tuple.__new__(cls, (ty, bits))
 
     def __str__(self) -> str:
         return f"{to_int(self)}:{self.ty}"

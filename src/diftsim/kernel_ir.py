@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
+from typing import NamedTuple
 
 from . import taint
 from .bitvalue import (
@@ -34,10 +35,9 @@ from .tainted import DiftConfig
 MAX_MEMORY_CELLS = 1 << 20
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
-    location: str  # id of the offending item, or "line N" for syntax errors
+    location: str  # "kernel", "node n", "nodes[2]", an id, or "line N" for syntax errors
     message: str
 
     def __str__(self) -> str:
@@ -48,21 +48,18 @@ def has_errors(diags: list[Diagnostic]) -> bool:
     return any(d.severity == "error" for d in diags)
 
 
-@dataclass(frozen=True)
-class InputDecl:
+class InputDecl(NamedTuple):
     id: str
     ty: BitType
     default_tag: int = 0
 
 
-@dataclass(frozen=True)
-class ConstDecl:
+class ConstDecl(NamedTuple):
     id: str
     value: BitValue
 
 
-@dataclass(frozen=True)
-class MemoryDecl:
+class MemoryDecl(NamedTuple):
     id: str
     size: int
     cell: BitType
@@ -70,38 +67,30 @@ class MemoryDecl:
     init_tags: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     op: OpKind
     args: tuple[str, ...]
     ty: BitType | None = None  # absent for store
 
 
-@dataclass(frozen=True)
-class CheckpointDecl:
+class CheckpointDecl(NamedTuple):
     id: str
     arg: str
     policy: str
 
 
-@dataclass(frozen=True)
-class OutputDecl:
+class OutputDecl(NamedTuple):
     id: str
     source: str
 
 
-@dataclass(frozen=True)
-class Kernel:
-    name: str
-    tag_width: int
-    inputs: tuple[InputDecl, ...] = ()
-    constants: tuple[ConstDecl, ...] = ()
-    memories: tuple[MemoryDecl, ...] = ()
-    nodes: tuple[Node, ...] = ()
-    checkpoints: tuple[CheckpointDecl, ...] = ()
-    policies: tuple[Policy, ...] = ()
-    outputs: tuple[OutputDecl, ...] = ()
+class Kernel(namedtuple("Kernel", "name tag_width inputs constants memories nodes"
+                        " checkpoints policies outputs", defaults=((),) * 7)):
+    """A kernel: its name, tag width, and tuples of InputDecl, ConstDecl,
+    MemoryDecl, Node, CheckpointDecl, Policy and OutputDecl."""
+
+    # No __slots__: plan is cached in the instance's __dict__.
 
     @cached_property
     def plan(self) -> Plan:
@@ -110,8 +99,7 @@ class Kernel:
         return lower(self)
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """A valid kernel lowered to slots. Every input, constant, memory and
     node has a slot, numbered in that declaration order; a run keeps its
     values (a memory's: the list of its cells) and tags in lists indexed
@@ -248,6 +236,21 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
         _err(diags, "kernel", f"tag_width must be an integer in 1..{MAX_TAG_WIDTH}")
         return None, diags
 
+    index: dict[int, int] = {}  # id() of a raw section entry -> its index, filled on error
+
+    def named(item: dict, key: str, section: str, what: str) -> tuple[str | None, str]:
+        """The item's id (its key field) and where its diagnostics point:
+        "what id", or "section[i]", its index in the raw section, when the id
+        is not a non-empty string. The index is looked up only then."""
+        v = item.get(key)
+        if isinstance(v, str) and v:
+            return v, f"{what} {v}"
+        if id(item) not in index:
+            index.update({id(x): i for i, x in enumerate(doc[section])})
+        loc = f"{section}[{index[id(item)]}]"
+        _err(diags, loc, f"{key} must be a non-empty string")
+        return None, loc
+
     # Inputs, constants and nodes, the sections that grow with a kernel,
     # read an item's fields directly and take its type from types by the
     # raw (width, signed) pair, checked to be an int and a bool first:
@@ -261,9 +264,9 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
         default_tag = item.get("default_tag", 0)
         ty = types.get((width, signed)) if type(width) is int and type(signed) is bool else None
         if ty is None or type(iid) is not str or not iid or type(default_tag) is not int:
-            iid = _get_str(item, "id", "inputs", diags)
-            ty = _get_type(item, f"input {iid}", diags, types)
-            default_tag = _get_int(item, "default_tag", f"input {iid}", diags, default=0)
+            iid, loc = named(item, "id", "inputs", "input")
+            ty = _get_type(item, loc, diags, types)
+            default_tag = _get_int(item, "default_tag", loc, diags, default=0)
             if iid is None or ty is None or default_tag is None:
                 continue
         inputs.append(InputDecl(iid, ty, default_tag))
@@ -274,17 +277,16 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
         value = item.get("value")
         ty = types.get((width, signed)) if type(width) is int and type(signed) is bool else None
         if ty is None or type(cid) is not str or not cid or type(value) is not int:
-            cid = _get_str(item, "id", "constants", diags)
-            ty = _get_type(item, f"constant {cid}", diags, types)
-            value = _get_int(item, "value", f"constant {cid}", diags)
+            cid, loc = named(item, "id", "constants", "constant")
+            ty = _get_type(item, loc, diags, types)
+            value = _get_int(item, "value", loc, diags)
             if cid is None or ty is None or value is None:
                 continue
         constants.append(ConstDecl(cid, BitValue(ty, value & ty.mask)))
 
     memories = []
     for item in _check_section(doc, "memories", diags):
-        mid = _get_str(item, "id", "memories", diags)
-        loc = f"memory {mid}"
+        mid, loc = named(item, "id", "memories", "memory")
         size = _get_int(item, "size", loc, diags)
         ty = _get_type(item, loc, diags, types)
         if mid is None or size is None or ty is None:
@@ -312,8 +314,7 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
             ty = types.get((width, signed)) if type(width) is int and type(signed) is bool else None
             typed = ty is not None
         if op is None or not args_ok or not typed or type(nid) is not str or not nid:
-            nid = _get_str(item, "id", "nodes", diags)
-            loc = f"node {nid}"
+            nid, loc = named(item, "id", "nodes", "node")
             if op is None:
                 _err(diags, loc, f"unknown op {op_raw!r}")
                 continue
@@ -333,8 +334,7 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
 
     policies = []
     for item in _check_section(doc, "policies", diags):
-        pname = _get_str(item, "name", "policies", diags)
-        loc = f"policy {pname}"
+        pname, loc = named(item, "name", "policies", "policy")
         kind_raw = item.get("kind")
         try:
             kind = PolicyKind(kind_raw)
@@ -356,17 +356,17 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
 
     checkpoints = []
     for item in _check_section(doc, "checkpoints", diags):
-        cid = _get_str(item, "id", "checkpoints", diags)
-        arg = _get_str(item, "arg", f"checkpoint {cid}", diags)
-        policy = _get_str(item, "policy", f"checkpoint {cid}", diags)
+        cid, loc = named(item, "id", "checkpoints", "checkpoint")
+        arg = _get_str(item, "arg", loc, diags)
+        policy = _get_str(item, "policy", loc, diags)
         if cid is None or arg is None or policy is None:
             continue
         checkpoints.append(CheckpointDecl(cid, arg, policy))
 
     outputs = []
     for item in _check_section(doc, "outputs", diags):
-        oid = _get_str(item, "id", "outputs", diags)
-        source = _get_str(item, "source", f"output {oid}", diags)
+        oid, loc = named(item, "id", "outputs", "output")
+        source = _get_str(item, "source", loc, diags)
         if oid is None or source is None:
             continue
         outputs.append(OutputDecl(oid, source))
@@ -594,7 +594,7 @@ def const_fold(k: Kernel, diags: list[Diagnostic] | None = None) -> Kernel:
         value = BitValue(node.ty, bits)
         new_consts.append(ConstDecl(node.id, value))
         consts[node.id] = value
-    return replace(k, constants=tuple(new_consts), nodes=tuple(kept))
+    return k._replace(constants=tuple(new_consts), nodes=tuple(kept))
 
 
 def dead_code_elim(k: Kernel) -> Kernel:
@@ -609,15 +609,14 @@ def dead_code_elim(k: Kernel) -> Kernel:
         if node.op is OpKind.STORE or node.id in live:
             kept_rev.append(node)
             live.update(node.args)
-    return replace(k, nodes=tuple(reversed(kept_rev)))
+    return k._replace(nodes=tuple(reversed(kept_rev)))
 
 
 # ---------------------------------------------------------------------------
 # Instrumentation and DOT export
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InstrumentedGraph:
+class InstrumentedGraph(NamedTuple):
     """A kernel instrumented for tracking: a tag wire per value wire, a
     propagation node per op node under rule ("union", "precise" or
     "boundary"), and one monitor fed by the checkpoints' tag wires. The

@@ -9,12 +9,12 @@ observes and clears it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import BadAddress
-from .taint import Tag
 
 REG_STATUS = 0  # bit 0 = irq pending; writing bit 0 clears irq and the queue
 REG_EXC_COUNT = 1  # read-only: exception queue length
@@ -31,11 +31,10 @@ class PolicyKind(Enum):
     ALLOW_ALL = "allow_all"
 
 
-@dataclass(frozen=True)
-class Policy:
-    name: str
-    kind: PolicyKind
-    mask: Tag | None = None  # meaningful for deny_if_mask only
+class Policy(namedtuple("Policy", "name kind mask", defaults=(None,))):
+    """A named PolicyKind; mask, a Tag, is meaningful for deny_if_mask only."""
+
+    # No __slots__: denied_bits is cached in the instance's __dict__.
 
     @cached_property
     def denied_bits(self) -> int:
@@ -48,8 +47,7 @@ class Policy:
         return self.mask.bits
 
 
-@dataclass(frozen=True)
-class SecurityException:
+class SecurityException(NamedTuple):
     checkpoint_id: str
     node_id: str
     tag_bits: int
@@ -57,15 +55,17 @@ class SecurityException:
     policy_name: str
 
 
-@dataclass
 class MonitorState:
     """Single-writer monitor: one simulation run mutates it at a time. It
     holds no policies (each checkpoint brings its own), so one state can
     serve runs of different kernels in turn."""
 
-    exceptions: list[SecurityException] = field(default_factory=list)
-    irq: bool = False
-    registers: list[int] = field(default_factory=lambda: [0, 0, 0, 0])  # words at 0..3
+    __slots__ = ("exceptions", "irq", "registers")
+
+    def __init__(self, exceptions=None, irq: bool = False, registers=None) -> None:
+        self.exceptions: list[SecurityException] = [] if exceptions is None else exceptions
+        self.irq = irq
+        self.registers: list[int] = [0, 0, 0, 0] if registers is None else registers  # words 0..3
 
 
 def _sync_registers(state: MonitorState) -> None:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from typing import NamedTuple
 
 from .bitvalue import COMPARE_OPS, BitType, OpKind, apply_op, op_arity
 from .errors import EvalError, OutOfBoundsAddress, WidthMismatch, WidthTooLarge
@@ -32,18 +33,18 @@ from .tainted import DiftConfig
 _ORACLE_MAX_WIDTH = 6
 
 
-@dataclass(frozen=True)
-class RunInputs:
+class RunInputs(namedtuple("RunInputs", "values tags memory")):
     """One run's stimulus: input values (wrapped on load), tag overrides,
-    and optional per-memory value overrides."""
+    and optional per-memory value overrides, as dicts from id to int (to
+    a list of cell values for memory); each one left out is a new {}."""
 
-    values: dict[str, int] = field(default_factory=dict)
-    tags: dict[str, int] = field(default_factory=dict)
-    memory: dict[str, list[int]] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, values=None, tags=None, memory=None):
+        return tuple.__new__(cls, [{} if d is None else d for d in (values, tags, memory)])
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     """Outputs, exceptions, and monitor state of one tracked run.
 
     checkpoint_tags and halted are in-memory extras; to_json emits exactly
@@ -333,16 +334,14 @@ def sample_inputs(k: Kernel, rng: random.Random) -> RunInputs:
     return RunInputs(values, tags, memory)
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     sample: int
     kind: str  # "value" | "error" | "opt_value" | "opt_tag" | "opt_exceptions"
     detail: str
     inputs: RunInputs
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     kernel: str
     mode: str
     rule: str | None
@@ -485,16 +484,14 @@ def independence_oracle(
     return True
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     property: str
     trial: int
     inputs: RunInputs
     detail: str
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     kernel: str
     trials: int
     counterexamples: tuple[Counterexample, ...]
@@ -511,10 +508,7 @@ class PropertyReport:
 
 
 def _zero_tag_kernel(k: Kernel) -> Kernel:
-    return replace(
-        k,
-        memories=tuple(replace(m, init_tags=()) for m in k.memories),
-    )
+    return k._replace(memories=tuple(m._replace(init_tags=()) for m in k.memories))
 
 
 def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:

@@ -12,10 +12,10 @@ of the tainted operands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bitvalue import VALUE_OPS, BitType, BitValue, OpKind, op_arity, pad_operands, sign_bit
 from .errors import ArityMismatch, InvalidType, TypeMismatch, WidthMismatch
@@ -23,18 +23,18 @@ from .errors import ArityMismatch, InvalidType, TypeMismatch, WidthMismatch
 MAX_TAG_WIDTH = 32
 
 
-@dataclass(frozen=True)
-class Tag:
+class Tag(namedtuple("Tag", "width bits")):
     """Bitset of taint labels; bits == 0 means untainted."""
 
-    width: int
-    bits: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.width, int) or not 1 <= self.width <= MAX_TAG_WIDTH:
-            raise InvalidType(f"tag width must be in 1..{MAX_TAG_WIDTH}, got {self.width!r}")
-        if not isinstance(self.bits, int) or not 0 <= self.bits < (1 << self.width):
-            raise InvalidType(f"tag bits {self.bits!r} out of range for width {self.width}")
+    def __new__(cls, width: int, bits: int):
+        if not isinstance(width, int) or not 1 <= width <= MAX_TAG_WIDTH:
+            raise InvalidType(f"tag width must be in 1..{MAX_TAG_WIDTH}, got {width!r}")
+        if not isinstance(bits, int) or not 0 <= bits < (1 << width):
+            raise InvalidType(f"tag bits {bits!r} out of range for width {width}")
+        return tuple.__new__(cls, (width, bits))
 
     @classmethod
     def zero(cls, width: int) -> "Tag":
@@ -49,15 +49,13 @@ class PropagationRule(Enum):
     PRECISE = "precise"
 
 
-@dataclass(frozen=True)
-class FineGrained:
+class FineGrained(NamedTuple):
     """Per-operation tag tracking under the given rule."""
 
     rule: PropagationRule
 
 
-@dataclass(frozen=True)
-class CoarseBoundary:
+class CoarseBoundary(NamedTuple):
     """Tags computed only at the component boundary: every output and
     checkpoint observes the join of all input and initial memory tags."""
 

@@ -6,36 +6,36 @@ value half is bit-identical to the plain untainted computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from . import taint
 from .bitvalue import BitType, BitValue, OpKind, eval_binop
 from .errors import InvalidType
-from .taint import CoarseBoundary, FineGrained, PropagationRule, Tag
+from .taint import FineGrained, PropagationRule, Tag
 
 _ON_EXCEPTION = ("record", "halt")
 
 
-@dataclass(frozen=True)
-class DiftValue:
+class DiftValue(NamedTuple):
     value: BitValue
     tag: Tag
 
 
-@dataclass(frozen=True)
-class DiftConfig:
+class DiftConfig(namedtuple("DiftConfig", "tag_width mode on_exception")):
     """Tracking parameters for one instrumented kernel: tag size, the
-    propagation mode, and what a denying checkpoint does to the run."""
+    propagation mode (FineGrained or CoarseBoundary), and what a denying
+    checkpoint does to the run ("record" or "halt")."""
 
-    tag_width: int
-    mode: FineGrained | CoarseBoundary
-    on_exception: str = "record"
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.tag_width <= taint.MAX_TAG_WIDTH:
+    def __new__(cls, tag_width: int, mode, on_exception: str = "record"):
+        if not 1 <= tag_width <= taint.MAX_TAG_WIDTH:
             raise InvalidType(f"tag_width must be in 1..{taint.MAX_TAG_WIDTH}")
-        if self.on_exception not in _ON_EXCEPTION:
+        if on_exception not in _ON_EXCEPTION:
             raise InvalidType(f"on_exception must be one of {_ON_EXCEPTION}")
+        return tuple.__new__(cls, (tag_width, mode, on_exception))
 
     @property
     def rule(self) -> PropagationRule | None:

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -170,15 +169,14 @@ def test_validate_rejects_mask_of_other_width_than_tags():
     # before a run judges tag bits against the mask.
     kernel, diags = parse(minimal_doc())
     assert kernel is not None, diags
-    masked = replace(
-        kernel,
+    masked = kernel._replace(
         policies=(Policy("p", PolicyKind.DENY_IF_MASK, mask=Tag(4, 0b1)),),
         checkpoints=(CheckpointDecl("cp", "a", "p"),),
     )
     assert [(d.severity, d.location, d.message) for d in validate(masked)] == [
         ("error", "p", "mask width does not match kernel tag width")
     ]
-    same_width = replace(masked, policies=(Policy("p", PolicyKind.DENY_IF_MASK, mask=Tag(2, 0b1)),))
+    same_width = masked._replace(policies=(Policy("p", PolicyKind.DENY_IF_MASK, mask=Tag(2, 0b1)),))
     assert validate(same_width) == []
 
 
@@ -221,11 +219,11 @@ DIAGNOSTIC_CASES = {
         "inputs[0]: unknown keys: alpha, zeta")),
     "section-not-list": (minimal_doc(nodes={"id": "n"}, policies="p"), bad(
         "nodes: nodes must be a list", "policies: policies must be a list")),
-    "id-missing": (minimal_doc(inputs=[{"width": 8}]), bad("inputs: id must be a non-empty string")),
+    "id-missing": (minimal_doc(inputs=[{"width": 8}]), bad("inputs[0]: id must be a non-empty string")),
     "id-empty": (minimal_doc(inputs=[{"id": "", "width": 8}]), bad(
-        "inputs: id must be a non-empty string")),
+        "inputs[0]: id must be a non-empty string")),
     "id-list-width-true": (minimal_doc(inputs=[{"id": ["a"], "width": True}]), bad(
-        "inputs: id must be a non-empty string", "input None: width must be an integer")),
+        "inputs[0]: id must be a non-empty string", "inputs[0]: width must be an integer")),
     "ids-missing-everywhere": (
         minimal_doc(
             constants=[{"width": 8}],
@@ -236,24 +234,35 @@ DIAGNOSTIC_CASES = {
             outputs=[{"source": 1}, {"id": "o2"}],
         ),
         bad(
-            "constants: id must be a non-empty string",
-            "constant None: missing required key value",
-            "memories: id must be a non-empty string",
-            "memory None: size must be an integer",
-            "nodes: id must be a non-empty string",
-            "node None: unknown op 'frob'",
-            "nodes: id must be a non-empty string",
-            "node None: args must be a list of ids",
-            "nodes: id must be a non-empty string",
-            "policies: name must be a non-empty string",
-            "policy None: unknown policy kind 'nope'",
-            "policies: name must be a non-empty string",
-            "checkpoints: id must be a non-empty string",
-            "checkpoint None: arg must be a non-empty string",
-            "checkpoint None: policy must be a non-empty string",
-            "outputs: id must be a non-empty string",
-            "output None: source must be a non-empty string",
+            "constants[0]: id must be a non-empty string",
+            "constants[0]: missing required key value",
+            "memories[0]: id must be a non-empty string",
+            "memories[0]: size must be an integer",
+            "nodes[0]: id must be a non-empty string",
+            "nodes[0]: unknown op 'frob'",
+            "nodes[1]: id must be a non-empty string",
+            "nodes[1]: args must be a list of ids",
+            "nodes[2]: id must be a non-empty string",
+            "policies[0]: name must be a non-empty string",
+            "policies[0]: unknown policy kind 'nope'",
+            "policies[1]: name must be a non-empty string",
+            "checkpoints[0]: id must be a non-empty string",
+            "checkpoints[0]: arg must be a non-empty string",
+            "checkpoints[0]: policy must be a non-empty string",
+            "outputs[0]: id must be a non-empty string",
+            "outputs[0]: source must be a non-empty string",
             "output o2: source must be a non-empty string",
+        ),
+    ),
+    "id-missing-after-bad-entries": (
+        minimal_doc(nodes=[7, {"id": "n", "op": "add", "x": 1}, {"op": "frob"}, {"op": "frob"}]),
+        bad(
+            "nodes[0]: entry must be an object",
+            "nodes[1]: unknown keys: x",
+            "nodes[2]: id must be a non-empty string",
+            "nodes[2]: unknown op 'frob'",
+            "nodes[3]: id must be a non-empty string",
+            "nodes[3]: unknown op 'frob'",
         ),
     ),
     "width-missing": (minimal_doc(inputs=[{"id": "a"}]), bad("input a: missing required key width")),
@@ -446,7 +455,7 @@ def test_validate_diagnostics_golden():
         "n: node must declare a result type",
         "s: store has no result type",
     )
-    assert [str(d) for d in validate(replace(kernel, tag_width=33))] == bad(
+    assert [str(d) for d in validate(kernel._replace(tag_width=33))] == bad(
         "kernel: tag_width must be in 1..32"
     )
 

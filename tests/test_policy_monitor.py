@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -73,7 +72,7 @@ def test_checkpoint_deny_updates_everything():
 def test_two_denying_checkpoints_queue_in_run_order(overflow_demo):
     # Both idx and val tainted: cp_addr fires at step 1, cp_enc at step 4.
     inputs = load_inputs("overflow_tainted.json")
-    inputs = replace(inputs, tags={"idx": 1, "val": 2})
+    inputs = inputs._replace(tags={"idx": 1, "val": 2})
     rep = run_dift(overflow_demo, inputs, UNION_CFG(2))
     assert [(e.checkpoint_id, e.step) for e in rep.exceptions] == [("cp_addr", 1), ("cp_enc", 4)]
 
@@ -195,7 +194,7 @@ def test_irq_iff_queue_nonempty_random_ops():
 
 def test_checkpoints_observationally_pure(fir4):
     inputs = load_inputs("fir4_inputs.json")
-    stripped = replace(fir4, checkpoints=())
+    stripped = fir4._replace(checkpoints=())
     for mode in (FineGrained(PropagationRule.UNION), CoarseBoundary()):
         cfg = DiftConfig(fir4.tag_width, mode)
         with_cp = run_dift(fir4, inputs, cfg)
