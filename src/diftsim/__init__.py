@@ -4,6 +4,10 @@ The toolkit pairs bit-accurate values with taint tags, propagates tags
 through every operator under a selectable rule, watches declared
 checkpoints with a policy monitor, and ships a simulator plus compiler
 passes that provably preserve values, tags, and the exception sequence.
+Two known defects, open in ROADMAP.md, are the exceptions until they are
+fixed: dead_code_elim drops a dead node that traps, and const_fold can
+reorder coarse-mode exceptions. Strict xfail tests in
+tests/test_kernel_ir.py pin both.
 """
 
 from .bitvalue import (

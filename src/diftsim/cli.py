@@ -1,9 +1,10 @@
 """Command-line entry point: run, instrument, check, fuzz.
 
 Exit codes: 0 success / no deny, 10 at least one security exception,
-1 usage error, 2 parse or validation failure or an unreadable input or
-unwritable output path, 3 evaluation error (division by zero,
-out-of-bounds address). 2 and 3 preempt 10.
+1 usage error, 2 parse or validation failure, an unreadable input, a
+memory override longer than its memory, or an unwritable output path,
+3 evaluation error (division by zero, out-of-bounds address). 2 and 3
+preempt 10.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ file format is a single JSON document; unknown keys are rejected.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import namedtuple
 from functools import cached_property
@@ -22,7 +21,6 @@ from .bitvalue import (
     BitValue,
     OpKind,
     apply_op,
-    pad_operands,
     to_int,
     value_fn,
 )
@@ -408,18 +406,18 @@ def validate(k: Kernel) -> list[Diagnostic]:
     values: dict[str, BitType] = {}
     mems: dict[str, MemoryDecl] = {}
 
-    for inp in k.inputs:
-        if inp.id in seen:
-            _err(diags, inp.id, "duplicate id (input)")
-        seen.add(inp.id)
-        if not 0 <= inp.default_tag < tag_limit:
-            _err(diags, inp.id, f"default_tag {inp.default_tag} out of range")
-        values[inp.id] = inp.ty
-    for c in k.constants:
-        if c.id in seen:
-            _err(diags, c.id, "duplicate id (constant)")
-        seen.add(c.id)
-        values[c.id] = c.value.ty
+    for iid, ty, default_tag in k.inputs:
+        if iid in seen:
+            _err(diags, iid, "duplicate id (input)")
+        seen.add(iid)
+        if not 0 <= default_tag < tag_limit:
+            _err(diags, iid, f"default_tag {default_tag} out of range")
+        values[iid] = ty
+    for cid, (ty, _) in k.constants:
+        if cid in seen:
+            _err(diags, cid, "duplicate id (constant)")
+        seen.add(cid)
+        values[cid] = ty
     for m in k.memories:
         if m.id in seen:
             _err(diags, m.id, "duplicate id (memory)")
@@ -449,8 +447,7 @@ def validate(k: Kernel) -> list[Diagnostic]:
         elif p.mask is not None:
             _err(diags, p.name, f"{p.kind.value} does not take a mask")
 
-    for node in k.nodes:
-        nid, op, args, ty = node.id, node.op, node.args, node.ty
+    for nid, op, args, ty in k.nodes:
         if nid in seen:
             _err(diags, nid, "duplicate id (node)")
         seen.add(nid)
@@ -482,21 +479,21 @@ def validate(k: Kernel) -> list[Diagnostic]:
             _err(diags, nid, "comparison result type must be u1")
         values[nid] = ty
 
-    for cp in k.checkpoints:
-        if cp.id in seen:
-            _err(diags, cp.id, "duplicate id (checkpoint)")
-        seen.add(cp.id)
-        if cp.arg not in values:
-            _err(diags, cp.id, f"checkpoint argument {cp.arg} is not a value id")
-        if cp.policy not in policy_names:
-            _err(diags, cp.id, f"checkpoint names unknown policy {cp.policy}")
+    for cid, arg, policy in k.checkpoints:
+        if cid in seen:
+            _err(diags, cid, "duplicate id (checkpoint)")
+        seen.add(cid)
+        if arg not in values:
+            _err(diags, cid, f"checkpoint argument {arg} is not a value id")
+        if policy not in policy_names:
+            _err(diags, cid, f"checkpoint names unknown policy {policy}")
 
-    for out in k.outputs:
-        if out.id in seen:
-            _err(diags, out.id, "duplicate id (output)")
-        seen.add(out.id)
-        if out.source not in values:
-            _err(diags, out.id, f"output source {out.source} is not a value id")
+    for oid, source in k.outputs:
+        if oid in seen:
+            _err(diags, oid, "duplicate id (output)")
+        seen.add(oid)
+        if source not in values:
+            _err(diags, oid, f"output source {source} is not a value id")
 
     return diags
 
@@ -508,57 +505,50 @@ def validate(k: Kernel) -> list[Diagnostic]:
 
 def lower(k: Kernel) -> Plan:
     """The Plan of a valid kernel. Each distinct node signature (op, result
-    type, operand types) is specialised once per call. Tag functions are
-    looked up on the taint module at lowering time, so a test can
+    type, padded operand types) is specialised once per call. Tag functions
+    are looked up on the taint module at lowering time, so a test can
     substitute the rule."""
-    slots: dict[str, int] = {}
-    types: list = []  # per slot; a memory's is its MemoryDecl
-    # Per slot, what a signature holds for it as an operand: the index of
-    # its type among the kernel's distinct types, or a memory's id, since
-    # hashing a MemoryDecl walks its init cells.
-    keys: list = []
+    decls = (*k.inputs, *k.constants, *k.memories, *k.nodes)
+    slots = {decl[0]: slot for slot, decl in enumerate(decls)}
+    types = [ty for _, ty, _ in k.inputs]  # per slot; a memory's is its MemoryDecl
+    types += [ty for _, (ty, _) in k.constants]
+    types += k.memories
+    types += [ty for _, _, _, ty in k.nodes]
+    # A signature holds an operand by its slot's key: the index of the slot's
+    # type (a memory's: its MemoryDecl) among the kernel's distinct types, so
+    # a type, or a memory with its cells, is hashed once per slot.
     type_index: dict = {}
-    for decl_id, ty in itertools.chain(
-        ((i.id, i.ty) for i in k.inputs),
-        ((c.id, c.value.ty) for c in k.constants),
-        ((m.id, m) for m in k.memories),
-        ((n.id, n.ty) for n in k.nodes),
-    ):
-        slots[decl_id] = len(types)
-        types.append(ty)
-        if isinstance(ty, MemoryDecl):
-            keys.append(ty.id)
-        else:
-            keys.append(type_index.setdefault(ty, len(type_index)))
+    keys = [type_index.setdefault(ty, len(type_index)) for ty in types]
     policies = {p.name: p for p in k.policies}
-    watched = [(cp.id, cp.arg, slots[cp.arg], policies[cp.policy]) for cp in k.checkpoints]
-    watches: dict[int, list] = {}
+    watched = [(cp, arg, slots[arg], policies[policy]) for cp, arg, policy in k.checkpoints]
+    watches: dict[int, tuple] = {}
     for w in watched:
-        watches.setdefault(w[2], []).append(w)
+        watches[w[2]] = (*watches.get(w[2], ()), w)
     n_early = len(k.inputs) + len(k.constants)
     tag_fn = taint.tag_fn
     fns: dict[tuple, tuple] = {}  # signature -> (value_fn, union fn, precise fn)
     steps = []
-    for n in k.nodes:
-        args = [slots[a] for a in n.args]
-        out = slots[n.id]
-        signature = (n.op, keys[out], *[keys[slot] for slot in args])
+    for nid, op, args, ty in k.nodes:
+        # out is looked up, not counted, so the plan shares the int objects
+        # of slots. x, y, z: the operand slots, padded as pad_operands pads them.
+        out, x = slots[nid], slots[args[0]]
+        y = slots[args[1]] if len(args) > 1 else x
+        z = slots[args[2]] if len(args) > 2 else y
+        signature = (op, keys[out], keys[x], keys[y], keys[z])
         f = fns.get(signature)
         if f is None:
-            arg_types = [types[slot] for slot in args]
+            arg_types = [types[slots[a]] for a in args]
             f = fns[signature] = (
-                value_fn(n.op, arg_types, n.ty),
-                tag_fn(PropagationRule.UNION, n.op, arg_types, n.ty),
-                tag_fn(PropagationRule.PRECISE, n.op, arg_types, n.ty),
+                value_fn(op, arg_types, ty),
+                tag_fn(PropagationRule.UNION, op, arg_types, ty),
+                tag_fn(PropagationRule.PRECISE, op, arg_types, ty),
             )
-        steps.append(
-            (out, f[0], *pad_operands(args), f[1], f[2], tuple(watches.pop(out, ())))
-        )
+        steps.append((out, f[0], x, y, z, f[1], f[2], watches.get(out, ())))
     return Plan(
         steps=tuple(steps),
-        constants=tuple(c.value.bits for c in k.constants),
-        early=tuple(w for w in watched if w[2] < n_early),
-        outputs=tuple((o.id, slots[o.source]) for o in k.outputs),
+        constants=tuple([value.bits for _, value in k.constants]),
+        early=tuple([w for w in watched if w[2] < n_early]),
+        outputs=tuple([(oid, slots[source]) for oid, source in k.outputs]),
     )
 
 
@@ -574,26 +564,24 @@ def const_fold(k: Kernel, diags: list[Diagnostic] | None = None) -> Kernel:
     output sources keep resolving. Division by zero is reported as a
     warning and the node left unfolded.
     """
-    consts: dict[str, BitValue] = {c.id: c.value for c in k.constants}
+    consts: dict[str, BitValue] = dict(k.constants)
     new_consts = list(k.constants)
     kept: list[Node] = []
     for node in k.nodes:
-        if node.op in (OpKind.LOAD, OpKind.STORE) or not all(a in consts for a in node.args):
+        nid, op, args, ty = node
+        if op is OpKind.LOAD or op is OpKind.STORE or not all(map(consts.__contains__, args)):
             kept.append(node)
             continue
-        operands = [consts[a] for a in node.args]
+        operands = [consts[a] for a in args]
         try:
-            bits = apply_op(node.op, [v.bits for v in operands], [v.ty for v in operands], node.ty)
+            bits = apply_op(op, [v.bits for v in operands], [v.ty for v in operands], ty)
         except DivisionByZero:
             if diags is not None:
-                diags.append(
-                    Diagnostic("warning", node.id, "division by zero; node not folded")
-                )
+                diags.append(Diagnostic("warning", nid, "division by zero; node not folded"))
             kept.append(node)
             continue
-        value = BitValue(node.ty, bits)
-        new_consts.append(ConstDecl(node.id, value))
-        consts[node.id] = value
+        value = consts[nid] = BitValue(ty, bits)
+        new_consts.append(ConstDecl(nid, value))
     return k._replace(constants=tuple(new_consts), nodes=tuple(kept))
 
 
@@ -603,12 +591,13 @@ def dead_code_elim(k: Kernel) -> Kernel:
     Checkpoints, store nodes, and memories are never removed; removing a
     checkpoint would silently weaken the security instrumentation.
     """
-    live: set[str] = {o.source for o in k.outputs} | {cp.arg for cp in k.checkpoints}
+    live: set[str] = {source for _, source in k.outputs} | {arg for _, arg, _ in k.checkpoints}
     kept_rev: list[Node] = []
     for node in reversed(k.nodes):
-        if node.op is OpKind.STORE or node.id in live:
+        nid, op, args, _ = node
+        if op is OpKind.STORE or nid in live:
             kept_rev.append(node)
-            live.update(node.args)
+            live.update(args)
     return k._replace(nodes=tuple(reversed(kept_rev)))
 
 
@@ -660,49 +649,55 @@ def emit_dot(g: Kernel | InstrumentedGraph) -> str:
     vedges: list[str] = []
     tedges: list[str] = []
     esc: dict[str, str] = {}  # declaration id -> escaped id
-    for inp in k.inputs:
-        i = esc[inp.id] = _esc(inp.id)
-        vnodes.append(f'  "v:{i}" [shape=ellipse, label="{i} : {inp.ty}"];')
+    for iid, ty, default_tag in k.inputs:
+        i = esc[iid] = _esc(iid)
+        vnodes.append(f'  "v:{i}" [shape=ellipse, label="{i} : {ty}"];')
         if tags:
-            tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tag = {inp.default_tag}"];')
-    for c in k.constants:
-        i = esc[c.id] = _esc(c.id)
-        vnodes.append(f'  "v:{i}" [shape=box, label="{i} = {to_int(c.value)} : {c.value.ty}"];')
+            tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tag = {default_tag}"];')
+    for cid, value in k.constants:
+        i = esc[cid] = _esc(cid)
+        vnodes.append(f'  "v:{i}" [shape=box, label="{i} = {to_int(value)} : {value.ty}"];')
         if tags:
             tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tag = 0"];')
-    for m in k.memories:
-        i = esc[m.id] = _esc(m.id)
-        vnodes.append(f'  "v:{i}" [shape=box3d, label="{i}[{m.size}] : {m.cell}"];')
+    for mid, size, cell, _, _ in k.memories:
+        i = esc[mid] = _esc(mid)
+        vnodes.append(f'  "v:{i}" [shape=box3d, label="{i}[{size}] : {cell}"];')
         if tags:
             tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tags"];')
     tag_suffix = f'.tag = {rule}"];'
-    for n in k.nodes:
-        i = esc[n.id] = _esc(n.id)
-        store = n.op is OpKind.STORE
-        suffix = ': store"];' if store else f' = {n.op.value} : {n.ty}"];'
-        vnodes.append(f'  "v:{i}" [shape=box, style=rounded, label="{i}{suffix}')
-        srcs = [esc.get(a) or _esc(a) for a in n.args]
-        vedges.extend([f'  "v:{a}" -> "v:{i}";' for a in srcs])
-        if store:
-            vedges.append(f'  "v:{i}" -> "v:{srcs[0]}";')
+    tails: dict[tuple, str] = {}  # (op, type) -> the end of a value node's line
+    for nid, op, args, ty in k.nodes:
+        i = esc[nid] = _esc(nid)
+        tail = tails.get((op, ty))
+        if tail is None:
+            store = op is OpKind.STORE
+            tail = tails[op, ty] = ': store"];' if store else f' = {op.value} : {ty}"];'
+        vnodes.append(f'  "v:{i}" [shape=box, style=rounded, label="{i}{tail}')
         if tags:
             tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}{tag_suffix}')
-            tedges.extend([f'  "t:{a}" -> "t:{i}"{_TAG_EDGE}' for a in srcs])
-            if store:
-                tedges.append(f'  "t:{i}" -> "t:{srcs[0]}"{_TAG_EDGE}')
-    for o in k.outputs:
-        i = esc[o.id] = _esc(o.id)
-        a = esc.get(o.source) or _esc(o.source)
+        for a in args:
+            a = esc.get(a) or _esc(a)
+            vedges.append(f'  "v:{a}" -> "v:{i}";')
+            if tags:
+                tedges.append(f'  "t:{a}" -> "t:{i}"{_TAG_EDGE}')
+        if op is OpKind.STORE:
+            a = esc.get(args[0]) or _esc(args[0])
+            vedges.append(f'  "v:{i}" -> "v:{a}";')
+            if tags:
+                tedges.append(f'  "t:{i}" -> "t:{a}"{_TAG_EDGE}')
+    for oid, source in k.outputs:
+        i = esc[oid] = _esc(oid)
+        a = esc.get(source) or _esc(source)
         vnodes.append(f'  "v:{i}" [shape=ellipse, style=bold, label="{i}"];')
         vedges.append(f'  "v:{a}" -> "v:{i}";')
         if tags:
             tedges.append(f'  "t:{a}" -> "v:{i}"{_TAG_EDGE}')
     if tags:
         tnodes.append('  "monitor:0" [shape=box, peripheries=2, label="monitor"];')
-    for cp in k.checkpoints:
-        a = esc.get(cp.arg) or _esc(cp.arg)
-        c = _esc(cp.id)
-        label = f"{c}: {_esc(cp.policy)}"
+    for cid, arg, policy in k.checkpoints:
+        a = esc.get(arg) or _esc(arg)
+        c = _esc(cid)
+        label = f"{c}: {_esc(policy)}"
         if tags:
             tedges.append(
                 f'  "t:{a}" -> "monitor:0" [style=dashed, color=gray40, label="{label}", fontsize=9];'

@@ -24,7 +24,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .bitvalue import COMPARE_OPS, BitType, OpKind, apply_op, op_arity
-from .errors import EvalError, OutOfBoundsAddress, WidthMismatch, WidthTooLarge
+from .errors import DiftError, EvalError, WidthMismatch, WidthTooLarge
 from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim
 from .policy_monitor import REG_TAG_IN, MonitorState, checkpoint, reg_read
 from .taint import CoarseBoundary, FineGrained, PropagationRule
@@ -175,10 +175,9 @@ def _init_values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None) -
         cells = list(m.init) + [0] * (m.size - len(m.init))
         override = inputs.memory.get(m.id)
         if override is not None:
-            if len(override) > m.size:
-                raise OutOfBoundsAddress(
-                    f"memory override for {m.id} has {len(override)} cells, size is {m.size}",
-                    node_id=m.id,
+            if len(override) > m.size:  # bad input, not a trap: no node has run
+                raise DiftError(
+                    f"memory override for {m.id} has {len(override)} cells, size is {m.size}"
                 )
             cells[: len(override)] = [raw & m.cell.mask for raw in override]
         vals.append(cells)

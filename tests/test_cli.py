@@ -130,6 +130,15 @@ def test_eval_error_exits_3(tmp_path, capsys):
     assert "evaluation error" in capsys.readouterr().err
 
 
+def test_memory_override_longer_than_memory_exits_2(tmp_path, capsys):
+    inputs = tmp_path / "i.json"
+    inputs.write_text(json.dumps({"values": {"idx": 1, "val": 2}, "memory": {"buf": [0] * 33}}))
+    assert main(["run", OVERFLOW, str(inputs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: memory override for buf has 33 cells, size is 8\n"
+
+
 def test_optimize_flag_matches_unoptimized(tmp_path):
     plain, opt = tmp_path / "plain.json", tmp_path / "opt.json"
     assert main(["run", DOT8, DOT8_INPUTS, "--report", str(plain)]) == 10

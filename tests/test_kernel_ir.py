@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from diftsim import kernel_ir, taint
+from diftsim.bitvalue import pad_operands, value_fn
 from diftsim import (
     BitType,
     CheckpointDecl,
@@ -750,6 +751,16 @@ def test_emit_dot_escapes_quotes_and_backslashes():
     assert r'"c:cp\\0" [shape=diamond, label="cp\\0: p\"\\q"];' in plain
 
 
+def test_emit_dot_draws_a_typed_store_as_a_store():
+    # A store that declares a result type (invalid) is drawn as any store,
+    # though emit_dot words a node's label once per (op, type).
+    typed_store = Node("st", OpKind.STORE, ("n", "a", "n"), U4)
+    typed = INVALID_KERNEL._replace(nodes=(INVALID_KERNEL.nodes[0], typed_store))
+    assert emit_dot(typed) == emit_dot(INVALID_KERNEL)
+    cfg = cfg_for(typed)
+    assert emit_dot(instrument(typed, cfg)) == emit_dot(instrument(INVALID_KERNEL, cfg))
+
+
 def test_lower_specialises_each_distinct_signature_once(monkeypatch):
     calls = {"value_fn": 0, "tag_fn": 0}
 
@@ -791,6 +802,103 @@ def test_lower_specialises_each_distinct_signature_once(monkeypatch):
     distinct = 8
     assert calls == {"value_fn": distinct, "tag_fn": 2 * distinct}
     assert len(plan.steps) == len(kernel.nodes)
+
+
+# Every opcode at mixed widths and signednesses: two memories of one shape
+# (a signature must tell them apart), muxes and stores that differ only in
+# their last operand's type, one op at two result types, and checkpoints
+# on an input, a constant and nodes.
+_VALUE_OPS = ["add", "sub", "mul", "div", "mod", "and", "or", "xor", "shl", "shr"]
+ALL_OPS_DOC = {
+    "name": "all-ops",
+    "tag_width": 3,
+    "inputs": [
+        {"id": "a", "width": 8},
+        {"id": "b", "width": 8},
+        {"id": "s", "width": 4, "signed": True},
+        {"id": "w", "width": 16, "signed": True},
+        {"id": "c", "width": 1},
+    ],
+    "constants": [{"id": "k", "width": 8, "signed": True, "value": -3}],
+    "memories": [{"id": "m1", "size": 4, "width": 8}, {"id": "m2", "size": 4, "width": 8}],
+    "nodes": [
+        *[node(f"{op}8", op, ["a", "s"], width=8) for op in _VALUE_OPS],
+        *[node(f"{op}16", op, ["w", "k"], width=16, signed=True) for op in _VALUE_OPS],
+        node("add9", "add", ["a", "s"], width=9),
+        *[node(op, op, ["s", "w"], width=1) for op in ["eq", "ne", "lt", "le", "gt", "ge"]],
+        node("not4", "not", ["s"], width=4, signed=True),
+        node("neg9", "neg", ["a"], width=9, signed=True),
+        node("mux_ab", "mux", ["c", "a", "b"], width=8),
+        node("mux_as", "mux", ["c", "a", "s"], width=8),
+        node("ld1", "load", ["m1", "s"], width=8),
+        node("ld2", "load", ["m2", "s"], width=8),
+        node("st1", "store", ["m1", "s", "a"]),
+        node("st1s", "store", ["m1", "s", "s"]),
+        node("st2", "store", ["m2", "s", "a"]),
+    ],
+    "policies": [{"name": "any", "kind": "deny_if_any"}, {"name": "one", "kind": "deny_if_mask", "mask": 1}],
+    "checkpoints": [
+        {"id": "cp_mux", "arg": "mux_as", "policy": "any"},
+        {"id": "cp_a", "arg": "a", "policy": "one"},
+        {"id": "cp_k", "arg": "k", "policy": "any"},
+        {"id": "cp_ld", "arg": "ld2", "policy": "one"},
+        {"id": "cp_mux2", "arg": "mux_as", "policy": "one"},
+    ],
+    "outputs": [{"id": "o1", "source": "add9"}, {"id": "o2", "source": "a"}],
+}
+
+
+def _fn_key(f):
+    """A specialised function by what it computes: its code and closure
+    values. Its factory's cache may have made an equal copy since."""
+    return f.__code__, tuple(cell.cell_contents for cell in f.__closure__ or ())
+
+
+def _per_node_lowering(k):
+    """k's plan, lowered node by node with no memo, functions by _fn_key."""
+    decls = [
+        *[(i.id, i.ty) for i in k.inputs],
+        *[(c.id, c.value.ty) for c in k.constants],
+        *[(m.id, m) for m in k.memories],
+        *[(n.id, n.ty) for n in k.nodes],
+    ]
+    slots = {decl_id: slot for slot, (decl_id, _) in enumerate(decls)}
+    policies = {p.name: p for p in k.policies}
+    watched = [(cp.id, cp.arg, slots[cp.arg], policies[cp.policy]) for cp in k.checkpoints]
+    steps = []
+    for n in k.nodes:
+        arg_slots = [slots[a] for a in n.args]
+        arg_types = [decls[slot][1] for slot in arg_slots]
+        out = slots[n.id]
+        steps.append((
+            out,
+            _fn_key(value_fn(n.op, arg_types, n.ty)),
+            *pad_operands(arg_slots),
+            _fn_key(taint.tag_fn(UNION, n.op, arg_types, n.ty)),
+            _fn_key(taint.tag_fn(PropagationRule.PRECISE, n.op, arg_types, n.ty)),
+            tuple(w for w in watched if w[2] == out),
+        ))
+    n_early = len(k.inputs) + len(k.constants)
+    return (
+        steps,
+        tuple(c.value.bits for c in k.constants),
+        tuple(w for w in watched if w[2] < n_early),
+        tuple((o.id, slots[o.source]) for o in k.outputs),
+    )
+
+
+def test_lower_matches_a_per_node_lowering(fir4, dot8, overflow_demo):
+    all_ops, diags = parse(ALL_OPS_DOC)
+    assert all_ops is not None, diags
+    assert {n.op for n in all_ops.nodes} == set(OpKind)
+    for kernel in (fir4, dot8, overflow_demo, all_ops):
+        plan = kernel.plan
+        steps = [
+            (out, _fn_key(vf), x, y, z, _fn_key(uf), _fn_key(pf), watch)
+            for out, vf, x, y, z, uf, pf, watch in plan.steps
+        ]
+        assert (steps, plan.constants, plan.early, plan.outputs) == _per_node_lowering(kernel)
+    assert [w[0] for w in all_ops.plan.early] == ["cp_a", "cp_k"]
 
 
 def test_pass_composition_preserves_runs(fir4, dot8, overflow_demo):

@@ -13,6 +13,7 @@ from diftsim import (
     BitValue,
     CoarseBoundary,
     DiftConfig,
+    DiftError,
     DiftValue,
     DivisionByZero,
     EvalError,
@@ -238,9 +239,16 @@ def test_out_of_bounds_store_names_node_and_step():
 
 
 def test_memory_override_too_long_rejected():
+    # Bad input, found before any node runs: a DiftError, not a trap.
     kernel = mem_kernel()
-    with pytest.raises(OutOfBoundsAddress):
-        run_baseline(kernel, RunInputs(values={"addr": 0, "v": 1}, memory={"m": [0] * 5}))
+    ri = RunInputs(values={"addr": 0, "v": 1}, memory={"m": [0] * 5})
+    for run in (lambda: run_baseline(kernel, ri), lambda: run_dift(kernel, ri, fine(2))):
+        with pytest.raises(DiftError) as exc_info:
+            run()
+        assert not isinstance(exc_info.value, EvalError)
+        assert str(exc_info.value) == "memory override for m has 5 cells, size is 4"
+    full = RunInputs(values={"addr": 0, "v": 1}, memory={"m": [7] * 4})
+    assert run_baseline(kernel, full) == {"out": 7}
 
 
 def test_run_dift_union_tag_flows():
