@@ -85,22 +85,20 @@ def checkpoint(
     when its policy denies them.
 
     Checkpoints never modify the observed value. On deny the exception is
-    queued, irq raised, and the registers updated (REG_TAG_OUT receives
-    the denying tag bits).
+    queued, irq raised, and three registers set: REG_STATUS to 1 (irq
+    pending), REG_EXC_COUNT to the queue length, and REG_TAG_OUT to the
+    denying tag bits.
     """
     if not tag_bits & policy.denied_bits:
         return None
-    exc = SecurityException(
-        checkpoint_id=checkpoint_id,
-        node_id=node_id,
-        tag_bits=tag_bits,
-        step=step,
-        policy_name=policy.name,
-    )
-    state.exceptions.append(exc)
+    exc = SecurityException(checkpoint_id, node_id, tag_bits, step, policy.name)
+    exceptions = state.exceptions
+    exceptions.append(exc)
     state.irq = True
-    state.registers[REG_TAG_OUT] = tag_bits & _WORD_MASK
-    _sync_registers(state)
+    registers = state.registers
+    registers[REG_STATUS] = 1
+    registers[REG_EXC_COUNT] = len(exceptions)
+    registers[REG_TAG_OUT] = tag_bits & _WORD_MASK
     return exc
 
 

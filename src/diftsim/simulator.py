@@ -154,14 +154,18 @@ def _init_values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None) -
         if diags is not None:
             diags.append(Diagnostic("warning", loc, msg))
 
-    if diags is not None:
+    if diags is not None:  # unknown ids warn in the inputs document's order
         known = {i.id for i in k.inputs}
-        for unknown in set(inputs.values) - known:
-            warn(unknown, "value for unknown input ignored")
-        for unknown in set(inputs.tags) - known:
-            warn(unknown, "tag for unknown input ignored")
-        for unknown in set(inputs.memory) - {m.id for m in k.memories}:
-            warn(unknown, "override for unknown memory ignored")
+        for unknown in inputs.values:
+            if unknown not in known:
+                warn(unknown, "value for unknown input ignored")
+        for unknown in inputs.tags:
+            if unknown not in known:
+                warn(unknown, "tag for unknown input ignored")
+        known_memories = {m.id for m in k.memories}
+        for unknown in inputs.memory:
+            if unknown not in known_memories:
+                warn(unknown, "override for unknown memory ignored")
 
     vals: list = []
     for inp in k.inputs:
@@ -172,14 +176,19 @@ def _init_values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None) -
             vals.append(0)
     vals += k.plan.constants
     for m in k.memories:
-        cells = list(m.init) + [0] * (m.size - len(m.init))
         override = inputs.memory.get(m.id)
-        if override is not None:
+        if override is None:
+            cells = list(m.init)
+        else:
             if len(override) > m.size:  # bad input, not a trap: no node has run
                 raise DiftError(
                     f"memory override for {m.id} has {len(override)} cells, size is {m.size}"
                 )
-            cells[: len(override)] = [raw & m.cell.mask for raw in override]
+            # One pass: the masked override, then what it leaves of init.
+            mask = m.cell.mask
+            cells = [raw & mask for raw in override]
+            cells += m.init[len(cells) :]
+        cells += [0] * (m.size - len(cells))
         vals.append(cells)
     vals += [0] * len(k.nodes)
     return vals
@@ -306,14 +315,14 @@ def run_dift(
             for oid, slot in k.plan.outputs
         }
     return SimulationReport(
-        outputs=outputs,
-        exceptions=tuple(monitor.exceptions),
-        irq=monitor.irq,
-        steps_executed=steps,
-        mode="coarse" if rule is None else "fine",
-        rule=None if rule is None else rule.value,
-        checkpoint_tags=tuple(observations),
-        halted=halted,
+        outputs,
+        tuple(monitor.exceptions),
+        monitor.irq,
+        steps,
+        "coarse" if rule is None else "fine",
+        None if rule is None else rule.value,
+        tuple(observations),
+        halted,
     )
 
 
@@ -513,21 +522,51 @@ def _zero_tag_kernel(k: Kernel) -> Kernel:
 def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
     """Seeded random trials of the four tracking properties: untainted
     closure, union-rule monotonicity, precise-subset-of-union, and
-    fine-subset-of-coarse. Counterexamples carry the full inputs."""
+    fine-subset-of-coarse. Counterexamples carry the full inputs.
+
+    A trial's runs share its input values and memory, so they trap
+    alike: a trial whose runs all fail with the same error on the same
+    node passes, and runs that disagree give a "trap" counterexample."""
     rng = random.Random(seed)
     tw = k.tag_width
     union_cfg = DiftConfig(tw, FineGrained(PropagationRule.UNION))
     precise_cfg = DiftConfig(tw, FineGrained(PropagationRule.PRECISE))
     coarse_cfg = DiftConfig(tw, CoarseBoundary())
+    cfgs = (union_cfg, precise_cfg, coarse_cfg)
     zeroed = _zero_tag_kernel(k)
     cexs: list[Counterexample] = []
 
     for trial in range(trials):
         ri = sample_inputs(k, rng)
-
         zero_ri = RunInputs(dict(ri.values), {i.id: 0 for i in k.inputs}, dict(ri.memory))
-        for cfg in (union_cfg, precise_cfg, coarse_cfg):
-            rep = run_dift(zeroed, zero_ri, cfg)
+        runs = [(zeroed, zero_ri, cfg) for cfg in cfgs] + [(k, ri, cfg) for cfg in cfgs]
+        if k.inputs:
+            # Drawn on every trial, so one trial's trap never shifts the next's inputs.
+            picked = rng.choice(k.inputs).id
+            extra = rng.randrange(1 << tw)
+            wide_tags = dict(ri.tags)
+            wide_tags[picked] = wide_tags[picked] | extra
+            wide_ri = RunInputs(dict(ri.values), wide_tags, dict(ri.memory))
+            runs.append((k, wide_ri, union_cfg))
+
+        reps: list[SimulationReport | None] = []
+        errs: list[tuple[str, str | None] | None] = []
+        for kernel, run_inputs, cfg in runs:
+            try:
+                reps.append(run_dift(kernel, run_inputs, cfg))
+                errs.append(None)
+            except EvalError as e:
+                reps.append(None)
+                errs.append(_error_sig(e))
+        if any(errs):
+            if None in errs or len(set(errs)) > 1:
+                outcomes = ", ".join(
+                    "ok" if e is None else f"{e[0]} at {e[1]}" for e in errs
+                )
+                cexs.append(Counterexample("trap", trial, ri, f"runs disagree: {outcomes}"))
+            continue
+
+        for rep in reps[:3]:
             bad = [oid for oid, (_, t) in rep.outputs.items() if t != 0]
             if bad or rep.exceptions:
                 cexs.append(
@@ -540,10 +579,7 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
                     )
                 )
 
-        rep_u = run_dift(k, ri, union_cfg)
-        rep_p = run_dift(k, ri, precise_cfg)
-        rep_c = run_dift(k, ri, coarse_cfg)
-
+        rep_u, rep_p, rep_c = reps[3:6]
         for oid, (_, t_p) in rep_p.outputs.items():
             t_u = rep_u.outputs[oid][1]
             if t_p & ~t_u:
@@ -569,12 +605,7 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
                     )
 
         if k.inputs:
-            picked = rng.choice(k.inputs).id
-            extra = rng.randrange(1 << tw)
-            wide_tags = dict(ri.tags)
-            wide_tags[picked] = wide_tags[picked] | extra
-            wide_ri = RunInputs(dict(ri.values), wide_tags, dict(ri.memory))
-            rep_w = run_dift(k, wide_ri, union_cfg)
+            rep_w = reps[6]
             for oid, (_, base_tag) in rep_u.outputs.items():
                 wide_tag = rep_w.outputs[oid][1]
                 if base_tag & ~wide_tag:

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -111,19 +112,21 @@ def test_usage_error_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 
 
+DIVZERO = {
+    "name": "divzero",
+    "tag_width": 2,
+    "inputs": [
+        {"id": "a", "width": 4, "signed": False},
+        {"id": "b", "width": 4, "signed": False},
+    ],
+    "nodes": [{"id": "q", "op": "div", "args": ["a", "b"], "width": 4, "signed": False}],
+    "outputs": [{"id": "out", "source": "q"}],
+}
+
+
 def test_eval_error_exits_3(tmp_path, capsys):
-    doc = {
-        "name": "divzero",
-        "tag_width": 2,
-        "inputs": [
-            {"id": "a", "width": 4, "signed": False},
-            {"id": "b", "width": 4, "signed": False},
-        ],
-        "nodes": [{"id": "q", "op": "div", "args": ["a", "b"], "width": 4, "signed": False}],
-        "outputs": [{"id": "out", "source": "q"}],
-    }
     kernel = tmp_path / "k.json"
-    kernel.write_text(json.dumps(doc))
+    kernel.write_text(json.dumps(DIVZERO))
     inputs = tmp_path / "i.json"
     inputs.write_text('{"values": {"a": 1, "b": 0}}')
     assert main(["run", str(kernel), str(inputs)]) == 3
@@ -218,6 +221,19 @@ def test_fuzz_exits_0(capsys):
     assert "fuzz fir4: trials=60 counterexamples=0" in capsys.readouterr().out
 
 
+def test_fuzz_passes_trials_that_trap_alike(tmp_path, capsys):
+    # b is 0 in about one trial in sixteen; every run of such a trial
+    # traps on q, as check sees too, so fuzz reports no counterexample.
+    kernel = tmp_path / "k.json"
+    kernel.write_text(json.dumps(DIVZERO))
+    assert main(["fuzz", str(kernel), "--trials", "50", "--seed", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "fuzz divzero: trials=50 counterexamples=0\n"
+    assert captured.err == ""
+    assert main(["check", str(kernel), "--samples", "50", "--seed", "0"]) == 0
+    assert "check divzero: total mismatches=0" in capsys.readouterr().out
+
+
 def test_fuzz_counterexample_round_trips_through_run(tmp_path, capsys, monkeypatch):
     # Break the tag rule in-process, catch a counterexample, then feed its
     # inputs back through cmd_run and confirm the recorded tags reproduce.
@@ -270,3 +286,37 @@ def test_determinism_across_runs(tmp_path):
     main(["run", DOT8, DOT8_INPUTS, "--rule", "precise", "--report", str(r1)])
     main(["run", DOT8, DOT8_INPUTS, "--rule", "precise", "--report", str(r2)])
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_unknown_id_warnings_follow_the_inputs_document(tmp_path):
+    # Unknown ids warn in the document's order, whatever the hash seed.
+    inputs = tmp_path / "i.json"
+    inputs.write_text(
+        json.dumps(
+            {
+                "values": {"idx": 1, "val": 2, "zeta": 1, "alpha": 2, "mid": 3},
+                "tags": {"t2": 1, "t1": 1},
+                "memory": {"m2": [1], "m1": [2]},
+            }
+        )
+    )
+    stderr = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diftsim", "run", OVERFLOW, str(inputs)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0
+        stderr.append(proc.stderr)
+    assert stderr[0] == stderr[1]
+    assert stderr[0].splitlines() == [
+        "warning: zeta: value for unknown input ignored",
+        "warning: alpha: value for unknown input ignored",
+        "warning: mid: value for unknown input ignored",
+        "warning: t2: tag for unknown input ignored",
+        "warning: t1: tag for unknown input ignored",
+        "warning: m2: override for unknown memory ignored",
+        "warning: m1: override for unknown memory ignored",
+    ]

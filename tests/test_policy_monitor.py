@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -211,3 +212,47 @@ def test_halt_mode_stops_at_first_deny(overflow_demo):
     assert rep.steps_executed == 1  # cp_addr denies right after the first node
     assert rep.outputs == {}
     assert len(rep.exceptions) == 1
+
+
+def test_monitor_keeps_denies_of_a_run_that_then_traps():
+    # cp_a denies at step 0 and cp_n at step 1; q then divides by zero.
+    # The caller's monitor holds both denies, as queued before the trap.
+    from diftsim import DivisionByZero, parse_kernel
+
+    doc = {
+        "name": "deny_then_trap",
+        "tag_width": 3,
+        "inputs": [{"id": "a", "width": 4}, {"id": "b", "width": 4}],
+        "nodes": [
+            {"id": "n", "op": "add", "args": ["a", "b"], "width": 4},
+            {"id": "q", "op": "div", "args": ["a", "b"], "width": 4},
+        ],
+        "policies": [{"name": "any", "kind": "deny_if_any"}],
+        "checkpoints": [
+            {"id": "cp_a", "arg": "a", "policy": "any"},
+            {"id": "cp_n", "arg": "n", "policy": "any"},
+        ],
+        "outputs": [{"id": "out", "source": "q"}],
+    }
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    monitor = MonitorState()
+    ri = RunInputs(values={"a": 3, "b": 0}, tags={"a": 0b001, "b": 0b100})
+    with pytest.raises(DivisionByZero):
+        run_dift(kernel, ri, UNION_CFG(3), monitor)
+    first, second = monitor.exceptions
+    assert first.checkpoint_id == "cp_a"
+    assert first.node_id == "a"
+    assert first.tag_bits == 0b001
+    assert first.step == 0
+    assert first.policy_name == "any"
+    assert (second.checkpoint_id, second.node_id, second.tag_bits, second.step) == (
+        "cp_n",
+        "n",
+        0b101,
+        1,
+    )
+    assert monitor.irq is True
+    assert reg_read(monitor, REG_STATUS) == 1
+    assert reg_read(monitor, REG_EXC_COUNT) == 2
+    assert reg_read(monitor, REG_TAG_OUT) == 0b101

@@ -723,3 +723,92 @@ def test_runs_build_no_values_tags_or_tagged_values(monkeypatch):
                 DiftConfig(tw, CoarseBoundary(), on_exception),
             ):
                 run_dift(kernel, ri, cfg)
+
+
+def cells_kernel():
+    """A six-cell u4 memory with a two-cell init; every cell is loaded."""
+    from diftsim import parse_kernel
+
+    doc = {
+        "name": "cells",
+        "tag_width": 2,
+        "memories": [{"id": "m", "size": 6, "width": 4, "init": [9, 10]}],
+        "constants": [{"id": f"a{i}", "width": 3, "value": i} for i in range(6)],
+        "nodes": [
+            {"id": f"ld{i}", "op": "load", "args": ["m", f"a{i}"], "width": 4} for i in range(6)
+        ],
+        "outputs": [{"id": f"c{i}", "source": f"ld{i}"} for i in range(6)],
+    }
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    return kernel
+
+
+@pytest.mark.parametrize(
+    "override, cells",
+    [
+        (None, [9, 10, 0, 0, 0, 0]),  # no override: init, then zeros
+        ([1], [1, 10, 0, 0, 0, 0]),  # shorter than init: the init tail, then zeros
+        ([1, 2, 3], [1, 2, 3, 0, 0, 0]),  # longer than init
+        ([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6]),  # exactly the memory's size
+        ([17, -1, 0x1F3], [1, 15, 3, 0, 0, 0]),  # wider than the cell: masked to u4
+    ],
+)
+def test_memory_set_up_in_every_mode(override, cells):
+    kernel = cells_kernel()
+    ri = RunInputs(memory={} if override is None else {"m": override})
+    kept = None if override is None else list(override)
+    expected = {f"c{i}": v for i, v in enumerate(cells)}
+    assert run_baseline(kernel, ri) == expected
+    for on_exception in ("record", "halt"):
+        for cfg in (
+            fine(2, UNION, on_exception),
+            fine(2, PRECISE, on_exception),
+            DiftConfig(2, CoarseBoundary(), on_exception),
+        ):
+            rep = run_dift(kernel, ri, cfg)
+            assert {oid: v for oid, (v, _) in rep.outputs.items()} == expected
+    assert ri.memory.get("m") == kept  # a run never writes the caller's override
+
+
+def test_fuzz_passes_trials_that_trap_alike(monkeypatch):
+    # u4 a / u4 b traps whenever b is 0; every run of such a trial traps on
+    # q, so the trial passes, and its wide-run draws are still taken: the
+    # same trials on a kernel that cannot trap see the same inputs.
+    from diftsim import simulator
+
+    seen = []
+
+    def recording_run_dift(k, ri, cfg, *args, **kwargs):
+        seen.append(ri)
+        return run_dift(k, ri, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_dift", recording_run_dift)
+    u4 = BitType(4)
+    divide = op_kernel("div", [u4, u4], u4, tag_width=2)
+    assert fuzz_properties(divide, trials=50, seed=0).counterexamples == ()
+    assert any(ri.values["x1"] == 0 for ri in seen), "no trial drew a zero divisor"
+    divide_inputs = list(seen)
+    seen.clear()
+    assert fuzz_properties(op_kernel("add", [u4, u4], u4, tag_width=2), 50, seed=0).ok
+    assert seen == divide_inputs
+
+
+def test_fuzz_reports_runs_that_trap_differently(monkeypatch):
+    # A coarse run that traps where the fine runs do not is a "trap"
+    # counterexample carrying the trial's inputs.
+    from diftsim import simulator
+
+    def coarse_traps(k, ri, cfg, *args, **kwargs):
+        if cfg.rule is None:
+            raise DivisionByZero("division by zero")
+        return run_dift(k, ri, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_dift", coarse_traps)
+    report = fuzz_properties(tiny_add_kernel(), trials=3, seed=1)
+    assert [c.property for c in report.counterexamples] == ["trap"] * 3
+    cex = report.counterexamples[0]
+    assert cex.trial == 0 and set(cex.inputs.values) == {"a", "b"}
+    assert cex.detail == (
+        "runs disagree: ok, ok, DivisionByZero at None, ok, ok, DivisionByZero at None, ok"
+    )
