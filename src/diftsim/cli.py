@@ -25,7 +25,7 @@ from .kernel_ir import (
 )
 from .simulator import (
     RunInputs,
-    check_consistency,
+    check_configs,
     fuzz_properties,
     inputs_to_json,
     parse_inputs,
@@ -151,8 +151,7 @@ def cmd_check(args) -> int:
         _make_config(kernel, "coarse", "union", "record"),
     ]
     total = 0
-    for cfg in configs:
-        report = check_consistency(kernel, cfg, args.samples, args.seed)
+    for report in check_configs(kernel, configs, args.samples, args.seed):
         print(report.summary())
         for m in report.mismatches[:10]:
             print(f"  sample {m.sample} [{m.kind}]: {m.detail}", file=sys.stderr)

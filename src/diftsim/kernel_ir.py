@@ -61,8 +61,8 @@ class MemoryDecl(NamedTuple):
     id: str
     size: int
     cell: BitType
-    init: tuple[int, ...] = ()  # canonical cell bits, padded with zeros
-    init_tags: tuple[int, ...] = ()
+    init: tuple[int, ...] = ()  # canonical bits of the first cells; a run zeroes the rest
+    init_tags: tuple[int, ...] = ()  # tag bits of the first cells; a run zeroes the rest
 
 
 class Node(NamedTuple):
@@ -115,6 +115,7 @@ class Plan(NamedTuple):
     constants: tuple[int, ...]  # bits of each constant
     early: tuple[tuple, ...]  # checkpoints on inputs and constants, as in watch
     outputs: tuple[tuple[str, int], ...]  # (output id, source slot)
+    watched_steps: tuple[tuple[int, tuple], ...]  # (step from 1, watch) of each watched node
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +526,7 @@ def lower(k: Kernel) -> Plan:
     for w in watched:
         watches[w[2]] = (*watches.get(w[2], ()), w)
     n_early = len(k.inputs) + len(k.constants)
+    first = n_early + len(k.memories)  # the first node's slot, at step 1
     tag_fn = taint.tag_fn
     fns: dict[tuple, tuple] = {}  # signature -> (value_fn, union fn, precise fn)
     steps = []
@@ -549,6 +551,7 @@ def lower(k: Kernel) -> Plan:
         constants=tuple([value.bits for _, value in k.constants]),
         early=tuple([w for w in watched if w[2] < n_early]),
         outputs=tuple([(oid, slots[source]) for oid, source in k.outputs]),
+        watched_steps=tuple(sorted([(s - first + 1, w) for s, w in watches.items() if s >= first])),
     )
 
 

@@ -10,9 +10,11 @@ walk with tags off; fine run_dift adds int tags and live checkpoints;
 coarse run_dift is the walk with tags off plus one boundary OR that
 every checkpoint and output observes. A checkpoint submits its tag bits
 and its policy, resolved when the kernel was lowered, to the monitor.
-The walk follows the node list in order, so a single run is sequential;
-distinct runs over immutable kernels are independent. All randomness is
-seeded.
+That fused walk serves single runs. Tags never change values, so
+check_configs and fuzz_properties walk the values once per kernel and
+sample, and replay only the tags over them for each configuration. The
+walk follows the node list in order; distinct runs over immutable
+kernels are independent. All randomness is seeded.
 """
 
 from __future__ import annotations
@@ -275,13 +277,49 @@ def run_dift(
     observation the boundary tag: the join of all input and initial
     memory tags. Output values always equal run_baseline's.
     """
+    return _track(k, inputs, cfg, monitor, diags)
+
+
+def _values(k: Kernel, inputs: RunInputs) -> tuple[list, EvalError | None]:
+    """The baseline walk's slots for _track to replay, and its located trap or None."""
+    vals = _init_values(k, inputs, None)
+    try:
+        _execute(k, vals)
+    except EvalError as e:
+        return vals, e
+    return vals, None
+
+
+def _replay(k: Kernel, values: tuple, tags: list | None, precise: bool, fire):
+    """_execute's tag work over a finished value pass, then its checkpoints.
+    Tag functions read operand values only from slots written once, and a
+    checkpoint reads a tag slot no later step writes, so each read sees
+    what _execute's does. Returns as _execute does, or raises the trap."""
+    vals, trap = values
+    stop = len(k.nodes) if trap is None else trap.step - 1
+    if tags is not None:
+        for out, _, x, y, z, union_of, precise_of, _ in itertools.islice(k.plan.steps, stop):
+            tag_of = precise_of if precise else union_of
+            tags[out] = tag_of(vals[x], vals[y], vals[z], tags[x], tags[y], tags[z])
+    for step, watch in k.plan.watched_steps:
+        if step > stop:
+            break
+        for w in watch:
+            if fire(w, step):
+                return step, True
+    if trap is not None:
+        raise trap
+    return len(k.nodes), False
+
+
+def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationReport:
+    """run_dift's set-up, checkpoints and report around one walk: the
+    fused _execute, or, given values from _values(k, inputs), a _replay."""
     if cfg.tag_width != k.tag_width:
-        raise WidthMismatch(
-            f"config tag width {cfg.tag_width} does not match kernel {k.tag_width}"
-        )
+        raise WidthMismatch(f"config tag width {cfg.tag_width} does not match kernel {k.tag_width}")
     if monitor is None:
         monitor = MonitorState()
-    vals = _init_values(k, inputs, diags)
+    vals = _init_values(k, inputs, diags) if values is None else values[0]
     input_tags = _input_tags(k, inputs, monitor)
     rule = cfg.rule
     tags = None
@@ -306,7 +344,11 @@ def run_dift(
     halted = any(fire(w, 0) for w in k.plan.early)
     steps = 0
     if not halted:
-        steps, halted = _execute(k, vals, tags, rule is PropagationRule.PRECISE, fire)
+        precise = rule is PropagationRule.PRECISE
+        if values is None:
+            steps, halted = _execute(k, vals, tags, precise, fire)
+        else:
+            steps, halted = _replay(k, values, tags, precise, fire)
 
     outputs: dict[str, tuple[int, int]] = {}
     if not halted:
@@ -320,10 +362,18 @@ def run_dift(
         monitor.irq,
         steps,
         "coarse" if rule is None else "fine",
-        None if rule is None else rule.value,
+        None if rule is None else rule._value_,  # not .value, an Enum property call
         tuple(observations),
         halted,
     )
+
+
+def _replayed(k: Kernel, inputs: RunInputs, cfg: DiftConfig, values: tuple):
+    """A replay of values under cfg: (report, None), or (None, error signature)."""
+    try:
+        return _track(k, inputs, cfg, values=values), None
+    except EvalError as e:
+        return None, _error_sig(e)
 
 
 # ---------------------------------------------------------------------------
@@ -381,75 +431,58 @@ def check_consistency(k: Kernel, cfg: DiftConfig, samples: int, seed: int) -> Co
     optimized (const_fold + dead_code_elim) vs unoptimized tracked runs
     compared on values, tags, and the exception sequence. A pair that
     fails with the same error on the same node is consistent."""
+    return check_configs(k, [cfg], samples, seed)[0]
+
+
+def check_configs(
+    k: Kernel, cfgs: list[DiftConfig], samples: int, seed: int
+) -> list[ConsistencyReport]:
+    """check_consistency under each of cfgs on the same samples: per
+    sample, one run_baseline, one value pass of k and one of the
+    optimized kernel, and a replay of each under every configuration."""
     rng = random.Random(seed)
     opt = dead_code_elim(const_fold(k))
-    mismatches: list[Mismatch] = []
+    found: list[list[Mismatch]] = [[] for _ in cfgs]
     for i in range(samples):
         ri = sample_inputs(k, rng)
-        base_err = dift_err = opt_err = None
-        base = rep = rep_opt = None
+        base = base_err = None
         try:
             base = run_baseline(k, ri)
         except EvalError as e:
             base_err = _error_sig(e)
-        try:
-            rep = run_dift(k, ri, cfg)
-        except EvalError as e:
-            dift_err = _error_sig(e)
-        try:
-            rep_opt = run_dift(opt, ri, cfg)
-        except EvalError as e:
-            opt_err = _error_sig(e)
+        values, opt_values = _values(k, ri), _values(opt, ri)
+        for cfg, mismatches in zip(cfgs, found):
+            add = mismatches.append
+            rep, dift_err = _replayed(k, ri, cfg, values)
+            rep_opt, opt_err = _replayed(opt, ri, cfg, opt_values)
+            if base_err or dift_err:
+                if base_err != dift_err:
+                    add(Mismatch(i, "error", f"baseline {base_err} vs dift {dift_err}", ri))
+            elif not rep.halted:
+                for oid, value in base.items():
+                    got = rep.outputs[oid][0]
+                    if got != value:
+                        add(Mismatch(i, "value", f"output {oid}: baseline {value}, dift {got}", ri))
 
-        if base_err or dift_err:
-            if base_err != dift_err:
-                mismatches.append(
-                    Mismatch(i, "error", f"baseline {base_err} vs dift {dift_err}", ri)
-                )
-        elif not rep.halted:
-            for oid, value in base.items():
-                got = rep.outputs[oid][0]
-                if got != value:
-                    mismatches.append(
-                        Mismatch(i, "value", f"output {oid}: baseline {value}, dift {got}", ri)
-                    )
-
-        if dift_err or opt_err:
-            if dift_err != opt_err:
-                mismatches.append(
-                    Mismatch(i, "error", f"unoptimized {dift_err} vs optimized {opt_err}", ri)
-                )
-            continue
-        if _exception_seq(rep) != _exception_seq(rep_opt):
-            mismatches.append(
-                Mismatch(
-                    i,
-                    "opt_exceptions",
-                    f"unoptimized {_exception_seq(rep)} vs optimized {_exception_seq(rep_opt)}",
-                    ri,
-                )
-            )
-        if rep.halted or rep_opt.halted:
-            if rep.halted != rep_opt.halted:
-                mismatches.append(Mismatch(i, "opt_value", "halt state differs", ri))
-            continue
-        for oid, (value, tag) in rep.outputs.items():
-            ovalue, otag = rep_opt.outputs[oid]
-            if value != ovalue:
-                mismatches.append(
-                    Mismatch(i, "opt_value", f"output {oid}: {value} vs {ovalue}", ri)
-                )
-            if tag != otag:
-                mismatches.append(
-                    Mismatch(i, "opt_tag", f"output {oid} tag: {tag} vs {otag}", ri)
-                )
-    return ConsistencyReport(
-        kernel=k.name,
-        mode="coarse" if isinstance(cfg.mode, CoarseBoundary) else "fine",
-        rule=None if cfg.rule is None else cfg.rule.value,
-        samples=samples,
-        mismatches=tuple(mismatches),
-    )
+            if dift_err or opt_err:
+                if dift_err != opt_err:
+                    add(Mismatch(i, "error", f"unoptimized {dift_err} vs optimized {opt_err}", ri))
+                continue
+            seq, opt_seq = _exception_seq(rep), _exception_seq(rep_opt)
+            if seq != opt_seq:
+                add(Mismatch(i, "opt_exceptions", f"unoptimized {seq} vs optimized {opt_seq}", ri))
+            if rep.halted or rep_opt.halted:
+                if rep.halted != rep_opt.halted:
+                    add(Mismatch(i, "opt_value", "halt state differs", ri))
+                continue
+            for oid, (value, tag) in rep.outputs.items():
+                ovalue, otag = rep_opt.outputs[oid]
+                if value != ovalue:
+                    add(Mismatch(i, "opt_value", f"output {oid}: {value} vs {ovalue}", ri))
+                if tag != otag:
+                    add(Mismatch(i, "opt_tag", f"output {oid} tag: {tag} vs {otag}", ri))
+    modes = [("coarse", None) if c.rule is None else ("fine", c.rule.value) for c in cfgs]
+    return [ConsistencyReport(k.name, *m, samples, tuple(f)) for m, f in zip(modes, found)]
 
 
 # ---------------------------------------------------------------------------
@@ -549,15 +582,8 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
             wide_ri = RunInputs(dict(ri.values), wide_tags, dict(ri.memory))
             runs.append((k, wide_ri, union_cfg))
 
-        reps: list[SimulationReport | None] = []
-        errs: list[tuple[str, str | None] | None] = []
-        for kernel, run_inputs, cfg in runs:
-            try:
-                reps.append(run_dift(kernel, run_inputs, cfg))
-                errs.append(None)
-            except EvalError as e:
-                reps.append(None)
-                errs.append(_error_sig(e))
+        values = _values(k, ri)  # the runs differ from k on ri only in tags
+        reps, errs = zip(*[_replayed(*run, values) for run in runs])
         if any(errs):
             if None in errs or len(set(errs)) > 1:
                 outcomes = ", ".join(

@@ -216,6 +216,30 @@ def test_check_exits_0_with_stable_summary(capsys):
     assert "total mismatches=0" in first
 
 
+@pytest.mark.parametrize("doc_name", ["DEAD_DIVISION_DOC", "FOLDED_CHECKPOINT_DOC"])
+def test_check_prints_the_single_configuration_summaries(doc_name, tmp_path, capsys):
+    # check shares each sample among its three configurations; it prints
+    # what three separate check_consistency calls report.
+    import test_kernel_ir
+    from diftsim import CoarseBoundary, check_consistency
+
+    doc = getattr(test_kernel_ir, doc_name)
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(doc))
+    kernel, _ = parse_kernel(json.dumps(doc))
+    out, err, total = [], [], 0
+    for mode in (*map(FineGrained, PropagationRule), CoarseBoundary()):
+        report = check_consistency(kernel, DiftConfig(kernel.tag_width, mode), 80, 7)
+        out.append(report.summary())
+        err += [f"  sample {m.sample} [{m.kind}]: {m.detail}" for m in report.mismatches[:10]]
+        total += len(report.mismatches)
+    assert total > 0
+    out.append(f"check {kernel.name}: total mismatches={total}")
+    assert main(["check", str(path), "--samples", "80", "--seed", "7"]) == 2
+    printed = capsys.readouterr()
+    assert (printed.out.splitlines(), printed.err.splitlines()) == (out, err)
+
+
 def test_fuzz_exits_0(capsys):
     assert main(["fuzz", FIR4, "--trials", "60", "--seed", "1"]) == 0
     assert "fuzz fir4: trials=60 counterexamples=0" in capsys.readouterr().out

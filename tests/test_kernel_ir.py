@@ -891,14 +891,25 @@ def test_lower_matches_a_per_node_lowering(fir4, dot8, overflow_demo):
     all_ops, diags = parse(ALL_OPS_DOC)
     assert all_ops is not None, diags
     assert {n.op for n in all_ops.nodes} == set(OpKind)
-    for kernel in (fir4, dot8, overflow_demo, all_ops):
+    # The same kernel with cp_ld, on a later node, declared first.
+    cps = ALL_OPS_DOC["checkpoints"]
+    rotated, diags = parse(dict(ALL_OPS_DOC, checkpoints=cps[3:] + cps[:3]))
+    assert rotated is not None, diags
+    for kernel in (fir4, dot8, overflow_demo, all_ops, rotated):
         plan = kernel.plan
         steps = [
             (out, _fn_key(vf), x, y, z, _fn_key(uf), _fn_key(pf), watch)
             for out, vf, x, y, z, uf, pf, watch in plan.steps
         ]
         assert (steps, plan.constants, plan.early, plan.outputs) == _per_node_lowering(kernel)
+        # The steps a tag replay visits: every step with checkpoints, in order.
+        watched = [(i, st[7]) for i, st in enumerate(plan.steps, start=1) if st[7]]
+        assert list(plan.watched_steps) == watched
     assert [w[0] for w in all_ops.plan.early] == ["cp_a", "cp_k"]
+    assert [(i, [w[0] for w in ws]) for i, ws in all_ops.plan.watched_steps] == [
+        (31, ["cp_mux", "cp_mux2"]),
+        (33, ["cp_ld"]),
+    ]
 
 
 def test_pass_composition_preserves_runs(fir4, dot8, overflow_demo):
@@ -922,17 +933,32 @@ def test_passes_idempotent_on_fixtures(fir4, dot8, overflow_demo):
         assert dead_code_elim(slim) == slim
 
 
+# A live add beside a dead div that traps when b is 0.
+DEAD_DIVISION_DOC = minimal_doc(
+    inputs=[{"id": "a", "width": 4}, {"id": "b", "width": 4}],
+    nodes=[node("q", "div", ["a", "b"], width=4), node("s", **W4)],
+    outputs=[{"id": "out", "source": "s"}],
+)
+
+# Checkpoints on a node and on a constant expression that const_fold folds.
+FOLDED_CHECKPOINT_DOC = minimal_doc(
+    inputs=[{"id": "a", "width": 4}],
+    constants=[{"id": "k", "width": 4, "value": 3}],
+    nodes=[node("n0", **W4), node("f", args=["k", "k"], **W4)],
+    policies=[{"name": "any", "kind": "deny_if_any"}],
+    checkpoints=[
+        {"id": "c0", "arg": "n0", "policy": "any"},
+        {"id": "c1", "arg": "f", "policy": "any"},
+    ],
+    outputs=[{"id": "out", "source": "n0"}],
+)
+
+
 # ROADMAP Open item 1: the passes break behaviour on these two kernels.
 # The fix must remove the xfail markers.
 @pytest.mark.xfail(strict=True, reason="ROADMAP Open item 1: dead_code_elim drops a dead node that traps")
 def test_dce_keeps_dead_division_that_traps():
-    kernel, diags = parse(
-        minimal_doc(
-            inputs=[{"id": "a", "width": 4}, {"id": "b", "width": 4}],
-            nodes=[node("q", "div", ["a", "b"], width=4), node("s", **W4)],
-            outputs=[{"id": "out", "source": "s"}],
-        )
-    )
+    kernel, diags = parse(DEAD_DIVISION_DOC)
     assert kernel is not None, diags
     report = check_consistency(kernel, cfg_for(kernel), samples=200, seed=0)
     assert report.mismatches == ()
@@ -941,19 +967,7 @@ def test_dce_keeps_dead_division_that_traps():
 @pytest.mark.xfail(strict=True, reason="ROADMAP Open item 1: const_fold reorders coarse-mode exceptions")
 @pytest.mark.parametrize("on_exception", ["record", "halt"])
 def test_const_fold_keeps_coarse_exception_order(on_exception):
-    kernel, diags = parse(
-        minimal_doc(
-            inputs=[{"id": "a", "width": 4}],
-            constants=[{"id": "k", "width": 4, "value": 3}],
-            nodes=[node("n0", **W4), node("f", args=["k", "k"], **W4)],
-            policies=[{"name": "any", "kind": "deny_if_any"}],
-            checkpoints=[
-                {"id": "c0", "arg": "n0", "policy": "any"},
-                {"id": "c1", "arg": "f", "policy": "any"},
-            ],
-            outputs=[{"id": "out", "source": "n0"}],
-        )
-    )
+    kernel, diags = parse(FOLDED_CHECKPOINT_DOC)
     assert kernel is not None, diags
     cfg = DiftConfig(kernel.tag_width, CoarseBoundary(), on_exception)
     report = check_consistency(kernel, cfg, samples=50, seed=0)

@@ -24,6 +24,7 @@ from diftsim import (
     PropagationRule,
     REG_TAG_IN,
     RunInputs,
+    SimulationReport,
     Tag,
     WidthTooLarge,
     boundary_tag,
@@ -36,6 +37,7 @@ from diftsim import (
     reg_write,
     run_baseline,
     run_dift,
+    sample_inputs,
 )
 from diftsim.simulator import _zero_tag_kernel
 from test_bitvalue import ref_binop, ref_to_int, ref_wrap
@@ -774,16 +776,18 @@ def test_memory_set_up_in_every_mode(override, cells):
 def test_fuzz_passes_trials_that_trap_alike(monkeypatch):
     # u4 a / u4 b traps whenever b is 0; every run of such a trial traps on
     # q, so the trial passes, and its wide-run draws are still taken: the
-    # same trials on a kernel that cannot trap see the same inputs.
+    # same trials on a kernel that cannot trap see the same inputs. Each
+    # run is a replay through _track, which records them.
     from diftsim import simulator
 
     seen = []
+    track = simulator._track
 
-    def recording_run_dift(k, ri, cfg, *args, **kwargs):
+    def recording_track(k, ri, cfg, *args, **kwargs):
         seen.append(ri)
-        return run_dift(k, ri, cfg, *args, **kwargs)
+        return track(k, ri, cfg, *args, **kwargs)
 
-    monkeypatch.setattr(simulator, "run_dift", recording_run_dift)
+    monkeypatch.setattr(simulator, "_track", recording_track)
     u4 = BitType(4)
     divide = op_kernel("div", [u4, u4], u4, tag_width=2)
     assert fuzz_properties(divide, trials=50, seed=0).counterexamples == ()
@@ -796,15 +800,18 @@ def test_fuzz_passes_trials_that_trap_alike(monkeypatch):
 
 def test_fuzz_reports_runs_that_trap_differently(monkeypatch):
     # A coarse run that traps where the fine runs do not is a "trap"
-    # counterexample carrying the trial's inputs.
+    # counterexample carrying the trial's inputs. Replays share one value
+    # pass, so the disagreement is injected where each run is replayed.
     from diftsim import simulator
+
+    track = simulator._track
 
     def coarse_traps(k, ri, cfg, *args, **kwargs):
         if cfg.rule is None:
             raise DivisionByZero("division by zero")
-        return run_dift(k, ri, cfg, *args, **kwargs)
+        return track(k, ri, cfg, *args, **kwargs)
 
-    monkeypatch.setattr(simulator, "run_dift", coarse_traps)
+    monkeypatch.setattr(simulator, "_track", coarse_traps)
     report = fuzz_properties(tiny_add_kernel(), trials=3, seed=1)
     assert [c.property for c in report.counterexamples] == ["trap"] * 3
     cex = report.counterexamples[0]
@@ -812,3 +819,202 @@ def test_fuzz_reports_runs_that_trap_differently(monkeypatch):
     assert cex.detail == (
         "runs disagree: ok, ok, DivisionByZero at None, ok, ok, DivisionByZero at None, ok"
     )
+
+
+# check and fuzz replay each configuration's tags over one value pass per
+# kernel and sample. A replay must report exactly what run_dift reports.
+
+
+def five_configs(tag_width):
+    """Union, precise and coarse in record mode; union and coarse in halt mode."""
+    return [
+        fine(tag_width, UNION),
+        fine(tag_width, PRECISE),
+        coarse(tag_width),
+        fine(tag_width, UNION, "halt"),
+        DiftConfig(tag_width, CoarseBoundary(), "halt"),
+    ]
+
+
+def report_or_trap(run):
+    """A run's SimulationReport, or its trap as (type, node, step, message)."""
+    try:
+        return run()
+    except EvalError as e:
+        return (type(e), e.node_id, e.step, str(e))
+
+
+def assert_replays_match_runs(kernel, ri):
+    """Replays of one shared value pass equal run_dift under every config;
+    returns the union run's outcome."""
+    from diftsim import simulator
+
+    values = simulator._values(kernel, ri)
+    outcomes = []
+    for cfg in five_configs(kernel.tag_width):
+        want = report_or_trap(lambda: run_dift(kernel, ri, cfg))
+        got = report_or_trap(lambda: simulator._track(kernel, ri, cfg, values=values))
+        # A report compares every field: outputs, exceptions, irq,
+        # steps_executed, mode, rule, checkpoint_tags and halted.
+        assert type(got) is type(want) and got == want, cfg
+        outcomes.append(want)
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("name", ["fir4.json", "dot8.json", "overflow_demo.json"])
+def test_replay_equals_run_dift_on_fixtures(name):
+    kernel = load_kernel(name)
+    rng = random.Random(17)
+    for _ in range(40):
+        assert_replays_match_runs(kernel, sample_inputs(kernel, rng))
+
+
+def test_replay_equals_run_dift_on_every_opcode():
+    from diftsim import parse_kernel
+    from test_kernel_ir import ALL_OPS_DOC
+
+    kernel, diags = parse_kernel(json.dumps(ALL_OPS_DOC))
+    assert kernel is not None, diags
+    rng = random.Random(23)
+    traps = reports = 0
+    for i in range(120):
+        ri = sample_inputs(kernel, rng)
+        if i % 2:  # an address in range runs every node
+            ri.values["s"] = 1 + i % 3
+        ran = isinstance(assert_replays_match_runs(kernel, ri), SimulationReport)
+        reports += ran
+        traps += not ran
+    assert traps and reports
+
+
+@pytest.mark.parametrize("addr_tagged_load", [False, True])
+def test_replay_equals_run_dift_on_a_tainted_store_then_load(addr_tagged_load):
+    kernel = mem_kernel(addr_tagged_load)
+    ri = RunInputs(values={"addr": 2, "v": 9}, tags={"v": 0b01, "addr": 0b10})
+    union = assert_replays_match_runs(kernel, ri)
+    assert union.outputs["out"] == (9, 0b11)  # the loaded cell carries the store's tag
+
+
+@pytest.mark.parametrize("values", [{"b": 0}, {"la": 5}])
+def test_replay_equals_run_dift_on_a_trap(values):
+    ri = RunInputs(values={"la": 1, "a": 7, "b": 2, "c": 3, "sa": 2, **values})
+    outcome = assert_replays_match_runs(trap_kernel(), ri)
+    assert outcome[0] in (DivisionByZero, OutOfBoundsAddress)
+
+
+def test_replay_halts_at_a_deny_before_the_trap():
+    # q (step 2) is tainted and denied; r traps at step 3. A halting run
+    # stops at q and never traps; a recording run reaches the trap.
+    kernel = trap_kernel()
+    ri = RunInputs(values={"la": 1, "a": 7, "b": 2, "c": 0, "sa": 2}, tags={"a": 1})
+    assert_replays_match_runs(kernel, ri)
+    from diftsim import simulator
+
+    values = simulator._values(kernel, ri)
+    halted = simulator._track(kernel, ri, fine(2, UNION, "halt"), values=values)
+    assert halted.halted and halted.steps_executed == 2 and len(halted.exceptions) == 1
+    with pytest.raises(DivisionByZero):
+        simulator._track(kernel, ri, fine(2, UNION), values=values)
+
+
+def test_replay_traps_before_a_later_deny():
+    # ld traps at step 1; a coarse run's tainted boundary would deny at q
+    # (step 2), but the trap comes first in every mode.
+    ri = RunInputs(values={"la": 5, "a": 7, "b": 2, "c": 3, "sa": 2}, tags={"a": 1})
+    assert assert_replays_match_runs(trap_kernel(), ri)[:3] == (OutOfBoundsAddress, "ld", 1)
+
+
+def reference_check(k, cfg, samples, seed):
+    """check_consistency's mismatches, computed run by run: per sample,
+    run_baseline, then run_dift on k and on the optimized kernel."""
+    from diftsim import Mismatch, const_fold, dead_code_elim
+
+    def sig(e):
+        return (type(e).__name__, e.node_id)
+
+    def seq(rep):
+        return [(e.checkpoint_id, e.node_id, e.tag_bits, e.policy_name) for e in rep.exceptions]
+
+    rng = random.Random(seed)
+    opt = dead_code_elim(const_fold(k))
+    found = []
+    for i in range(samples):
+        ri = sample_inputs(k, rng)
+        base_err = dift_err = opt_err = None
+        try:
+            base = run_baseline(k, ri)
+        except EvalError as e:
+            base_err = sig(e)
+        try:
+            rep = run_dift(k, ri, cfg)
+        except EvalError as e:
+            dift_err = sig(e)
+        try:
+            rep_opt = run_dift(opt, ri, cfg)
+        except EvalError as e:
+            opt_err = sig(e)
+        if base_err or dift_err:
+            if base_err != dift_err:
+                found.append(Mismatch(i, "error", f"baseline {base_err} vs dift {dift_err}", ri))
+        elif not rep.halted:
+            for oid, value in base.items():
+                got = rep.outputs[oid][0]
+                if got != value:
+                    found.append(
+                        Mismatch(i, "value", f"output {oid}: baseline {value}, dift {got}", ri)
+                    )
+        if dift_err or opt_err:
+            if dift_err != opt_err:
+                found.append(
+                    Mismatch(i, "error", f"unoptimized {dift_err} vs optimized {opt_err}", ri)
+                )
+            continue
+        if seq(rep) != seq(rep_opt):
+            found.append(
+                Mismatch(
+                    i, "opt_exceptions", f"unoptimized {seq(rep)} vs optimized {seq(rep_opt)}", ri
+                )
+            )
+        if rep.halted or rep_opt.halted:
+            if rep.halted != rep_opt.halted:
+                found.append(Mismatch(i, "opt_value", "halt state differs", ri))
+            continue
+        for oid, (value, tag) in rep.outputs.items():
+            ovalue, otag = rep_opt.outputs[oid]
+            if value != ovalue:
+                found.append(Mismatch(i, "opt_value", f"output {oid}: {value} vs {ovalue}", ri))
+            if tag != otag:
+                found.append(Mismatch(i, "opt_tag", f"output {oid} tag: {tag} vs {otag}", ri))
+    return tuple(found)
+
+
+def test_check_consistency_compares_baseline_values(monkeypatch):
+    # Replays never change values, so only a broken baseline can differ;
+    # the comparison with the real run_baseline must still report it.
+    from diftsim import simulator
+
+    baseline = simulator.run_baseline
+
+    def off_by_one(k, ri, diags=None):
+        return {oid: value + 1 for oid, value in baseline(k, ri, diags).items()}
+
+    monkeypatch.setattr(simulator, "run_baseline", off_by_one)
+    report = check_consistency(tiny_add_kernel(), fine(2), samples=3, seed=0)
+    assert [(m.sample, m.kind) for m in report.mismatches] == [(0, "value"), (1, "value"), (2, "value")]
+    assert report.mismatches[0].detail.startswith("output out: baseline ")
+
+
+def test_check_consistency_matches_a_run_by_run_reference():
+    from diftsim import parse_kernel
+    from test_kernel_ir import DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC
+
+    kernels = [load_kernel(n) for n in ("fir4.json", "dot8.json", "overflow_demo.json")]
+    kernels += [parse_kernel(json.dumps(d))[0] for d in (DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC)]
+    kinds = set()
+    for kernel in kernels:
+        for cfg in five_configs(kernel.tag_width):
+            report = check_consistency(kernel, cfg, samples=60, seed=4)
+            assert report.mismatches == reference_check(kernel, cfg, 60, 4), (kernel.name, cfg)
+            kinds |= {m.kind for m in report.mismatches}
+    # The two kernels with known pass defects give mismatches to compare.
+    assert {"error", "opt_exceptions"} <= kinds
