@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import taint
@@ -104,18 +105,19 @@ class Plan(NamedTuple):
     by slot.
 
     Each node becomes one step (out, value_fn, x, y, z, union_fn,
-    precise_fn, watch): its slot, its bitvalue.value_fn, the slots of its
-    operands as bitvalue.pad_operands lays them out, its taint.tag_fn under
-    either rule, and the checkpoints on it in declaration order, each as
-    (checkpoint id, argument id, argument slot, Policy) with its policy
-    resolved by name.
+    precise_fn): its slot, its bitvalue.value_fn, the slots of its operands
+    as bitvalue.pad_operands lays them out, and its taint.tag_fn under
+    either rule. Each checkpoint becomes (step, checkpoint id, argument id,
+    argument slot, Policy), with its policy resolved by name, in firing
+    order: by the step after which it observes (0 for an input or a
+    constant, else its node's, counted from 1), and in declaration order
+    within a step.
     """
 
     steps: tuple[tuple, ...]
     constants: tuple[int, ...]  # bits of each constant
-    early: tuple[tuple, ...]  # checkpoints on inputs and constants, as in watch
+    checkpoints: tuple[tuple, ...]  # (step, checkpoint id, argument id, slot, Policy)
     outputs: tuple[tuple[str, int], ...]  # (output id, source slot)
-    watched_steps: tuple[tuple[int, tuple], ...]  # (step from 1, watch) of each watched node
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +523,11 @@ def lower(k: Kernel) -> Plan:
     type_index: dict = {}
     keys = [type_index.setdefault(ty, len(type_index)) for ty in types]
     policies = {p.name: p for p in k.policies}
-    watched = [(cp, arg, slots[arg], policies[policy]) for cp, arg, policy in k.checkpoints]
-    watches: dict[int, tuple] = {}
-    for w in watched:
-        watches[w[2]] = (*watches.get(w[2], ()), w)
-    n_early = len(k.inputs) + len(k.constants)
-    first = n_early + len(k.memories)  # the first node's slot, at step 1
+    before = len(k.inputs) + len(k.constants) + len(k.memories) - 1  # the slot of step 0
+    checkpoints = sorted(
+        [(max(slots[a] - before, 0), cp, a, slots[a], policies[p]) for cp, a, p in k.checkpoints],
+        key=itemgetter(0),  # stable: declaration order within a step
+    )
     tag_fn = taint.tag_fn
     fns: dict[tuple, tuple] = {}  # signature -> (value_fn, union fn, precise fn)
     steps = []
@@ -545,13 +546,12 @@ def lower(k: Kernel) -> Plan:
                 tag_fn(PropagationRule.UNION, op, arg_types, ty),
                 tag_fn(PropagationRule.PRECISE, op, arg_types, ty),
             )
-        steps.append((out, f[0], x, y, z, f[1], f[2], watches.get(out, ())))
+        steps.append((out, f[0], x, y, z, f[1], f[2]))
     return Plan(
         steps=tuple(steps),
         constants=tuple([value.bits for _, value in k.constants]),
-        early=tuple([w for w in watched if w[2] < n_early]),
+        checkpoints=tuple(checkpoints),
         outputs=tuple([(oid, slots[source]) for oid, source in k.outputs]),
-        watched_steps=tuple(sorted([(s - first + 1, w) for s, w in watches.items() if s >= first])),
     )
 
 

@@ -4,7 +4,8 @@ The monitor receives the tag bits a checkpoint observes, never the
 value, judges them by the checkpoint's policy, and on deny queues a
 SecurityException, raises the interrupt-pending flag, and mirrors its
 state into a four-word I/O register file through which software
-observes and clears it.
+observes and clears it. checkpoint judges one observation; record
+queues a run's denials in one transition, as checkpoint's calls would.
 """
 
 from __future__ import annotations
@@ -82,24 +83,29 @@ def checkpoint(
     step: int,
 ) -> SecurityException | None:
     """Submit the tag bits a checkpoint observed; returns the exception
-    when its policy denies them.
-
-    Checkpoints never modify the observed value. On deny the exception is
-    queued, irq raised, and three registers set: REG_STATUS to 1 (irq
-    pending), REG_EXC_COUNT to the queue length, and REG_TAG_OUT to the
-    denying tag bits.
-    """
+    when its policy denies them, after recording it. Checkpoints never
+    modify the observed value."""
     if not tag_bits & policy.denied_bits:
         return None
     exc = SecurityException(checkpoint_id, node_id, tag_bits, step, policy.name)
-    exceptions = state.exceptions
-    exceptions.append(exc)
+    record(state, (exc,))
+    return exc
+
+
+def record(state: MonitorState, exceptions) -> None:
+    """Queue a run's denials, a sequence of SecurityException in arrival
+    order. Unless there are none, raise irq and set three registers once:
+    REG_STATUS to 1 (irq pending), REG_EXC_COUNT to the queue length, and
+    REG_TAG_OUT to the last denial's tag bits."""
+    if not exceptions:
+        return
+    queue = state.exceptions
+    queue += exceptions
     state.irq = True
     registers = state.registers
     registers[REG_STATUS] = 1
-    registers[REG_EXC_COUNT] = len(exceptions)
-    registers[REG_TAG_OUT] = tag_bits & _WORD_MASK
-    return exc
+    registers[REG_EXC_COUNT] = len(queue)
+    registers[REG_TAG_OUT] = exceptions[-1].tag_bits & _WORD_MASK
 
 
 def reg_read(state: MonitorState, addr: int) -> int:

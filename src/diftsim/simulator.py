@@ -6,11 +6,13 @@ Plan (Kernel.plan, lowered once per kernel instance): a run keeps its
 values and tags in lists indexed by slot, and each step calls the
 node's value function from bitvalue.value_fn and, when tags are on, its
 union or precise tag function from taint.tag_fn. run_baseline is that
-walk with tags off; fine run_dift adds int tags and live checkpoints;
-coarse run_dift is the walk with tags off plus one boundary OR that
-every checkpoint and output observes. A checkpoint submits its tag bits
-and its policy, resolved when the kernel was lowered, to the monitor.
-That fused walk serves single runs. Tags never change values, so
+walk with tags off; fine run_dift adds int tags; coarse run_dift is the
+walk with tags off plus one boundary OR that every checkpoint and output
+observes. The walk holds no checkpoint logic. A recording run judges
+its checkpoints (Plan.checkpoints, in firing order) in one pass after
+the walk and hands their denials to the monitor at once; a halting run
+walks to each watched step in turn and stops at the first deny. That
+fused walk serves single runs. Tags never change values, so
 check_configs and fuzz_properties walk the values once per kernel and
 sample, and replay only the tags over them for each configuration. The
 walk follows the node list in order; distinct runs over immutable
@@ -28,7 +30,7 @@ from typing import NamedTuple
 from .bitvalue import COMPARE_OPS, BitType, OpKind, apply_op, op_arity
 from .errors import DiftError, EvalError, WidthMismatch, WidthTooLarge
 from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim
-from .policy_monitor import REG_TAG_IN, MonitorState, checkpoint, reg_read
+from .policy_monitor import REG_TAG_IN, MonitorState, SecurityException, record, reg_read
 from .taint import CoarseBoundary, FineGrained, PropagationRule
 from .tainted import DiftConfig
 
@@ -228,14 +230,13 @@ def _locate(exc: EvalError, node_id: str, step: int) -> EvalError:
     return exc
 
 
-def _execute(k: Kernel, vals: list, tags: list | None = None, precise: bool = False, fire=None):
-    """The one walk over k.plan: each step sets its value slot by its value
-    function and, when tags is given, its tag slot by its union or precise
-    tag function. After each step, every checkpoint watching it goes to
-    fire(watch entry, step); fire returning True halts the walk.
-    Returns (steps executed, halted)."""
-    for step, (out, value_of, x, y, z, union_of, precise_of, watch) in enumerate(
-        k.plan.steps, start=1
+def _execute(k: Kernel, vals: list, tags=None, precise=False, start=0, stop=None) -> None:
+    """The one walk over k.plan, from step start + 1 to step stop (None:
+    the last): each step sets its value slot by its value function and,
+    when tags is given, its tag slot by its union or precise tag function.
+    A trap is raised located at its node and step."""
+    for step, (out, value_of, x, y, z, union_of, precise_of) in enumerate(
+        k.plan.steps[start:stop], start + 1
     ):
         try:
             vx, vy, vz = vals[x], vals[y], vals[z]
@@ -245,11 +246,6 @@ def _execute(k: Kernel, vals: list, tags: list | None = None, precise: bool = Fa
                 tags[out] = tag_of(vx, vy, vz, tags[x], tags[y], tags[z])
         except EvalError as e:
             raise _locate(e, k.nodes[step - 1].id, step)
-        if watch and fire is not None:
-            for w in watch:
-                if fire(w, step):
-                    return step, True
-    return len(k.nodes), False
 
 
 def run_baseline(
@@ -268,7 +264,7 @@ def run_dift(
     monitor: MonitorState | None = None,
     diags: list[Diagnostic] | None = None,
 ) -> SimulationReport:
-    """Execute the kernel with tag propagation and live checkpoints.
+    """Execute the kernel with tag propagation and monitored checkpoints.
 
     Fine mode tracks per operation; memory cells carry tags (a store
     writes the value tag, joined with the address tag under the union
@@ -290,31 +286,30 @@ def _values(k: Kernel, inputs: RunInputs) -> tuple[list, EvalError | None]:
     return vals, None
 
 
-def _replay(k: Kernel, values: tuple, tags: list | None, precise: bool, fire):
-    """_execute's tag work over a finished value pass, then its checkpoints.
-    Tag functions read operand values only from slots written once, and a
-    checkpoint reads a tag slot no later step writes, so each read sees
-    what _execute's does. Returns as _execute does, or raises the trap."""
+def _replay(k: Kernel, values: tuple, tags, precise, start=0, stop=None) -> None:
+    """_execute's tag work from step start + 1 to step stop over a finished
+    value pass: tag functions read operand values only from slots written
+    once, so each read sees what _execute's does. Raises the pass's trap
+    when it falls in those steps, after replaying the steps before it."""
     vals, trap = values
-    stop = len(k.nodes) if trap is None else trap.step - 1
+    if trap is not None and (stop is None or trap.step <= stop):
+        stop = trap.step - 1
+    else:
+        trap = None
     if tags is not None:
-        for out, _, x, y, z, union_of, precise_of, _ in itertools.islice(k.plan.steps, stop):
+        for out, _, x, y, z, union_of, precise_of in k.plan.steps[start:stop]:
             tag_of = precise_of if precise else union_of
             tags[out] = tag_of(vals[x], vals[y], vals[z], tags[x], tags[y], tags[z])
-    for step, watch in k.plan.watched_steps:
-        if step > stop:
-            break
-        for w in watch:
-            if fire(w, step):
-                return step, True
     if trap is not None:
         raise trap
-    return len(k.nodes), False
 
 
 def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationReport:
     """run_dift's set-up, checkpoints and report around one walk: the
-    fused _execute, or, given values from _values(k, inputs), a _replay."""
+    fused _execute, or, given values from _values(k, inputs), a _replay.
+    A recording run may judge its checkpoints after the walk, as none
+    changes it and the slot each reads is written once, at or before its
+    step. A coarse halting run needs no walk to judge: its tag is known."""
     if cfg.tag_width != k.tag_width:
         raise WidthMismatch(f"config tag width {cfg.tag_width} does not match kernel {k.tag_width}")
     if monitor is None:
@@ -329,27 +324,40 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
             boundary |= t
     else:
         tags = _init_tags(k, input_tags)
+    precise = rule is PropagationRule.PRECISE
+    walk, run = (_execute, vals) if values is None else (_replay, values)
     halt = cfg.on_exception == "halt"
+    done, trap = 0, None  # the steps walked, and the recording walk's trap
+    if not halt:
+        try:
+            walk(k, run, tags, precise)
+            done = len(k.nodes)
+        except EvalError as e:
+            trap, done = e, e.step - 1
     observations: list[tuple[str, int]] = []
-
-    def fire(watch: tuple, step: int) -> bool:
-        """Submit one checkpoint observation; True means halt now."""
-        cp_id, node_id, slot, policy = watch
+    denied: list[SecurityException] = []
+    for step, cp_id, node_id, slot, policy in k.plan.checkpoints:
+        if step > done:
+            if not halt:
+                break
+            if tags is not None:  # a coarse checkpoint reads no slot
+                walk(k, run, tags, precise, done, step)
+                done = step
         tag = boundary if tags is None else tags[slot]
-        exc = checkpoint(monitor, cp_id, node_id, policy, tag, step)
         observations.append((cp_id, tag))
-        return exc is not None and halt
-
-    # Checkpoints on inputs and constants observe before any node runs.
-    halted = any(fire(w, 0) for w in k.plan.early)
-    steps = 0
-    if not halted:
-        precise = rule is PropagationRule.PRECISE
-        if values is None:
-            steps, halted = _execute(k, vals, tags, precise, fire)
-        else:
-            steps, halted = _replay(k, values, tags, precise, fire)
-
+        if tag & policy.denied_bits:
+            denied.append(SecurityException(cp_id, node_id, tag, step, policy.name))
+            if halt:
+                break
+    halted = halt and bool(denied)
+    if halt:  # on to the denying step, or to the end
+        stop = denied[0].step if halted else len(k.nodes)
+        if stop > done:
+            walk(k, run, tags, precise, done, stop)
+        done = stop
+    record(monitor, denied)
+    if trap is not None:
+        raise trap
     outputs: dict[str, tuple[int, int]] = {}
     if not halted:
         outputs = {
@@ -360,7 +368,7 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
         outputs,
         tuple(monitor.exceptions),
         monitor.irq,
-        steps,
+        done,
         "coarse" if rule is None else "fine",
         None if rule is None else rule._value_,  # not .value, an Enum property call
         tuple(observations),
@@ -549,7 +557,10 @@ class PropertyReport(NamedTuple):
 
 
 def _zero_tag_kernel(k: Kernel) -> Kernel:
-    return k._replace(memories=tuple(m._replace(init_tags=()) for m in k.memories))
+    """k without initial memory tags. It shares k's plan, which holds no tags."""
+    zeroed = k._replace(memories=tuple(m._replace(init_tags=()) for m in k.memories))
+    zeroed.__dict__["plan"] = k.plan
+    return zeroed
 
 
 def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:

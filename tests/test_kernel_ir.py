@@ -864,25 +864,30 @@ def _per_node_lowering(k):
     ]
     slots = {decl_id: slot for slot, (decl_id, _) in enumerate(decls)}
     policies = {p.name: p for p in k.policies}
-    watched = [(cp.id, cp.arg, slots[cp.arg], policies[cp.policy]) for cp in k.checkpoints]
     steps = []
     for n in k.nodes:
         arg_slots = [slots[a] for a in n.args]
         arg_types = [decls[slot][1] for slot in arg_slots]
-        out = slots[n.id]
         steps.append((
-            out,
+            slots[n.id],
             _fn_key(value_fn(n.op, arg_types, n.ty)),
             *pad_operands(arg_slots),
             _fn_key(taint.tag_fn(UNION, n.op, arg_types, n.ty)),
             _fn_key(taint.tag_fn(PropagationRule.PRECISE, n.op, arg_types, n.ty)),
-            tuple(w for w in watched if w[2] == out),
         ))
-    n_early = len(k.inputs) + len(k.constants)
+    # Inputs and constants observe at step 0, a node's checkpoints after its
+    # step; within a step, in declaration order.
+    step_of = {n.id: step for step, n in enumerate(k.nodes, start=1)}
+    checkpoints = [
+        (step_of.get(cp.arg, 0), cp.id, cp.arg, slots[cp.arg], policies[cp.policy])
+        for step in range(len(k.nodes) + 1)
+        for cp in k.checkpoints
+        if step_of.get(cp.arg, 0) == step
+    ]
     return (
         steps,
         tuple(c.value.bits for c in k.constants),
-        tuple(w for w in watched if w[2] < n_early),
+        tuple(checkpoints),
         tuple((o.id, slots[o.source]) for o in k.outputs),
     )
 
@@ -898,18 +903,15 @@ def test_lower_matches_a_per_node_lowering(fir4, dot8, overflow_demo):
     for kernel in (fir4, dot8, overflow_demo, all_ops, rotated):
         plan = kernel.plan
         steps = [
-            (out, _fn_key(vf), x, y, z, _fn_key(uf), _fn_key(pf), watch)
-            for out, vf, x, y, z, uf, pf, watch in plan.steps
+            (out, _fn_key(vf), x, y, z, _fn_key(uf), _fn_key(pf))
+            for out, vf, x, y, z, uf, pf in plan.steps
         ]
-        assert (steps, plan.constants, plan.early, plan.outputs) == _per_node_lowering(kernel)
-        # The steps a tag replay visits: every step with checkpoints, in order.
-        watched = [(i, st[7]) for i, st in enumerate(plan.steps, start=1) if st[7]]
-        assert list(plan.watched_steps) == watched
-    assert [w[0] for w in all_ops.plan.early] == ["cp_a", "cp_k"]
-    assert [(i, [w[0] for w in ws]) for i, ws in all_ops.plan.watched_steps] == [
-        (31, ["cp_mux", "cp_mux2"]),
-        (33, ["cp_ld"]),
-    ]
+        assert (steps, plan.constants, plan.checkpoints, plan.outputs) == _per_node_lowering(kernel)
+    # Firing order: by step, then in declaration order.
+    firing = [(0, "cp_a"), (0, "cp_k"), (31, "cp_mux"), (31, "cp_mux2"), (33, "cp_ld")]
+    assert [(step, cp) for step, cp, *_ in all_ops.plan.checkpoints] == firing
+    firing[2:4] = firing[3], firing[2]  # rotated declares cp_mux2 before cp_mux
+    assert [(step, cp) for step, cp, *_ in rotated.plan.checkpoints] == firing
 
 
 def test_pass_composition_preserves_runs(fir4, dot8, overflow_demo):

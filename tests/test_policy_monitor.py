@@ -24,6 +24,7 @@ from diftsim import (
     reg_write,
     run_dift,
 )
+from diftsim.policy_monitor import SecurityException, record
 from conftest import load_inputs
 
 UNION_CFG = lambda tw: DiftConfig(tw, FineGrained(PropagationRule.UNION))
@@ -96,6 +97,42 @@ def test_one_monitor_serves_runs_of_different_kernels(overflow_demo, fir4):
     assert second.irq is True
     assert reg_read(monitor, REG_EXC_COUNT) == 2
     assert reg_read(monitor, REG_TAG_OUT) == fir_excs[0].tag_bits == 0b0010
+
+
+def monitor_state(state):
+    return (list(state.exceptions), state.irq, list(state.registers))
+
+
+@pytest.mark.parametrize("preloaded", [False, True])
+def test_record_is_one_transition_for_its_checkpoints(preloaded):
+    # Recording n denials at once leaves the queue, irq and all four
+    # registers as n checkpoint calls leave them; an empty batch, like no
+    # call, leaves the registers untouched.
+    def new_state():
+        state = MonitorState()
+        reg_write(state, REG_TAG_IN, 0x5A)
+        if preloaded:
+            checkpoint(state, "cp_old", "n_old", DENY_ANY, 0b100, 2)
+        return state
+
+    rng = random.Random(11)
+    for n in range(5):
+        batch = [
+            SecurityException(f"cp{i}", f"n{i}", rng.randrange(1, 1 << 40), i, DENY_ANY.name)
+            for i in range(n)
+        ]
+        one_by_one, at_once = new_state(), new_state()
+        before = monitor_state(at_once)
+        for e in batch:
+            assert checkpoint(one_by_one, e.checkpoint_id, e.node_id, DENY_ANY, e.tag_bits, e.step) == e
+        record(at_once, batch)
+        assert monitor_state(at_once) == monitor_state(one_by_one)
+        if not batch:
+            assert monitor_state(at_once) == before
+        else:
+            assert reg_read(at_once, REG_TAG_OUT) == batch[-1].tag_bits & 0xFFFFFFFF
+            assert reg_read(at_once, REG_EXC_COUNT) == n + preloaded
+        assert reg_read(at_once, REG_TAG_IN) == 0x5A
 
 
 def test_register_clear_semantics():

@@ -675,9 +675,10 @@ def test_equal_kernels_stay_equal_after_a_run():
     assert a == a._replace(name=a.name)
 
 
-def test_zero_tag_kernel_runs_its_own_plan():
-    # The zeroed copy must not run the original's plan, whose memory holds
-    # initial tags: the load of a tagged cell stays untainted there.
+def test_zero_tag_kernel_shares_the_plan_not_the_tags():
+    # A plan holds no tags, so the zeroed copy runs the original's plan;
+    # its memory's initial tags are gone: the load of a tagged cell stays
+    # untainted there, and the original still sees the tag.
     from diftsim import parse_kernel
 
     doc = {
@@ -692,9 +693,30 @@ def test_zero_tag_kernel_runs_its_own_plan():
     ri = RunInputs(values={"i": 0}, tags={"i": 0})
     assert run_dift(kernel, ri, fine(2)).outputs == {"out": (5, 0b10)}
     zeroed = _zero_tag_kernel(kernel)
+    assert zeroed.plan is kernel.plan
     assert run_dift(zeroed, ri, fine(2)).outputs == {"out": (5, 0)}
-    assert zeroed.plan is not kernel.plan
     assert run_dift(kernel, ri, fine(2)).outputs == {"out": (5, 0b10)}
+
+
+def test_fuzz_lowers_the_kernel_once(monkeypatch, dot8):
+    # The zeroed kernel reuses the plan: one fuzz_properties call on a
+    # kernel never run lowers it once, and on a kernel already lowered
+    # not at all.
+    from diftsim import kernel_ir
+
+    lowered = []
+    lower = kernel_ir.lower
+
+    def counting_lower(k):
+        lowered.append(k.name)
+        return lower(k)
+
+    monkeypatch.setattr(kernel_ir, "lower", counting_lower)
+    fresh = dot8._replace(name="fresh")  # a new instance, with no cached plan
+    assert fuzz_properties(fresh, trials=3, seed=0).ok
+    assert lowered == ["fresh"]
+    assert fuzz_properties(fresh, trials=3, seed=1).ok
+    assert lowered == ["fresh"]
 
 
 def test_runs_build_no_values_tags_or_tagged_values(monkeypatch):
@@ -922,6 +944,239 @@ def test_replay_traps_before_a_later_deny():
     # (step 2), but the trap comes first in every mode.
     ri = RunInputs(values={"la": 5, "a": 7, "b": 2, "c": 3, "sa": 2}, tags={"a": 1})
     assert assert_replays_match_runs(trap_kernel(), ri)[:3] == (OutOfBoundsAddress, "ld", 1)
+
+
+# A run judges its checkpoints apart from the walk: a recording run in one
+# pass after it, a halting run at each watched step. It must report and
+# leave the monitor exactly as a walk that submits each observation through
+# checkpoint right after its step.
+
+
+def fired_in_order(k, ri, cfg, monitor):
+    """run_dift as a walk that fires each checkpoint after its step: the
+    report, or the trap as report_or_trap gives it."""
+    from diftsim import checkpoint, simulator
+
+    vals = simulator._init_values(k, ri, None)
+    input_tags = simulator._input_tags(k, ri, monitor)
+    tags = None if cfg.rule is None else simulator._init_tags(k, input_tags)
+    boundary = 0
+    for t in [*input_tags, *(t for m in k.memories for t in m.init_tags)]:
+        boundary |= t
+    slots = {d.id: slot for slot, d in enumerate([*k.inputs, *k.constants, *k.memories, *k.nodes])}
+    step_of = {n.id: step for step, n in enumerate(k.nodes, start=1)}
+    policies = {p.name: p for p in k.policies}
+    observations = []
+
+    def fire(step):  # True: halt
+        for cp in k.checkpoints:
+            if step_of.get(cp.arg, 0) == step:
+                tag = boundary if tags is None else tags[slots[cp.arg]]
+                observations.append((cp.id, tag))
+                policy = policies[cp.policy]
+                if checkpoint(monitor, cp.id, cp.arg, policy, tag, step) and cfg.on_exception == "halt":
+                    return True
+        return False
+
+    steps, halted = 0, fire(0)
+    for step, (out, value_of, x, y, z, union_of, precise_of) in enumerate(k.plan.steps, start=1):
+        if halted:
+            break
+        try:
+            vals[out] = value_of(vals[x], vals[y], vals[z])
+            if tags is not None:
+                tag_of = precise_of if cfg.rule is PRECISE else union_of
+                tags[out] = tag_of(vals[x], vals[y], vals[z], tags[x], tags[y], tags[z])
+        except EvalError as e:
+            e = simulator._locate(e, k.nodes[step - 1].id, step)
+            return (type(e), e.node_id, e.step, str(e))
+        steps, halted = step, fire(step)
+    outputs = {} if halted else {
+        oid: (vals[slot], boundary if tags is None else tags[slot]) for oid, slot in k.plan.outputs
+    }
+    return SimulationReport(
+        outputs,
+        tuple(monitor.exceptions),
+        monitor.irq,
+        steps,
+        "coarse" if cfg.rule is None else "fine",
+        None if cfg.rule is None else cfg.rule.value,
+        tuple(observations),
+        halted,
+    )
+
+
+def preloaded_monitor():
+    """A caller's monitor that already holds a denial and a REG_TAG_IN word."""
+    from diftsim.policy_monitor import SecurityException, record
+
+    monitor = MonitorState()
+    record(monitor, [SecurityException("cp_old", "n_old", 0b1, 3, "old")])
+    reg_write(monitor, REG_TAG_IN, 0b10)
+    return monitor
+
+
+def assert_fires_in_order(kernel, ri, preloaded=False):
+    """run_dift and a replay equal fired_in_order under every config, in
+    report or trap and in the caller's monitor; returns the outcomes."""
+    from diftsim import simulator
+
+    new_monitor = preloaded_monitor if preloaded else MonitorState
+    values = simulator._values(kernel, ri)
+    outcomes = []
+    for cfg in five_configs(kernel.tag_width):
+        want_monitor = new_monitor()
+        want = fired_in_order(kernel, ri, cfg, want_monitor)
+        for run in (
+            lambda m: run_dift(kernel, ri, cfg, m),
+            lambda m: simulator._track(kernel, ri, cfg, m, values=values),
+        ):
+            monitor = new_monitor()
+            got = report_or_trap(lambda: run(monitor))
+            assert type(got) is type(want) and got == want, cfg
+            assert (monitor.exceptions, monitor.irq, monitor.registers) == (
+                want_monitor.exceptions,
+                want_monitor.irq,
+                want_monitor.registers,
+            ), cfg
+        outcomes.append(want)
+    return outcomes
+
+
+def deny_style_kernel(seed, nodes=40):
+    """A seeded checkpoint-dense kernel over one 16-cell memory, in the
+    style of the benchmark's deny-storm kernels: loads and stores at
+    tainted computed addresses, one or two checkpoints on most values
+    under all three policy kinds, and divisions and addresses that can
+    trap."""
+    from diftsim import parse_kernel
+
+    rng = random.Random(seed)
+    doc = {
+        "name": f"deny_style_{seed}",
+        "tag_width": 3,
+        "inputs": [
+            {"id": f"in{i}", "width": w, "default_tag": rng.randrange(8)}
+            for i, w in enumerate((1, 4, 4, 8))
+        ],
+        "constants": [{"id": "k", "width": 4, "value": 3}],
+        "memories": [
+            {"id": "m", "size": 16, "width": 8, "init_tags": [rng.randrange(8) for _ in range(6)]}
+        ],
+        "policies": [
+            {"name": "any", "kind": "deny_if_any"},
+            {"name": "mask", "kind": "deny_if_mask", "mask": 0b010},
+            {"name": "allow", "kind": "allow_all"},
+        ],
+        "nodes": [],
+        "checkpoints": [{"id": "cp_in3", "arg": "in3", "policy": "mask"}],
+        "outputs": [],
+    }
+    pool = [("in0", 1), ("in1", 4), ("in2", 4), ("in3", 8), ("k", 4)]
+    ops = ("add", "sub", "mul", "div", "mod", "and", "or", "xor", "shl", "shr", "lt", "eq",
+           "not", "neg", "mux", "load", "load", "store", "store")
+
+    def pick():
+        return rng.choice(pool)[0]
+
+    for i in range(nodes):
+        op, nid = rng.choice(ops), f"n{i}"
+        if op in ("load", "store"):
+            # A value of at most 4 bits addresses a cell; one in ten may not.
+            addr = rng.choice([v for v, w in pool if w <= 4]) if rng.random() < 0.9 else pick()
+            if op == "store":
+                doc["nodes"].append({"id": nid, "op": op, "args": ["m", addr, pick()]})
+                continue
+            args, width = ["m", addr], 8
+        else:
+            args = [pick() for _ in range(3 if op == "mux" else 1 if op in ("not", "neg") else 2)]
+            width = 1 if op in ("lt", "eq") else rng.choice((4, 8))
+        doc["nodes"].append({"id": nid, "op": op, "args": args, "width": width})
+        pool.append((nid, width))
+        for j in range(rng.choice((0, 1, 1, 1, 2))):
+            policy = rng.choice(("any", "mask", "allow"))
+            doc["checkpoints"].append({"id": f"cp_{nid}_{j}", "arg": nid, "policy": policy})
+    doc["outputs"] = [{"id": f"o{j}", "source": v} for j, (v, _) in enumerate(pool[-3:])]
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    return kernel
+
+
+@pytest.mark.parametrize("preloaded", [False, True])
+def test_runs_fire_in_order_on_fixtures(preloaded):
+    for name in ("fir4.json", "dot8.json", "overflow_demo.json"):
+        kernel = load_kernel(name)
+        rng = random.Random(5)
+        for _ in range(25):
+            assert_fires_in_order(kernel, sample_inputs(kernel, rng), preloaded)
+
+
+def test_runs_fire_in_order_on_every_opcode():
+    # Two checkpoints watch mux_as, and two watch an input and a constant.
+    from diftsim import parse_kernel
+    from test_kernel_ir import ALL_OPS_DOC
+
+    kernel, diags = parse_kernel(json.dumps(ALL_OPS_DOC))
+    assert kernel is not None, diags
+    rng = random.Random(29)
+    for i in range(60):
+        ri = sample_inputs(kernel, rng)
+        if i % 2:  # an address in range runs every node
+            ri.values["s"] = 1 + i % 3
+        assert_fires_in_order(kernel, ri, preloaded=i % 3 == 0)
+
+
+def test_runs_fire_in_order_on_deny_style_kernels():
+    traps = halts = shared = 0
+    for seed in range(12):
+        kernel = deny_style_kernel(seed)
+        per_node = [cp.arg for cp in kernel.checkpoints]
+        shared += len(per_node) - len(set(per_node))
+        rng = random.Random(seed)
+        for i in range(6):
+            ri = sample_inputs(kernel, rng)
+            if i % 3 == 0:
+                ri.tags.clear()  # default tags, or REG_TAG_IN's word
+            outcomes = assert_fires_in_order(kernel, ri, preloaded=i % 2 == 0)
+            traps += any(isinstance(o, tuple) for o in outcomes)
+            halts += any(isinstance(o, SimulationReport) and o.halted for o in outcomes)
+    assert traps and halts and shared  # each case the kernels are drawn for occurs
+
+
+def test_halt_on_a_step_zero_checkpoint_runs_no_step():
+    from diftsim import parse_kernel
+
+    doc = {
+        "name": "watch_input_first",
+        "tag_width": 2,
+        "inputs": [{"id": "a", "width": 4}, {"id": "b", "width": 4}],
+        "nodes": [{"id": "q", "op": "div", "args": ["a", "b"], "width": 4}],
+        "policies": [{"name": "any", "kind": "deny_if_any"}],
+        "checkpoints": [
+            {"id": "cp_q", "arg": "q", "policy": "any"},
+            {"id": "cp_b", "arg": "b", "policy": "any"},
+        ],
+        "outputs": [{"id": "out", "source": "q"}],
+    }
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    # b is tainted and 0: a halting run stops before q divides by zero.
+    ri = RunInputs(values={"a": 3, "b": 0}, tags={"a": 0, "b": 1})
+    for preloaded in (False, True):
+        outcomes = assert_fires_in_order(kernel, ri, preloaded)
+        union_halt, coarse_halt = outcomes[3:]
+        for rep in (union_halt, coarse_halt):
+            assert rep.halted and rep.steps_executed == 0 and rep.outputs == {}
+            assert rep.exceptions[-1][:2] == ("cp_b", "b") and rep.checkpoint_tags == (("cp_b", 1),)
+        assert all(outcome[0] is DivisionByZero for outcome in outcomes[:3])
+
+
+def test_halt_mode_traps_before_the_first_watched_step():
+    # ld traps at step 1; cp_q watches step 2 and never fires.
+    ri = RunInputs(values={"la": 5, "a": 7, "b": 2, "c": 3, "sa": 2}, tags={"a": 1})
+    for preloaded in (False, True):
+        outcomes = assert_fires_in_order(trap_kernel(), ri, preloaded)
+        assert [o[:3] for o in outcomes] == [(OutOfBoundsAddress, "ld", 1)] * 5
 
 
 def reference_check(k, cfg, samples, seed):
