@@ -18,10 +18,6 @@ from .bitvalue import (
     BitType,
     BitValue,
     OpKind,
-    eval_binop,
-    eval_unop,
-    make_bitvalue,
-    op_arity,
     to_int,
 )
 from .errors import (
@@ -84,17 +80,8 @@ from .simulator import (
     run_dift,
     sample_inputs,
 )
-from .taint import (
-    CoarseBoundary,
-    DiftMode,
-    FineGrained,
-    PropagationRule,
-    Tag,
-    boundary_tag,
-    join,
-    propagate,
-)
-from .tainted import DiftConfig, DiftValue, apply_binop
+from .taint import CoarseBoundary, DiftConfig, FineGrained, PropagationRule
+from .tainted import DiftValue, Tag, apply_binop, eval_binop, propagate
 
 __version__ = "0.1.0"
 

@@ -1,9 +1,11 @@
 """Bit-accurate integers with declared width, signedness, and wrap-around.
 
-Values carry their type and are stored as canonical unsigned bit patterns;
-signed numbers use two's complement. Every operation computes the exact
-integer result and wraps it into an explicitly declared result type, the
-way fixed-width hardware datapaths behave. Values are immutable.
+A value is a plain int, the canonical unsigned bit pattern of its
+BitType; signed numbers use two's complement. value_fn defines every
+operator on such ints: it computes the exact integer result and wraps it
+into an explicitly declared result type, the way fixed-width hardware
+datapaths behave. BitValue pairs bits with their type where a record
+needs both, as a kernel's constants do.
 """
 
 from __future__ import annotations
@@ -80,10 +82,6 @@ OP_ARITY = {
 }
 
 
-def op_arity(kind: OpKind) -> int:
-    return OP_ARITY[kind]
-
-
 class BitType(namedtuple("BitType", "width signed")):
     """Declared width and signedness of a wire or storage cell."""
 
@@ -116,11 +114,6 @@ class BitValue(namedtuple("BitValue", "ty bits")):
 
     def __str__(self) -> str:
         return f"{to_int(self)}:{self.ty}"
-
-
-def make_bitvalue(ty: BitType, raw: int) -> BitValue:
-    """Wrap an unbounded integer into ty; result bits = raw mod 2^width."""
-    return BitValue(ty, raw & ty.mask)
 
 
 def sign_bit(ty: BitType) -> int:
@@ -278,7 +271,7 @@ def value_fn(kind: OpKind, types, result_ty: BitType | None):
     type) and x its list of cell bits. The address y must lie in
     [0, size), else OutOfBoundsAddress. load returns the cell; store
     wraps z into the cell type, writes it, and returns it. Result types
-    are not checked here; eval_binop, eval_unop and validate check them.
+    are not checked here; kernel_ir.validate checks them.
     """
     if kind is OpKind.LOAD:
         mem = types[0]
@@ -315,19 +308,3 @@ def apply_op(kind: OpKind, bits, types, result_ty: BitType) -> int:
         raise TypeMismatch(f"{kind.value} is not a value operator")
     return value_fn(kind, types, result_ty)(*pad_operands(bits))
 
-
-def eval_binop(kind: OpKind, a: BitValue, b: BitValue, result_ty: BitType) -> BitValue:
-    """Apply a binary operator and wrap the exact result into result_ty,
-    as apply_op defines. Comparisons demand an unsigned 1-bit result type."""
-    if kind not in BINARY_OPS:
-        raise TypeMismatch(f"{kind.value} is not a binary value operator")
-    if kind in COMPARE_OPS and (result_ty.width != 1 or result_ty.signed):
-        raise TypeMismatch(f"comparison result must be u1, got {result_ty}")
-    return BitValue(result_ty, apply_op(kind, (a.bits, b.bits), (a.ty, b.ty), result_ty))
-
-
-def eval_unop(kind: OpKind, a: BitValue, result_ty: BitType) -> BitValue:
-    """not complements the bits within a's own width; neg negates the value."""
-    if kind not in UNARY_OPS:
-        raise TypeMismatch(f"{kind.value} is not a unary value operator")
-    return BitValue(result_ty, apply_op(kind, (a.bits,), (a.ty,), result_ty))

@@ -31,8 +31,7 @@ from .simulator import (
     parse_inputs,
     run_dift,
 )
-from .taint import CoarseBoundary, FineGrained, PropagationRule
-from .tainted import DiftConfig
+from .taint import CoarseBoundary, DiftConfig, FineGrained, PropagationRule
 
 EXIT_OK = 0
 EXIT_USAGE = 1

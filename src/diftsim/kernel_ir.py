@@ -27,8 +27,7 @@ from .bitvalue import (
 )
 from .errors import DivisionByZero, InvalidType
 from .policy_monitor import Policy, PolicyKind
-from .taint import MAX_TAG_WIDTH, PropagationRule, Tag
-from .tainted import DiftConfig
+from .taint import MAX_TAG_WIDTH, DiftConfig, PropagationRule
 
 # Larger memories are rejected: every run and every sample allocates all cells.
 MAX_MEMORY_CELLS = 1 << 20
@@ -344,13 +343,12 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
             continue
         mask = None
         if "mask" in item:
-            bits = _get_int(item, "mask", loc, diags)
-            if bits is None:
+            mask = _get_int(item, "mask", loc, diags)
+            if mask is None:
                 continue
-            if not 0 <= bits < (1 << tag_width):
-                _err(diags, loc, f"mask {bits} out of range for tag width {tag_width}")
+            if not 0 <= mask < (1 << tag_width):
+                _err(diags, loc, f"mask {mask} out of range for tag width {tag_width}")
                 continue
-            mask = Tag(tag_width, bits)
         if pname is None:
             continue
         policies.append(Policy(pname, kind, mask))
@@ -445,8 +443,8 @@ def validate(k: Kernel) -> list[Diagnostic]:
         if p.kind is PolicyKind.DENY_IF_MASK:
             if p.mask is None:
                 _err(diags, p.name, "deny_if_mask requires a mask")
-            elif p.mask.width != k.tag_width:
-                _err(diags, p.name, "mask width does not match kernel tag width")
+            elif type(p.mask) is not int or not 0 <= p.mask < tag_limit:
+                _err(diags, p.name, f"mask {p.mask!r} out of range for tag width {k.tag_width}")
         elif p.mask is not None:
             _err(diags, p.name, f"{p.kind.value} does not take a mask")
 

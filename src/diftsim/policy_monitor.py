@@ -33,7 +33,7 @@ class PolicyKind(Enum):
 
 
 class Policy(namedtuple("Policy", "name kind mask", defaults=(None,))):
-    """A named PolicyKind; mask, a Tag, is meaningful for deny_if_mask only."""
+    """A named PolicyKind; mask, tag bits, is meaningful for deny_if_mask only."""
 
     # No __slots__: denied_bits is cached in the instance's __dict__.
 
@@ -45,7 +45,7 @@ class Policy(namedtuple("Policy", "name kind mask", defaults=(None,))):
             return 0
         if self.kind is PolicyKind.DENY_IF_ANY:
             return -1
-        return self.mask.bits
+        return self.mask
 
 
 class SecurityException(NamedTuple):

@@ -27,12 +27,11 @@ import random
 from collections import namedtuple
 from typing import NamedTuple
 
-from .bitvalue import COMPARE_OPS, BitType, OpKind, apply_op, op_arity
+from .bitvalue import COMPARE_OPS, OP_ARITY, BitType, OpKind, apply_op
 from .errors import DiftError, EvalError, WidthMismatch, WidthTooLarge
 from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim
 from .policy_monitor import REG_TAG_IN, MonitorState, SecurityException, record, reg_read
-from .taint import CoarseBoundary, FineGrained, PropagationRule
-from .tainted import DiftConfig
+from .taint import CoarseBoundary, DiftConfig, FineGrained, PropagationRule
 
 _ORACLE_MAX_WIDTH = 6
 
@@ -438,7 +437,8 @@ def check_consistency(k: Kernel, cfg: DiftConfig, samples: int, seed: int) -> Co
     """Seeded differential run: baseline vs tracked output values, plus
     optimized (const_fold + dead_code_elim) vs unoptimized tracked runs
     compared on values, tags, and the exception sequence. A pair that
-    fails with the same error on the same node is consistent."""
+    fails with the same error on the same node is consistent, and so is a
+    baseline trap beside a tracked run that halted before reaching it."""
     return check_configs(k, [cfg], samples, seed)[0]
 
 
@@ -464,7 +464,8 @@ def check_configs(
             rep, dift_err = _replayed(k, ri, cfg, values)
             rep_opt, opt_err = _replayed(opt, ri, cfg, opt_values)
             if base_err or dift_err:
-                if base_err != dift_err:
+                # A replay raises a trap at or before its halt: one that halted stopped first.
+                if base_err != dift_err and not (dift_err is None and rep.halted):
                     add(Mismatch(i, "error", f"baseline {base_err} vs dift {dift_err}", ri))
             elif not rep.halted:
                 for oid, value in base.items():
@@ -508,7 +509,7 @@ def independence_oracle(
     """True iff the op's value result is constant while the tainted
     positions range over all their possible values. Ground truth for
     taint-kill soundness; widths are capped so enumeration stays exact."""
-    arity = op_arity(kind)
+    arity = OP_ARITY[kind]
     if len(operand_types) != arity:
         raise WidthMismatch(f"{kind.value} takes {arity} operand types")
     if any(t.width > _ORACLE_MAX_WIDTH for t in operand_types):

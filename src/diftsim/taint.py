@@ -1,13 +1,15 @@
-"""Taint tags and the propagation-rule algebra.
+"""Taint tags, the propagation-rule algebra, and the tracking configuration.
 
-A tag is a fixed-width bitset of independent labels; bitwise OR is the
-lattice join and all-zero means untainted. Propagation is either a plain
-union of operand tags or a precise variant that additionally drops taint
-where an untainted operand forces the result no matter what the tainted
-operands hold (x*0, x&0, x|all-ones, and the unselected mux branch). The
-precise rule is a word-level form of GLIFT's precise shadow logic
-(Tiwari et al., ASPLOS 2009): no kill unless the result is independent
-of the tainted operands.
+A tag is a plain int, a bitset of independent labels no wider than the
+kernel's tag width; bitwise OR is the lattice join and 0 means
+untainted. Propagation is either a plain union of operand tags or a
+precise variant that additionally drops taint where an untainted operand
+forces the result no matter what the tainted operands hold (x*0, x&0,
+x|all-ones, and the unselected mux branch). The precise rule is a
+word-level form of GLIFT's precise shadow logic (Tiwari et al., ASPLOS
+2009): no kill unless the result is independent of the tainted operands.
+A DiftConfig picks per-operation tracking under one rule (FineGrained)
+or one boundary tag for the whole kernel (CoarseBoundary).
 """
 
 from __future__ import annotations
@@ -15,33 +17,12 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .bitvalue import VALUE_OPS, BitType, BitValue, OpKind, op_arity, pad_operands, sign_bit
-from .errors import ArityMismatch, InvalidType, TypeMismatch, WidthMismatch
+from .bitvalue import BitType, OpKind, pad_operands, sign_bit
+from .errors import InvalidType
 
 MAX_TAG_WIDTH = 32
-
-
-class Tag(namedtuple("Tag", "width bits")):
-    """Bitset of taint labels; bits == 0 means untainted."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
-
-    def __new__(cls, width: int, bits: int):
-        if not isinstance(width, int) or not 1 <= width <= MAX_TAG_WIDTH:
-            raise InvalidType(f"tag width must be in 1..{MAX_TAG_WIDTH}, got {width!r}")
-        if not isinstance(bits, int) or not 0 <= bits < (1 << width):
-            raise InvalidType(f"tag bits {bits!r} out of range for width {width}")
-        return tuple.__new__(cls, (width, bits))
-
-    @classmethod
-    def zero(cls, width: int) -> "Tag":
-        return cls(width, 0)
-
-    def __str__(self) -> str:
-        return f"0b{self.bits:0{self.width}b}"
 
 
 class PropagationRule(Enum):
@@ -60,22 +41,34 @@ class CoarseBoundary(NamedTuple):
     checkpoint observes the join of all input and initial memory tags."""
 
 
-DiftMode = FineGrained | CoarseBoundary
+_ON_EXCEPTION = ("record", "halt")
 
 
-def join(a: Tag, b: Tag) -> Tag:
-    """Lattice join: bitwise OR of equal-width tags."""
-    if a.width != b.width:
-        raise WidthMismatch(f"tag widths differ: {a.width} vs {b.width}")
-    return Tag(a.width, a.bits | b.bits)
+class DiftConfig(namedtuple("DiftConfig", "tag_width mode on_exception")):
+    """Tracking parameters for one instrumented kernel: tag size, the
+    propagation mode (FineGrained or CoarseBoundary), and what a denying
+    checkpoint does to the run ("record" or "halt")."""
 
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
-def _join_all(tags: Iterable[Tag]) -> Tag:
-    it = iter(tags)
-    acc = next(it)
-    for t in it:
-        acc = join(acc, t)
-    return acc
+    def __new__(cls, tag_width: int, mode, on_exception: str = "record"):
+        if not 1 <= tag_width <= MAX_TAG_WIDTH:
+            raise InvalidType(f"tag_width must be in 1..{MAX_TAG_WIDTH}")
+        if not (
+            isinstance(mode, CoarseBoundary)
+            or isinstance(mode, FineGrained) and isinstance(mode.rule, PropagationRule)
+        ):
+            raise InvalidType(
+                f"mode must be CoarseBoundary() or FineGrained(PropagationRule), got {mode!r}"
+            )
+        if on_exception not in _ON_EXCEPTION:
+            raise InvalidType(f"on_exception must be one of {_ON_EXCEPTION}")
+        return tuple.__new__(cls, (tag_width, mode, on_exception))
+
+    @property
+    def rule(self) -> PropagationRule | None:
+        return self.mode.rule if isinstance(self.mode, FineGrained) else None
 
 
 def _join(x, y, z, tx, ty, tz):
@@ -167,54 +160,3 @@ def tag_bits(
 ) -> int:
     """Result tag bits of one value operation, as tag_fn defines."""
     return tag_fn(rule, kind, types, result_ty)(*pad_operands(bits), *pad_operands(tags))
-
-
-def propagate(
-    rule: PropagationRule,
-    kind: OpKind,
-    operands: Sequence[tuple[BitValue, Tag]],
-    result_ty: BitType | None = None,
-) -> Tag:
-    """Tag of a value operation's result, from operand values and tags,
-    as tag_bits defines; result_ty defaults to the first operand's type."""
-    if kind not in VALUE_OPS:
-        raise TypeMismatch(f"{kind.value} does not produce a propagated tag")
-    if len(operands) != op_arity(kind):
-        raise ArityMismatch(
-            f"{kind.value} takes {op_arity(kind)} operands, got {len(operands)}"
-        )
-    width = operands[0][1].width
-    for _, t in operands:
-        if t.width != width:
-            raise WidthMismatch(f"tag widths differ: {t.width} vs {width}")
-    bits = tag_bits(
-        rule,
-        kind,
-        [v.bits for v, _ in operands],
-        [v.ty for v, _ in operands],
-        [t.bits for _, t in operands],
-        operands[0][0].ty if result_ty is None else result_ty,
-    )
-    return Tag(width, bits)
-
-
-def boundary_tag(
-    input_tags: Sequence[Tag],
-    initial_memory_tags: Sequence[Tag] = (),
-    *,
-    width: int | None = None,
-) -> Tag:
-    """Join of every input tag and every initial memory tag.
-
-    width is only needed when both sequences are empty; when given it must
-    agree with the tags' width.
-    """
-    tags = list(input_tags) + list(initial_memory_tags)
-    if not tags:
-        if width is None:
-            raise WidthMismatch("no tags given and no width to make an empty join")
-        return Tag.zero(width)
-    acc = _join_all(tags)
-    if width is not None and acc.width != width:
-        raise WidthMismatch(f"tag widths differ: {acc.width} vs {width}")
-    return acc

@@ -13,10 +13,9 @@ from diftsim import (
     OpKind,
     TypeMismatch,
     eval_binop,
-    eval_unop,
-    make_bitvalue,
     to_int,
 )
+from diftsim.bitvalue import apply_op
 
 U1 = BitType(1)
 U4 = BitType(4)
@@ -82,10 +81,11 @@ def ref_binop(kind, a_bits, a_ty, b_bits, b_ty, r_ty):
     return ref_wrap(r, r_ty.width)
 
 
-def test_make_bitvalue_wraps():
-    assert make_bitvalue(U4, 17).bits == 1
-    assert make_bitvalue(S4, -6).bits == 10
-    assert make_bitvalue(U1, 0).bits == 0
+def test_apply_op_wraps_into_result_type():
+    assert apply_op(OpKind.ADD, (9, 8), (U4, U4), U4) == 1  # 17 mod 16
+    assert apply_op(OpKind.NEG, (6,), (U4,), S4) == 10  # -6
+    assert apply_op(OpKind.MUL, (7, 6), (U4, U4), U8) == 42  # widened, not wrapped at u4
+    assert apply_op(OpKind.SUB, (0, 1), (U1, U1), U1) == 1
 
 
 def test_to_int_round_trips():
@@ -98,9 +98,10 @@ def test_round_trip_exhaustive_small_widths():
     for width in range(1, 9):
         for signed in (False, True):
             ty = BitType(width, signed)
+            low = -(1 << (width - 1)) if signed else 0
             for bits in range(1 << width):
-                v = BitValue(ty, bits)
-                assert make_bitvalue(ty, to_int(v)) == v
+                n = to_int(BitValue(ty, bits))
+                assert low <= n < low + (1 << width) and n & ty.mask == bits
 
 
 def test_invalid_widths_rejected():
@@ -126,7 +127,7 @@ def test_binop_examples():
 def test_div_mod_truncate_toward_zero():
     cases = [(7, 3, 2, 1), (-7, 3, -2, -1), (7, -3, -2, 1), (-7, -3, 2, -1)]
     for ia, ib, q, r in cases:
-        a, b = make_bitvalue(S8, ia), make_bitvalue(S8, ib)
+        a, b = BitValue(S8, ia & S8.mask), BitValue(S8, ib & S8.mask)
         assert to_int(eval_binop(OpKind.DIV, a, b, S8)) == q
         assert to_int(eval_binop(OpKind.MOD, a, b, S8)) == r
 
@@ -162,11 +163,13 @@ def test_mux_load_store_rejected_as_binop():
 
 
 def test_unop_examples():
-    assert eval_unop(OpKind.NOT, BitValue(U4, 0b0101), U4).bits == 0b1010
-    assert eval_unop(OpKind.NEG, BitValue(S4, 3), S4).bits == 13
-    assert eval_unop(OpKind.NEG, BitValue(U4, 0), U4).bits == 0
-    with pytest.raises(TypeMismatch):
-        eval_unop(OpKind.ADD, BitValue(U4, 1), U4)
+    assert apply_op(OpKind.NOT, (0b0101,), (U4,), U4) == 0b1010
+    assert apply_op(OpKind.NOT, (0b01,), (BitType(2),), U4) == 0b10  # within x's own width
+    assert apply_op(OpKind.NEG, (3,), (S4,), S4) == 13
+    assert apply_op(OpKind.NEG, (0,), (U4,), U4) == 0
+    for kind in (OpKind.LOAD, OpKind.STORE):
+        with pytest.raises(TypeMismatch):
+            apply_op(kind, (1, 1, 1), (U4, U4, U4), U4)
 
 
 def test_binop_exhaustive_width_4_against_reference():

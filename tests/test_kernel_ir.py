@@ -21,7 +21,6 @@ from diftsim import (
     Policy,
     PolicyKind,
     PropagationRule,
-    Tag,
     check_consistency,
     const_fold,
     dead_code_elim,
@@ -165,19 +164,24 @@ def test_validator_rules():
 
 
 def test_validate_rejects_mask_of_other_width_than_tags():
-    # parse_kernel makes every mask at the kernel's tag width; a kernel
-    # built by hand can hold another width, and validate must catch it
-    # before a run judges tag bits against the mask.
+    # parse_kernel keeps every mask within the kernel's tag width; a kernel
+    # built by hand can hold a wider one, or no int, and validate must
+    # catch it before a run judges tag bits against the mask.
     kernel, diags = parse(minimal_doc())
     assert kernel is not None, diags
     masked = kernel._replace(
-        policies=(Policy("p", PolicyKind.DENY_IF_MASK, mask=Tag(4, 0b1)),),
+        policies=(Policy("p", PolicyKind.DENY_IF_MASK, mask=0b100),),
         checkpoints=(CheckpointDecl("cp", "a", "p"),),
     )
     assert [(d.severity, d.location, d.message) for d in validate(masked)] == [
-        ("error", "p", "mask width does not match kernel tag width")
+        ("error", "p", "mask 4 out of range for tag width 2")
     ]
-    same_width = masked._replace(policies=(Policy("p", PolicyKind.DENY_IF_MASK, mask=Tag(2, 0b1)),))
+    for bad in (-1, "1", True):
+        wrong = masked._replace(policies=(Policy("p", PolicyKind.DENY_IF_MASK, mask=bad),))
+        assert [d.message for d in validate(wrong)] == [
+            f"mask {bad!r} out of range for tag width 2"
+        ]
+    same_width = masked._replace(policies=(Policy("p", PolicyKind.DENY_IF_MASK, mask=0b11),))
     assert validate(same_width) == []
 
 

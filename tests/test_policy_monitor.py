@@ -17,7 +17,6 @@ from diftsim import (
     PolicyKind,
     PropagationRule,
     RunInputs,
-    Tag,
     checkpoint,
     drain_exceptions,
     reg_read,
@@ -32,7 +31,7 @@ DENY_ANY = Policy("deny_any", PolicyKind.DENY_IF_ANY)
 
 
 def test_checkpoint_judges_each_policy_kind():
-    masked = Policy("m", PolicyKind.DENY_IF_MASK, mask=Tag(4, 0b01))
+    masked = Policy("m", PolicyKind.DENY_IF_MASK, mask=0b01)
     allow_all = Policy("a", PolicyKind.ALLOW_ALL)
     for policy, tag_bits, denies in (
         (DENY_ANY, 0, False),

@@ -44,7 +44,7 @@ def tiny_kernel(name="tiny"):
         memories=(MemoryDecl("m", 2, U8, (7,), (2,)),),
         nodes=(Node("x", OpKind.ADD, ("a", "c"), U8), Node("w", OpKind.STORE, ("m", "c", "x"))),
         checkpoints=(CheckpointDecl("cp", "x", "p"),),
-        policies=(Policy("p", PolicyKind.DENY_IF_MASK, Tag(2, 1)),),
+        policies=(Policy("p", PolicyKind.DENY_IF_MASK, 1),),
         outputs=(OutputDecl("o", "x"),),
     )
 
@@ -60,7 +60,7 @@ TINY_REPR = (
     "Node(id='w', op=<OpKind.STORE: 'store'>, args=('m', 'c', 'x'), ty=None)), "
     "checkpoints=(CheckpointDecl(id='cp', arg='x', policy='p'),), "
     "policies=(Policy(name='p', kind=<PolicyKind.DENY_IF_MASK: 'deny_if_mask'>, "
-    "mask=Tag(width=2, bits=1)),), "
+    "mask=1),), "
     "outputs=(OutputDecl(id='o', source='x'),))"
 )
 
@@ -139,6 +139,15 @@ def test_defaults_are_fresh_per_instance():
             lambda: DiftConfig(2, CoarseBoundary(), "stop"),
             "on_exception must be one of ('record', 'halt')",
         ),
+        (
+            lambda: DiftConfig(2, "fine"),
+            "mode must be CoarseBoundary() or FineGrained(PropagationRule), got 'fine'",
+        ),
+        (
+            lambda: DiftConfig(2, FineGrained("precise")),
+            "mode must be CoarseBoundary() or FineGrained(PropagationRule), got "
+            "FineGrained(rule='precise')",
+        ),
     ],
 )
 def test_bad_arguments_raise_invalid_type(make, message):
@@ -154,6 +163,10 @@ def test_replace_checks_the_copy_like_a_new_record():
         (lambda: BitValue(U8, 1)._replace(bits=256), "bits 256 not canonical for u8"),
         (lambda: Tag(2, 1)._replace(bits=4), "tag bits 4 out of range for width 2"),
         (lambda: DiftConfig(2, CoarseBoundary())._replace(tag_width=0), "tag_width must be in 1..32"),
+        (
+            lambda: DiftConfig(2, CoarseBoundary())._replace(mode="coarse"),
+            "mode must be CoarseBoundary() or FineGrained(PropagationRule), got 'coarse'",
+        ),
     ):
         with pytest.raises(InvalidType) as e:
             copy()

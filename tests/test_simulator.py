@@ -27,11 +27,9 @@ from diftsim import (
     SimulationReport,
     Tag,
     WidthTooLarge,
-    boundary_tag,
     check_consistency,
     fuzz_properties,
     independence_oracle,
-    make_bitvalue,
     parse_inputs,
     propagate,
     reg_write,
@@ -206,7 +204,7 @@ def test_precise_or_kill_judged_at_result_type():
     assert run_dift(kernel, ri, fine(2, PRECISE)).outputs == {"out": (255, 0)}
     u2, u4 = BitType(2), BitType(4)
     assert independence_oracle(OpKind.OR, [u2, u4], {1}, {0: 3}, result_ty=u4) is False
-    ops = [(make_bitvalue(u2, 3), Tag(2, 0)), (make_bitvalue(u4, 9), Tag(2, 0b1))]
+    ops = [(BitValue(u2, 3), Tag(2, 0)), (BitValue(u4, 9), Tag(2, 0b1))]
     assert propagate(PRECISE, OpKind.OR, ops, u4) == Tag(2, 0b1)
 
 
@@ -306,10 +304,16 @@ def test_dot8_rule_difference(dot8):
 def test_coarse_mode_boundary_tags(fir4):
     inputs = load_inputs("fir4_inputs.json")
     rep = run_dift(fir4, inputs, coarse(4))
-    expected = boundary_tag([Tag(4, inp.default_tag) for inp in fir4.inputs], width=4)
-    assert rep.outputs["y_out"] == (54, expected.bits)
+    expected = 0
+    for inp in fir4.inputs:
+        expected |= inputs.tags.get(inp.id, inp.default_tag)
+    for m in fir4.memories:
+        for t in m.init_tags:
+            expected |= t
+    assert expected != 0
+    assert rep.outputs["y_out"] == (54, expected)
     assert rep.mode == "coarse" and rep.rule is None
-    assert rep.checkpoint_tags == (("cp_y", expected.bits),)
+    assert rep.checkpoint_tags == (("cp_y", expected),)
 
 
 def test_step_zero_checkpoint_on_input():
@@ -944,6 +948,37 @@ def test_replay_traps_before_a_later_deny():
     # (step 2), but the trap comes first in every mode.
     ri = RunInputs(values={"la": 5, "a": 7, "b": 2, "c": 3, "sa": 2}, tags={"a": 1})
     assert assert_replays_match_runs(trap_kernel(), ri)[:3] == (OutOfBoundsAddress, "ld", 1)
+
+
+def test_check_accepts_a_halt_before_the_baseline_trap():
+    # n1 = a + a is watched and n2 = a / d is the output. With a tainted and
+    # d zero, a halting run stops at step 1, before the baseline's trap at
+    # n2: consistent, not an "error" mismatch.
+    from diftsim import parse_kernel
+
+    doc = {
+        "name": "halt_first",
+        "tag_width": 2,
+        "inputs": [{"id": "a", "width": 4}, {"id": "d", "width": 4}],
+        "nodes": [
+            {"id": "n1", "op": "add", "args": ["a", "a"], "width": 4},
+            {"id": "n2", "op": "div", "args": ["a", "d"], "width": 4},
+        ],
+        "policies": [{"name": "p", "kind": "deny_if_any"}],
+        "checkpoints": [{"id": "cp", "arg": "n1", "policy": "p"}],
+        "outputs": [{"id": "o", "source": "n2"}],
+    }
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    ri = RunInputs(values={"a": 3, "d": 0}, tags={"a": 1})
+    with pytest.raises(DivisionByZero):
+        run_baseline(kernel, ri)
+    rep = run_dift(kernel, ri, fine(2, UNION, "halt"))
+    assert rep.halted and rep.steps_executed == 1
+    for mode in (FineGrained(UNION), FineGrained(PRECISE), CoarseBoundary()):
+        for on_exception in ("record", "halt"):
+            report = check_consistency(kernel, DiftConfig(2, mode, on_exception), 200, 0)
+            assert report.mismatches == (), report.mismatches[:2]
 
 
 # A run judges its checkpoints apart from the walk: a recording run in one

@@ -12,12 +12,10 @@ from diftsim import (
     Tag,
     TypeMismatch,
     WidthMismatch,
-    boundary_tag,
     eval_binop,
-    join,
-    make_bitvalue,
     propagate,
 )
+from diftsim.taint import tag_bits
 
 U4 = BitType(4)
 S4 = BitType(4, signed=True)
@@ -39,26 +37,29 @@ def test_tag_bounds():
         Tag(4, 16)
 
 
+def _union(*tags):  # not, add or mux, by the number of operands
+    kind = (OpKind.NOT, OpKind.ADD, OpKind.MUX)[len(tags) - 1]
+    return tag_bits(UNION, kind, [0] * len(tags), [U4] * len(tags), tags, U4)
+
+
 def test_join_examples():
-    assert join(t(0b0101), t(0b0011)) == t(0b0111)
-    assert join(t(0), t(0b1010)) == t(0b1010)
-    assert join(t(0b11), t(0b11)) == t(0b11)
+    # The join of two tags is the union rule's tag for a binary op.
+    assert _union(0b0101, 0b0011) == 0b0111
+    assert _union(0, 0b1010) == 0b1010
+    assert _union(0b11, 0b11) == 0b11
     with pytest.raises(WidthMismatch):
-        join(t(1, 4), t(1, 8))
+        propagate(UNION, OpKind.OR, [(BitValue(U4, 1), Tag(4, 1)), (BitValue(U4, 1), Tag(8, 1))])
 
 
-def test_join_semilattice_random():
-    rng = random.Random(42)
-    for _ in range(500):
-        a, b, c = (t(rng.randrange(16)) for _ in range(3))
-        assert join(a, b) == join(b, a)
-        assert join(join(a, b), c) == join(a, join(b, c))
-        assert join(a, a) == a
-        assert join(a, t(0)) == a
+def test_boundary_tag():
+    # The coarse boundary tag is the same join over input and memory tags.
+    assert _union(0, 0) == 0
+    assert _union(0b01, 0b10, 0) == 0b11
+    assert _union(0b10) == 0b10
 
 
 def _ops(*pairs):
-    return [(make_bitvalue(U4, v), tag) for v, tag in pairs]
+    return [(BitValue(U4, v), tag) for v, tag in pairs]
 
 
 def test_propagate_union():
@@ -75,7 +76,7 @@ def test_propagate_arity_and_kind_checks():
     with pytest.raises(TypeMismatch):
         propagate(UNION, OpKind.LOAD, _ops((1, t(0)), (1, t(0))))
     with pytest.raises(WidthMismatch):
-        propagate(UNION, OpKind.ADD, [(make_bitvalue(U4, 1), Tag(4, 1)), (make_bitvalue(U4, 1), Tag(8, 1))])
+        propagate(UNION, OpKind.ADD, [(BitValue(U4, 1), Tag(4, 1)), (BitValue(U4, 1), Tag(8, 1))])
 
 
 def test_precise_kill_untainted_zero():
@@ -90,8 +91,8 @@ def test_precise_kill_untainted_zero():
 
 def test_precise_kill_or_all_ones():
     assert propagate(PRECISE, OpKind.OR, _ops((15, t(0)), (7, t(0b1)))) == t(0)
-    signed_all_ones = make_bitvalue(S4, -1)
-    assert propagate(PRECISE, OpKind.OR, [(signed_all_ones, t(0)), (make_bitvalue(U4, 9), t(0b1))]) == t(0)
+    signed_all_ones = BitValue(S4, 0b1111)  # -1
+    assert propagate(PRECISE, OpKind.OR, [(signed_all_ones, t(0)), (BitValue(U4, 9), t(0b1))]) == t(0)
     assert propagate(PRECISE, OpKind.OR, _ops((14, t(0)), (7, t(0b1)))) == t(0b1)
 
 
@@ -100,7 +101,7 @@ def test_precise_kill_verified_by_enumeration():
     # values of the tainted operand must show a constant result.
     killed = propagate(PRECISE, OpKind.AND, _ops((0, t(0)), (7, t(0b1)))) == t(0)
     assert killed
-    fixed = make_bitvalue(U4, 0)
+    fixed = BitValue(U4, 0)
     results = {
         eval_binop(OpKind.AND, fixed, BitValue(U4, bits), U4).bits for bits in range(16)
     }
@@ -129,17 +130,6 @@ def test_precise_subset_of_union_random():
         precise = propagate(PRECISE, kind, ops)
         union = propagate(UNION, kind, ops)
         assert precise.bits & ~union.bits == 0
-
-
-def test_boundary_tag():
-    assert boundary_tag([t(0), t(0)], []) == t(0)
-    assert boundary_tag([t(0b01), t(0b10)], [t(0)]) == t(0b11)
-    assert boundary_tag([t(0b10)], []) == t(0b10)
-    assert boundary_tag([], [], width=4) == t(0)
-    with pytest.raises(WidthMismatch):
-        boundary_tag([], [])
-    with pytest.raises(WidthMismatch):
-        boundary_tag([t(1, 4)], [], width=8)
 
 
 def test_unary_passthrough_via_propagate():

@@ -17,7 +17,6 @@ from diftsim import (
     Tag,
     apply_binop,
     eval_binop,
-    make_bitvalue,
 )
 
 U4 = BitType(4)
@@ -28,7 +27,7 @@ PRECISE = PropagationRule.PRECISE
 
 
 def dv(raw, tag_bits, ty=U4, width=4):
-    return DiftValue(make_bitvalue(ty, raw), Tag(width, tag_bits))
+    return DiftValue(BitValue(ty, raw), Tag(width, tag_bits))
 
 
 def test_config_validation():
