@@ -1,10 +1,10 @@
 """Command-line entry point: run, instrument, check, fuzz.
 
 Exit codes: 0 success / no deny, 10 at least one security exception,
-1 usage error, 2 parse or validation failure, an unreadable input, a
-memory override longer than its memory, or an unwritable output path,
-3 evaluation error (division by zero, out-of-bounds address). 2 and 3
-preempt 10.
+1 usage error, 2 parse or validation failure, an input file that is
+missing, not a regular file or unreadable, a memory override longer than
+its memory, or an unwritable output path, 3 evaluation error (division
+by zero, out-of-bounds address). 2 and 3 preempt 10.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from stat import S_ISREG
 
 from .errors import DiftError, EvalError
 from .kernel_ir import (
@@ -61,12 +62,17 @@ def _print_diags(diags: list[Diagnostic]) -> None:
 
 def _read_file(path: str) -> str:
     p = Path(path)
-    if not p.is_file():
-        raise _InvalidInput(f"error: {path}: no such file")
     try:
+        # A directory fails to read, a device or pipe may never end: read only files.
+        if not S_ISREG(p.stat().st_mode):
+            raise _InvalidInput(f"error: {path}: cannot read (not a regular file)")
         return p.read_text(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):
+        raise _InvalidInput(f"error: {path}: no such file") from None
     except UnicodeDecodeError:
         raise _InvalidInput(f"error: {path}: not UTF-8 text") from None
+    except OSError as e:
+        raise _InvalidInput(f"error: {path}: cannot read ({e.strerror or e})") from None
 
 
 def _write_file(path: str, text: str) -> None:

@@ -97,6 +97,20 @@ class Kernel(namedtuple("Kernel", "name tag_width inputs constants memories node
         return lower(self)
 
 
+class Checkpoints(NamedTuple):
+    """A plan's checkpoints as columns, one entry per checkpoint, in firing
+    order: by the step after which it observes (0 for an input or a
+    constant, else its node's, counted from 1), and in declaration order
+    within a step. A policy is held by its denied bits and its name."""
+
+    steps: tuple[int, ...]  # the step after which each observes; ascending
+    ids: tuple[str, ...]  # checkpoint ids
+    args: tuple[str, ...]  # the ids of the values they watch
+    slots: tuple[int, ...]  # the slots of those values
+    denied_bits: tuple[int, ...]  # their policies' Policy.denied_bits
+    policy_names: tuple[str, ...]
+
+
 class Plan(NamedTuple):
     """A valid kernel lowered to slots. Every input, constant, memory and
     node has a slot, numbered in that declaration order; a run keeps its
@@ -106,16 +120,14 @@ class Plan(NamedTuple):
     Each node becomes one step (out, value_fn, x, y, z, union_fn,
     precise_fn): its slot, its bitvalue.value_fn, the slots of its operands
     as bitvalue.pad_operands lays them out, and its taint.tag_fn under
-    either rule. Each checkpoint becomes (step, checkpoint id, argument id,
-    argument slot, Policy), with its policy resolved by name, in firing
-    order: by the step after which it observes (0 for an input or a
-    constant, else its node's, counted from 1), and in declaration order
-    within a step.
+    either rule. The checkpoints are Checkpoints columns, with each policy
+    resolved by name, so a recording run can judge them all with a few
+    calls over whole columns.
     """
 
     steps: tuple[tuple, ...]
     constants: tuple[int, ...]  # bits of each constant
-    checkpoints: tuple[tuple, ...]  # (step, checkpoint id, argument id, slot, Policy)
+    checkpoints: Checkpoints
     outputs: tuple[tuple[str, int], ...]  # (output id, source slot)
 
 
@@ -520,10 +532,13 @@ def lower(k: Kernel) -> Plan:
     # a type, or a memory with its cells, is hashed once per slot.
     type_index: dict = {}
     keys = [type_index.setdefault(ty, len(type_index)) for ty in types]
-    policies = {p.name: p for p in k.policies}
+    denied_bits = {p.name: p.denied_bits for p in k.policies}
     before = len(k.inputs) + len(k.constants) + len(k.memories) - 1  # the slot of step 0
-    checkpoints = sorted(
-        [(max(slots[a] - before, 0), cp, a, slots[a], policies[p]) for cp, a, p in k.checkpoints],
+    rows = sorted(
+        [
+            (max(slots[a] - before, 0), cp, a, slots[a], denied_bits[p], p)
+            for cp, a, p in k.checkpoints
+        ],
         key=itemgetter(0),  # stable: declaration order within a step
     )
     tag_fn = taint.tag_fn
@@ -548,7 +563,7 @@ def lower(k: Kernel) -> Plan:
     return Plan(
         steps=tuple(steps),
         constants=tuple([value.bits for _, value in k.constants]),
-        checkpoints=tuple(checkpoints),
+        checkpoints=Checkpoints(*(tuple(zip(*rows)) or ((),) * len(Checkpoints._fields))),
         outputs=tuple([(oid, slots[source]) for oid, source in k.outputs]),
     )
 

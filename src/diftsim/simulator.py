@@ -9,14 +9,15 @@ union or precise tag function from taint.tag_fn. run_baseline is that
 walk with tags off; fine run_dift adds int tags; coarse run_dift is the
 walk with tags off plus one boundary OR that every checkpoint and output
 observes. The walk holds no checkpoint logic. A recording run judges
-its checkpoints (Plan.checkpoints, in firing order) in one pass after
-the walk and hands their denials to the monitor at once; a halting run
-walks to each watched step in turn and stops at the first deny. That
-fused walk serves single runs. Tags never change values, so
-check_configs and fuzz_properties walk the values once per kernel and
-sample, and replay only the tags over them for each configuration. The
-walk follows the node list in order; distinct runs over immutable
-kernels are independent. All randomness is seeded.
+its checkpoints after the walk, over the columns of Plan.checkpoints (in
+firing order), with a few calls that each cover every checkpoint that
+ran, and hands their denials to the monitor at once. A halting run
+iterates the same columns, walks to each watched step in turn and stops
+at the first deny. That fused walk serves single runs. Tags never change
+values, so check_configs and fuzz_properties walk the values once per
+kernel and sample, and replay only the tags over them for each
+configuration. The walk follows the node list in order; distinct runs
+over immutable kernels are independent. All randomness is seeded.
 """
 
 from __future__ import annotations
@@ -24,7 +25,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from bisect import bisect_right
 from collections import namedtuple
+from operator import and_
 from typing import NamedTuple
 
 from .bitvalue import COMPARE_OPS, OP_ARITY, BitType, OpKind, apply_op
@@ -306,9 +309,14 @@ def _replay(k: Kernel, values: tuple, tags, precise, start=0, stop=None) -> None
 def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationReport:
     """run_dift's set-up, checkpoints and report around one walk: the
     fused _execute, or, given values from _values(k, inputs), a _replay.
-    A recording run may judge its checkpoints after the walk, as none
-    changes it and the slot each reads is written once, at or before its
-    step. A coarse halting run needs no walk to judge: its tag is known."""
+    A recording run judges its checkpoints after the walk, as none changes
+    it and the slot each reads is written once, at or before its step. The
+    checkpoints that ran are a prefix of the Plan.checkpoints columns, found
+    by bisect_right on the steps; their tags, their observations and their
+    denials are each built by one call over whole columns, with no Python
+    iteration per checkpoint. A halting run iterates the columns, walks to
+    each watched step in turn and stops at the first deny; a coarse one
+    needs no walk to judge, as its tag is known."""
     if cfg.tag_width != k.tag_width:
         raise WidthMismatch(f"config tag width {cfg.tag_width} does not match kernel {k.tag_width}")
     if monitor is None:
@@ -327,27 +335,37 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
     walk, run = (_execute, vals) if values is None else (_replay, values)
     halt = cfg.on_exception == "halt"
     done, trap = 0, None  # the steps walked, and the recording walk's trap
-    if not halt:
+    if halt:
+        observed, denied = [], []
+        for step, cp_id, node_id, slot, bits, name in zip(*k.plan.checkpoints):
+            if step > done and tags is not None:  # a coarse checkpoint reads no slot
+                walk(k, run, tags, precise, done, step)
+                done = step
+            tag = boundary if tags is None else tags[slot]
+            observed.append((cp_id, tag))
+            if tag & bits:
+                denied.append(SecurityException(cp_id, node_id, tag, step, name))
+                break
+        observations = tuple(observed)
+    else:  # the checkpoints that ran, a prefix of the columns, each column in one call
         try:
             walk(k, run, tags, precise)
             done = len(k.nodes)
         except EvalError as e:
             trap, done = e, e.step - 1
-    observations: list[tuple[str, int]] = []
-    denied: list[SecurityException] = []
-    for step, cp_id, node_id, slot, policy in k.plan.checkpoints:
-        if step > done:
-            if not halt:
-                break
-            if tags is not None:  # a coarse checkpoint reads no slot
-                walk(k, run, tags, precise, done, step)
-                done = step
-        tag = boundary if tags is None else tags[slot]
-        observations.append((cp_id, tag))
-        if tag & policy.denied_bits:
-            denied.append(SecurityException(cp_id, node_id, tag, step, policy.name))
-            if halt:
-                break
+        steps, ids, args, slots, denied_bits, policy_names = k.plan.checkpoints
+        ran = bisect_right(steps, done)
+        seen = [boundary] * ran if tags is None else list(map(tags.__getitem__, slots[:ran]))
+        observations = tuple(zip(ids, seen))
+        denied = tuple(
+            map(
+                tuple.__new__,  # SecurityException._make without its per-call Python frame
+                itertools.repeat(SecurityException),
+                itertools.compress(
+                    zip(ids, args, seen, steps, policy_names), map(and_, seen, denied_bits)
+                ),
+            )
+        )
     halted = halt and bool(denied)
     if halt:  # on to the denying step, or to the end
         stop = denied[0].step if halted else len(k.nodes)
@@ -370,7 +388,7 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
         done,
         "coarse" if rule is None else "fine",
         None if rule is None else rule._value_,  # not .value, an Enum property call
-        tuple(observations),
+        observations,
         halted,
     )
 

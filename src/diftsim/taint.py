@@ -53,7 +53,11 @@ class DiftConfig(namedtuple("DiftConfig", "tag_width mode on_exception")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, tag_width: int, mode, on_exception: str = "record"):
-        if not 1 <= tag_width <= MAX_TAG_WIDTH:
+        if (
+            not isinstance(tag_width, int)
+            or isinstance(tag_width, bool)
+            or not 1 <= tag_width <= MAX_TAG_WIDTH
+        ):
             raise InvalidType(f"tag_width must be in 1..{MAX_TAG_WIDTH}")
         if not (
             isinstance(mode, CoarseBoundary)

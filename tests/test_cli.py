@@ -66,7 +66,24 @@ def test_malformed_kernel_exits_2(tmp_path, capsys):
 
 
 def test_missing_file_exits_2(capsys):
-    assert main(["run", "/nonexistent/kernel.json", OVERFLOW_CLEAN]) == 2
+    # A path that goes on through a regular file is just as missing.
+    for path in ("/nonexistent/kernel.json", f"{OVERFLOW}/kernel.json"):
+        assert main(["run", path, OVERFLOW_CLEAN]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: no such file\n")
+
+
+def test_unreadable_file_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # A directory, or a device such as /dev/null, is not a kernel file.
+    for path in (str(tmp_path), os.devnull):
+        assert main(["run", path, OVERFLOW_CLEAN]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: cannot read (not a regular file)\n")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(pathlib.Path, "read_text", denied)
+    assert main(["run", OVERFLOW, OVERFLOW_CLEAN]) == 2
+    assert capsys.readouterr() == ("", f"error: {OVERFLOW}: cannot read (Permission denied)\n")
 
 
 def test_non_utf8_file_exits_2(tmp_path, capsys):

@@ -882,16 +882,24 @@ def _per_node_lowering(k):
     # Inputs and constants observe at step 0, a node's checkpoints after its
     # step; within a step, in declaration order.
     step_of = {n.id: step for step, n in enumerate(k.nodes, start=1)}
-    checkpoints = [
-        (step_of.get(cp.arg, 0), cp.id, cp.arg, slots[cp.arg], policies[cp.policy])
+    rows = [
+        (
+            step_of.get(cp.arg, 0),
+            cp.id,
+            cp.arg,
+            slots[cp.arg],
+            policies[cp.policy].denied_bits,
+            cp.policy,
+        )
         for step in range(len(k.nodes) + 1)
         for cp in k.checkpoints
         if step_of.get(cp.arg, 0) == step
     ]
+    columns = [[row[i] for row in rows] for i in range(6)]  # one list per field
     return (
         steps,
         tuple(c.value.bits for c in k.constants),
-        tuple(checkpoints),
+        kernel_ir.Checkpoints(*map(tuple, columns)),
         tuple((o.id, slots[o.source]) for o in k.outputs),
     )
 
@@ -904,7 +912,10 @@ def test_lower_matches_a_per_node_lowering(fir4, dot8, overflow_demo):
     cps = ALL_OPS_DOC["checkpoints"]
     rotated, diags = parse(dict(ALL_OPS_DOC, checkpoints=cps[3:] + cps[:3]))
     assert rotated is not None, diags
-    for kernel in (fir4, dot8, overflow_demo, all_ops, rotated):
+    unwatched, diags = parse(dict(ALL_OPS_DOC, checkpoints=[]))
+    assert unwatched is not None, diags
+    assert unwatched.plan.checkpoints == kernel_ir.Checkpoints(*[()] * 6)
+    for kernel in (fir4, dot8, overflow_demo, all_ops, rotated, unwatched):
         plan = kernel.plan
         steps = [
             (out, _fn_key(vf), x, y, z, _fn_key(uf), _fn_key(pf))
@@ -913,9 +924,9 @@ def test_lower_matches_a_per_node_lowering(fir4, dot8, overflow_demo):
         assert (steps, plan.constants, plan.checkpoints, plan.outputs) == _per_node_lowering(kernel)
     # Firing order: by step, then in declaration order.
     firing = [(0, "cp_a"), (0, "cp_k"), (31, "cp_mux"), (31, "cp_mux2"), (33, "cp_ld")]
-    assert [(step, cp) for step, cp, *_ in all_ops.plan.checkpoints] == firing
+    assert list(zip(all_ops.plan.checkpoints.steps, all_ops.plan.checkpoints.ids)) == firing
     firing[2:4] = firing[3], firing[2]  # rotated declares cp_mux2 before cp_mux
-    assert [(step, cp) for step, cp, *_ in rotated.plan.checkpoints] == firing
+    assert list(zip(rotated.plan.checkpoints.steps, rotated.plan.checkpoints.ids)) == firing
 
 
 def test_pass_composition_preserves_runs(fir4, dot8, overflow_demo):

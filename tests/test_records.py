@@ -135,6 +135,9 @@ def test_defaults_are_fresh_per_instance():
         (lambda: Tag(2, -1), "tag bits -1 out of range for width 2"),
         (lambda: DiftConfig(0, CoarseBoundary()), "tag_width must be in 1..32"),
         (lambda: DiftConfig(33, CoarseBoundary()), "tag_width must be in 1..32"),
+        (lambda: DiftConfig("2", CoarseBoundary()), "tag_width must be in 1..32"),
+        (lambda: DiftConfig(2.0, CoarseBoundary()), "tag_width must be in 1..32"),
+        (lambda: DiftConfig(True, CoarseBoundary()), "tag_width must be in 1..32"),
         (
             lambda: DiftConfig(2, CoarseBoundary(), "stop"),
             "on_exception must be one of ('record', 'halt')",
@@ -163,6 +166,10 @@ def test_replace_checks_the_copy_like_a_new_record():
         (lambda: BitValue(U8, 1)._replace(bits=256), "bits 256 not canonical for u8"),
         (lambda: Tag(2, 1)._replace(bits=4), "tag bits 4 out of range for width 2"),
         (lambda: DiftConfig(2, CoarseBoundary())._replace(tag_width=0), "tag_width must be in 1..32"),
+        (
+            lambda: DiftConfig(2, CoarseBoundary())._replace(tag_width=True),
+            "tag_width must be in 1..32",
+        ),
         (
             lambda: DiftConfig(2, CoarseBoundary())._replace(mode="coarse"),
             "mode must be CoarseBoundary() or FineGrained(PropagationRule), got 'coarse'",

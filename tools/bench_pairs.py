@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Run the benchmark on two git revisions in alternating pairs and judge a claim.
+
+    python3 tools/bench_pairs.py PARENT CHANGE --workload deny-storm --seeds 1-9,1009 --seconds 30
+
+PARENT and CHANGE are anything `git rev-parse` accepts; to measure
+uncommitted work, stage it and pass the commit `git stash create`
+prints. Each seed is one pair: both revisions run the benchmark command
+of BENCHMARK.json with that seed, the parent first on even pairs and the
+change first on odd ones. Every run gets a fresh `git archive` copy of
+its revision and runs it with PYTHONDONTWRITEBYTECODE=1, so no run sees
+bytecode or results another left behind.
+
+For each gated (end-to-end) metric it prints every pair, each side's
+median and quartiles, and the change's wins (ties count for neither
+side). A gain is claimed when the change wins at least nine tenths of
+the pairs and the medians differ by more than the parent's interquartile
+range; a regression is a median worse than the parent's by more than
+the metric's bound, a share of the parent's median. A bound narrower
+than the parent's own spread leaves the metric unresolved. Failed
+operations are summed per side, since a gain does not count when more
+operations fail.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+sys.dont_write_bytecode = True  # leave no __pycache__ in benchmarks/ either
+from benchmarks.spread import seeds, summarise  # noqa: E402
+
+
+def git(*argv: str) -> bytes:
+    return subprocess.run(["git", *argv], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def run_once(archive: bytes, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in a fresh copy of archive: its result line."""
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        command = json.loads((Path(tmp) / "BENCHMARK.json").read_text())["command"]
+        argv = [*command, "--workload", workload, "--seed", str(seed),
+                "--seconds", str(seconds), "--trace", "0"]
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+        p = subprocess.run(argv, cwd=tmp, env=env, capture_output=True, text=True,
+                           timeout=3 * seconds + 600)
+    lines = p.stdout.splitlines()
+    if p.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(argv)} failed ({p.returncode}):\n{p.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=seeds, required=True, help="e.g. 1-9,1009: one pair per seed")
+    ap.add_argument("--seconds", type=float, required=True)
+    args = ap.parse_args()
+
+    shas, archives = {}, {}
+    for side in ("parent", "change"):
+        rev = getattr(args, side) + "^{commit}"
+        shas[side] = git("rev-parse", "--verify", rev).decode().strip()
+        archives[side] = git("archive", "--format=tar", shas[side])
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    print(f"# parent {shas['parent'][:12]}  change {shas['change'][:12]}  "
+          f"workload {args.workload}  seconds {args.seconds:g}")
+
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i, seed in enumerate(args.seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            results[side].append(run_once(archives[side], args.workload, seed, args.seconds))
+        parent, change = results["parent"][-1], results["change"][-1]
+        cells = "  ".join(
+            f"{m['name']} {parent['metrics'][m['name']]['value']:.6g} -> "
+            f"{change['metrics'][m['name']]['value']:.6g}"
+            for m in metrics
+        )
+        failed = [f"{r['failed']}/{r['attempted']}" for r in (parent, change)]
+        print(f"pair {i + 1} seed {seed} ({order[0]} first)  {cells}  "
+              f"failed {failed[0]} -> {failed[1]}", flush=True)
+
+    pairs = len(args.seeds)
+    for m in metrics:
+        name = m["name"]
+        sign = 1 if m["better"] == "lower" else -1  # sign * (parent - change) > 0: change better
+        before = [r["metrics"][name]["value"] for r in results["parent"]]
+        after = [r["metrics"][name]["value"] for r in results["change"]]
+        wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
+        losses = sum(sign * (b - a) < 0 for b, a in zip(before, after))
+        p, c = summarise(before), summarise(after)
+        pmed, cmed = p["median"], c["median"]
+        gain, iqr = sign * (pmed - cmed), p["q3"] - p["q1"]
+        claim = wins >= 0.9 * pairs and gain > iqr
+        if -gain > m["bound"] * pmed:
+            verdict = "REGRESSION"
+        elif iqr > m["bound"] * pmed and not all(
+            sign * (b - a) > 0 for b in before for a in after
+        ):
+            verdict = "unresolved: the parent's IQR is wider than the bound"
+        else:
+            verdict = "within bound"
+        print(f"{name}: parent {pmed:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  "
+              f"change {cmed:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']}  "
+              f"{gain / pmed:+.1%} better  wins {wins}/{pairs} (losses {losses})  "
+              f"parent IQR {iqr:.6g}  claim {'holds' if claim else 'not met'}  {verdict}")
+    failed = {side: sum(r["failed"] for r in runs) for side, runs in results.items()}
+    attempted = {side: sum(r["attempted"] for r in runs) for side, runs in results.items()}
+    print(f"failed: parent {failed['parent']}/{attempted['parent']}  "
+          f"change {failed['change']}/{attempted['change']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
