@@ -89,7 +89,7 @@ class BitType(namedtuple("BitType", "width signed")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, width: int, signed: bool = False):
-        if not isinstance(width, int) or not 1 <= width <= MAX_WIDTH:
+        if not isinstance(width, int) or isinstance(width, bool) or not 1 <= width <= MAX_WIDTH:
             raise InvalidType(f"width must be in 1..{MAX_WIDTH}, got {width!r}")
         return tuple.__new__(cls, (width, signed))
 

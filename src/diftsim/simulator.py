@@ -1,23 +1,26 @@
 """Kernel execution, differential consistency checking, the brute-force
 independence oracle, and the property fuzzer.
 
-run_baseline and run_dift share one walk, _execute, over the kernel's
-Plan (Kernel.plan, lowered once per kernel instance): a run keeps its
-values and tags in lists indexed by slot, and each step calls the
-node's value function from bitvalue.value_fn and, when tags are on, its
-union or precise tag function from taint.tag_fn. run_baseline is that
-walk with tags off; fine run_dift adds int tags; coarse run_dift is the
-walk with tags off plus one boundary OR that every checkpoint and output
-observes. The walk holds no checkpoint logic. A recording run judges
-its checkpoints after the walk, over the columns of Plan.checkpoints (in
-firing order), with a few calls that each cover every checkpoint that
-ran, and hands their denials to the monitor at once. A halting run
-iterates the same columns, walks to each watched step in turn and stops
-at the first deny. That fused walk serves single runs. Tags never change
-values, so check_configs and fuzz_properties walk the values once per
-kernel and sample, and replay only the tags over them for each
-configuration. The walk follows the node list in order; distinct runs
-over immutable kernels are independent. All randomness is seeded.
+Execution is split as the paper's hardware splits it: a datapath, and
+shadow logic that reads its values and never writes them. _execute is
+the one value walk over the kernel's Plan (Kernel.plan, lowered once per
+kernel instance): each step sets a value slot by the node's value
+function from bitvalue.value_fn. run_baseline is that walk. Every tracked
+run is a tag replay, _replay, over a value pass from _values: each step
+sets a tag slot by the node's union or precise tag function from
+taint.tag_fn, which reads the pass's values; coarse mode replays no tags,
+and every checkpoint and output observes one boundary OR. The pass is
+walked lazily: a replay first extends it to the last step it needs, so a
+halting run walks no value past its deny, and the runs that share a pass
+(check_configs and fuzz_properties replay every configuration over one
+per kernel and sample) walk each value at most once. The walks hold no
+checkpoint logic. A recording run judges its checkpoints after its
+replay, over the columns of Plan.checkpoints (in firing order), with a
+few calls that each cover every checkpoint that ran, and hands their
+denials to the monitor at once. A halting run iterates the same columns,
+replays to each watched step in turn and stops at the first deny.
+Distinct runs over immutable kernels are independent. All randomness is
+seeded.
 """
 
 from __future__ import annotations
@@ -152,9 +155,10 @@ def inputs_to_json(inputs: RunInputs) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _init_values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None) -> list:
-    """The value slots of a run: canonical bits of every input and
-    constant, the cell list of every memory, and a place for every node."""
+def _values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None = None) -> list:
+    """A value pass for _replay to walk: [slots, steps walked, located trap
+    or None]. Its slots are built now: the canonical bits of every input
+    and constant, the cell list of every memory, and a place for every node."""
 
     def warn(loc: str, msg: str) -> None:
         if diags is not None:
@@ -197,7 +201,7 @@ def _init_values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None) -
         cells += [0] * (m.size - len(cells))
         vals.append(cells)
     vals += [0] * len(k.nodes)
-    return vals
+    return [vals, 0, None]
 
 
 def _input_tags(k: Kernel, inputs: RunInputs, monitor: MonitorState) -> list:
@@ -232,20 +236,13 @@ def _locate(exc: EvalError, node_id: str, step: int) -> EvalError:
     return exc
 
 
-def _execute(k: Kernel, vals: list, tags=None, precise=False, start=0, stop=None) -> None:
-    """The one walk over k.plan, from step start + 1 to step stop (None:
-    the last): each step sets its value slot by its value function and,
-    when tags is given, its tag slot by its union or precise tag function.
-    A trap is raised located at its node and step."""
-    for step, (out, value_of, x, y, z, union_of, precise_of) in enumerate(
-        k.plan.steps[start:stop], start + 1
-    ):
+def _execute(k: Kernel, vals: list, start=0, stop=None) -> None:
+    """The one value walk over k.plan, from step start + 1 to step stop
+    (None: the last): each step sets its slot by its value function. A
+    trap is raised located at its node and step."""
+    for step, (out, value_of, x, y, z, _, _) in enumerate(k.plan.steps[start:stop], start + 1):
         try:
-            vx, vy, vz = vals[x], vals[y], vals[z]
-            vals[out] = value_of(vx, vy, vz)
-            if tags is not None:
-                tag_of = precise_of if precise else union_of
-                tags[out] = tag_of(vx, vy, vz, tags[x], tags[y], tags[z])
+            vals[out] = value_of(vals[x], vals[y], vals[z])
         except EvalError as e:
             raise _locate(e, k.nodes[step - 1].id, step)
 
@@ -254,7 +251,7 @@ def run_baseline(
     k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None = None
 ) -> dict[str, int]:
     """Execute the kernel without any tracking; checkpoints are no-ops."""
-    vals = _init_values(k, inputs, diags)
+    vals = _values(k, inputs, diags)[0]
     _execute(k, vals)
     return {oid: vals[slot] for oid, slot in k.plan.outputs}
 
@@ -271,30 +268,31 @@ def run_dift(
     Fine mode tracks per operation; memory cells carry tags (a store
     writes the value tag, joined with the address tag under the union
     rule; a load joins cell and address tags under both rules). Coarse
-    mode runs the baseline walk and gives every output and checkpoint
+    mode replays no tags and gives every output and checkpoint
     observation the boundary tag: the join of all input and initial
     memory tags. Output values always equal run_baseline's.
     """
     return _track(k, inputs, cfg, monitor, diags)
 
 
-def _values(k: Kernel, inputs: RunInputs) -> tuple[list, EvalError | None]:
-    """The baseline walk's slots for _track to replay, and its located trap or None."""
-    vals = _init_values(k, inputs, None)
-    try:
-        _execute(k, vals)
-    except EvalError as e:
-        return vals, e
-    return vals, None
-
-
-def _replay(k: Kernel, values: tuple, tags, precise, start=0, stop=None) -> None:
-    """_execute's tag work from step start + 1 to step stop over a finished
-    value pass: tag functions read operand values only from slots written
-    once, so each read sees what _execute's does. Raises the pass's trap
-    when it falls in those steps, after replaying the steps before it."""
-    vals, trap = values
-    if trap is not None and (stop is None or trap.step <= stop):
+def _replay(k: Kernel, values: list, tags, precise, start=0, stop=None) -> None:
+    """The one tag walk, from step start + 1 to step stop (None: the last),
+    over values from _values: it first extends the pass to stop, keeping
+    the trap it meets, so no value past stop is walked and none twice.
+    Tag functions read operand values only from slots written once, so
+    each read sees the value of its step. Raises the pass's trap when it
+    falls in those steps, after replaying the steps before it."""
+    vals, walked, trap = values
+    if stop is None:
+        stop = len(k.nodes)
+    if trap is None and walked < stop:
+        try:
+            _execute(k, vals, walked, stop)
+            values[1] = stop
+        except EvalError as e:
+            values[1:] = e.step - 1, e
+            trap = e
+    if trap is not None and trap.step <= stop:
         stop = trap.step - 1
     else:
         trap = None
@@ -307,21 +305,23 @@ def _replay(k: Kernel, values: tuple, tags, precise, start=0, stop=None) -> None
 
 
 def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationReport:
-    """run_dift's set-up, checkpoints and report around one walk: the
-    fused _execute, or, given values from _values(k, inputs), a _replay.
-    A recording run judges its checkpoints after the walk, as none changes
-    it and the slot each reads is written once, at or before its step. The
-    checkpoints that ran are a prefix of the Plan.checkpoints columns, found
-    by bisect_right on the steps; their tags, their observations and their
-    denials are each built by one call over whole columns, with no Python
-    iteration per checkpoint. A halting run iterates the columns, walks to
-    each watched step in turn and stops at the first deny; a coarse one
-    needs no walk to judge, as its tag is known."""
+    """run_dift's set-up, checkpoints and report around a tag replay of
+    values, a value pass of k on inputs from _values (None: a new one).
+    A recording run judges its checkpoints after the replay, as none
+    changes it and the slot each reads is written once, at or before its
+    step. The checkpoints that ran are a prefix of the Plan.checkpoints
+    columns, found by bisect_right on the steps; their tags, their
+    observations and their denials are each built by one call over whole
+    columns, with no Python iteration per checkpoint. A halting run
+    iterates the columns, replays to each watched step in turn and stops
+    at the first deny; a coarse one needs no replay to judge, as its tag
+    is known."""
     if cfg.tag_width != k.tag_width:
         raise WidthMismatch(f"config tag width {cfg.tag_width} does not match kernel {k.tag_width}")
     if monitor is None:
         monitor = MonitorState()
-    vals = _init_values(k, inputs, diags) if values is None else values[0]
+    if values is None:
+        values = _values(k, inputs, diags)
     input_tags = _input_tags(k, inputs, monitor)
     rule = cfg.rule
     tags = None
@@ -332,14 +332,13 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
     else:
         tags = _init_tags(k, input_tags)
     precise = rule is PropagationRule.PRECISE
-    walk, run = (_execute, vals) if values is None else (_replay, values)
     halt = cfg.on_exception == "halt"
-    done, trap = 0, None  # the steps walked, and the recording walk's trap
+    done, trap = 0, None  # the steps replayed, and the recording replay's trap
     if halt:
         observed, denied = [], []
         for step, cp_id, node_id, slot, bits, name in zip(*k.plan.checkpoints):
             if step > done and tags is not None:  # a coarse checkpoint reads no slot
-                walk(k, run, tags, precise, done, step)
+                _replay(k, values, tags, precise, done, step)
                 done = step
             tag = boundary if tags is None else tags[slot]
             observed.append((cp_id, tag))
@@ -349,7 +348,7 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
         observations = tuple(observed)
     else:  # the checkpoints that ran, a prefix of the columns, each column in one call
         try:
-            walk(k, run, tags, precise)
+            _replay(k, values, tags, precise)
             done = len(k.nodes)
         except EvalError as e:
             trap, done = e, e.step - 1
@@ -370,7 +369,7 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
     if halt:  # on to the denying step, or to the end
         stop = denied[0].step if halted else len(k.nodes)
         if stop > done:
-            walk(k, run, tags, precise, done, stop)
+            _replay(k, values, tags, precise, done, stop)
         done = stop
     record(monitor, denied)
     if trap is not None:
@@ -378,7 +377,7 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
     outputs: dict[str, tuple[int, int]] = {}
     if not halted:
         outputs = {
-            oid: (vals[slot], boundary if tags is None else tags[slot])
+            oid: (values[0][slot], boundary if tags is None else tags[slot])
             for oid, slot in k.plan.outputs
         }
     return SimulationReport(
@@ -393,7 +392,7 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
     )
 
 
-def _replayed(k: Kernel, inputs: RunInputs, cfg: DiftConfig, values: tuple):
+def _replayed(k: Kernel, inputs: RunInputs, cfg: DiftConfig, values: list):
     """A replay of values under cfg: (report, None), or (None, error signature)."""
     try:
         return _track(k, inputs, cfg, values=values), None

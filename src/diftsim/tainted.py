@@ -34,7 +34,7 @@ class Tag(namedtuple("Tag", "width bits")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, width: int, bits: int):
-        if not isinstance(width, int) or not 1 <= width <= MAX_TAG_WIDTH:
+        if not isinstance(width, int) or isinstance(width, bool) or not 1 <= width <= MAX_TAG_WIDTH:
             raise InvalidType(f"tag width must be in 1..{MAX_TAG_WIDTH}, got {width!r}")
         if not isinstance(bits, int) or not 0 <= bits < (1 << width):
             raise InvalidType(f"tag bits {bits!r} out of range for width {width}")

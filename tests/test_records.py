@@ -126,11 +126,13 @@ def test_defaults_are_fresh_per_instance():
         (lambda: BitType(0), "width must be in 1..64, got 0"),
         (lambda: BitType(65, True), "width must be in 1..64, got 65"),
         (lambda: BitType("8"), "width must be in 1..64, got '8'"),
+        (lambda: BitType(True), "width must be in 1..64, got True"),
         (lambda: BitValue(U8, 256), "bits 256 not canonical for u8"),
         (lambda: BitValue(U8, -1), "bits -1 not canonical for u8"),
         (lambda: BitValue(U8, 1.0), "bits 1.0 not canonical for u8"),
         (lambda: Tag(0, 0), "tag width must be in 1..32, got 0"),
         (lambda: Tag(33, 0), "tag width must be in 1..32, got 33"),
+        (lambda: Tag(True, 1), "tag width must be in 1..32, got True"),
         (lambda: Tag(2, 4), "tag bits 4 out of range for width 2"),
         (lambda: Tag(2, -1), "tag bits -1 out of range for width 2"),
         (lambda: DiftConfig(0, CoarseBoundary()), "tag_width must be in 1..32"),
@@ -163,6 +165,7 @@ def test_replace_checks_the_copy_like_a_new_record():
     assert BitValue(U8, 1)._replace(bits=255) == BitValue(U8, 255)
     for copy, message in (
         (lambda: U8._replace(width=65), "width must be in 1..64, got 65"),
+        (lambda: U8._replace(width=True), "width must be in 1..64, got True"),
         (lambda: BitValue(U8, 1)._replace(bits=256), "bits 256 not canonical for u8"),
         (lambda: Tag(2, 1)._replace(bits=4), "tag bits 4 out of range for width 2"),
         (lambda: DiftConfig(2, CoarseBoundary())._replace(tag_width=0), "tag_width must be in 1..32"),

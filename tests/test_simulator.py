@@ -276,6 +276,14 @@ def test_store_load_tag_rules():
         assert rep.outputs["out"][1] & 0b1
 
 
+@pytest.mark.parametrize("addr_tagged_load", [False, True])
+def test_a_load_after_a_tainted_store_carries_its_tag(addr_tagged_load):
+    kernel = mem_kernel(addr_tagged_load)
+    ri = RunInputs(values={"addr": 2, "v": 9}, tags={"v": 0b01, "addr": 0b10})
+    # The loaded cell carries the store's union tag: value | address.
+    assert run_dift(kernel, ri, fine(2, UNION)).outputs["out"] == (9, 0b11)
+
+
 def test_overflow_demo_hand_trace(overflow_demo):
     tainted = load_inputs("overflow_tainted.json")
     rep = run_dift(overflow_demo, tainted, fine(2))
@@ -623,6 +631,31 @@ def test_traps_name_their_node_step_and_message(values, exc_type, node, step, me
         assert (e.value.node_id, e.value.step, str(e.value)) == (node, step, message)
 
 
+def test_halting_runs_walk_no_value_past_their_deny(monkeypatch):
+    # q (step 2) is tainted and denied; r traps at step 3. A halting run
+    # stops at q and never traps, as its value pass is walked only as far
+    # as it replays: no step past 2 of the 4. A recording run reaches the trap.
+    from diftsim import simulator
+
+    walked = []
+    execute = simulator._execute
+
+    def recording_execute(k, vals, start=0, stop=None):
+        walked.append((start, stop))
+        return execute(k, vals, start, stop)
+
+    monkeypatch.setattr(simulator, "_execute", recording_execute)
+    kernel = trap_kernel()
+    ri = RunInputs(values={"la": 1, "a": 7, "b": 2, "c": 0, "sa": 2}, tags={"a": 1})
+    for cfg in (fine(2, UNION, "halt"), DiftConfig(2, CoarseBoundary(), "halt")):
+        walked.clear()
+        rep = run_dift(kernel, ri, cfg)
+        assert rep.halted and rep.steps_executed == 2 and len(rep.exceptions) == 1
+        assert walked and all(stop is not None and stop <= 2 for _, stop in walked), walked
+    with pytest.raises(DivisionByZero):
+        run_dift(kernel, ri, fine(2, UNION))
+
+
 def twin_memory_kernel():
     """Two memories of one size and cell type: each store and each load has
     the same operand and result types as its twin on the other memory."""
@@ -847,10 +880,6 @@ def test_fuzz_reports_runs_that_trap_differently(monkeypatch):
     )
 
 
-# check and fuzz replay each configuration's tags over one value pass per
-# kernel and sample. A replay must report exactly what run_dift reports.
-
-
 def five_configs(tag_width):
     """Union, precise and coarse in record mode; union and coarse in halt mode."""
     return [
@@ -868,86 +897,6 @@ def report_or_trap(run):
         return run()
     except EvalError as e:
         return (type(e), e.node_id, e.step, str(e))
-
-
-def assert_replays_match_runs(kernel, ri):
-    """Replays of one shared value pass equal run_dift under every config;
-    returns the union run's outcome."""
-    from diftsim import simulator
-
-    values = simulator._values(kernel, ri)
-    outcomes = []
-    for cfg in five_configs(kernel.tag_width):
-        want = report_or_trap(lambda: run_dift(kernel, ri, cfg))
-        got = report_or_trap(lambda: simulator._track(kernel, ri, cfg, values=values))
-        # A report compares every field: outputs, exceptions, irq,
-        # steps_executed, mode, rule, checkpoint_tags and halted.
-        assert type(got) is type(want) and got == want, cfg
-        outcomes.append(want)
-    return outcomes[0]
-
-
-@pytest.mark.parametrize("name", ["fir4.json", "dot8.json", "overflow_demo.json"])
-def test_replay_equals_run_dift_on_fixtures(name):
-    kernel = load_kernel(name)
-    rng = random.Random(17)
-    for _ in range(40):
-        assert_replays_match_runs(kernel, sample_inputs(kernel, rng))
-
-
-def test_replay_equals_run_dift_on_every_opcode():
-    from diftsim import parse_kernel
-    from test_kernel_ir import ALL_OPS_DOC
-
-    kernel, diags = parse_kernel(json.dumps(ALL_OPS_DOC))
-    assert kernel is not None, diags
-    rng = random.Random(23)
-    traps = reports = 0
-    for i in range(120):
-        ri = sample_inputs(kernel, rng)
-        if i % 2:  # an address in range runs every node
-            ri.values["s"] = 1 + i % 3
-        ran = isinstance(assert_replays_match_runs(kernel, ri), SimulationReport)
-        reports += ran
-        traps += not ran
-    assert traps and reports
-
-
-@pytest.mark.parametrize("addr_tagged_load", [False, True])
-def test_replay_equals_run_dift_on_a_tainted_store_then_load(addr_tagged_load):
-    kernel = mem_kernel(addr_tagged_load)
-    ri = RunInputs(values={"addr": 2, "v": 9}, tags={"v": 0b01, "addr": 0b10})
-    union = assert_replays_match_runs(kernel, ri)
-    assert union.outputs["out"] == (9, 0b11)  # the loaded cell carries the store's tag
-
-
-@pytest.mark.parametrize("values", [{"b": 0}, {"la": 5}])
-def test_replay_equals_run_dift_on_a_trap(values):
-    ri = RunInputs(values={"la": 1, "a": 7, "b": 2, "c": 3, "sa": 2, **values})
-    outcome = assert_replays_match_runs(trap_kernel(), ri)
-    assert outcome[0] in (DivisionByZero, OutOfBoundsAddress)
-
-
-def test_replay_halts_at_a_deny_before_the_trap():
-    # q (step 2) is tainted and denied; r traps at step 3. A halting run
-    # stops at q and never traps; a recording run reaches the trap.
-    kernel = trap_kernel()
-    ri = RunInputs(values={"la": 1, "a": 7, "b": 2, "c": 0, "sa": 2}, tags={"a": 1})
-    assert_replays_match_runs(kernel, ri)
-    from diftsim import simulator
-
-    values = simulator._values(kernel, ri)
-    halted = simulator._track(kernel, ri, fine(2, UNION, "halt"), values=values)
-    assert halted.halted and halted.steps_executed == 2 and len(halted.exceptions) == 1
-    with pytest.raises(DivisionByZero):
-        simulator._track(kernel, ri, fine(2, UNION), values=values)
-
-
-def test_replay_traps_before_a_later_deny():
-    # ld traps at step 1; a coarse run's tainted boundary would deny at q
-    # (step 2), but the trap comes first in every mode.
-    ri = RunInputs(values={"la": 5, "a": 7, "b": 2, "c": 3, "sa": 2}, tags={"a": 1})
-    assert assert_replays_match_runs(trap_kernel(), ri)[:3] == (OutOfBoundsAddress, "ld", 1)
 
 
 def test_check_accepts_a_halt_before_the_baseline_trap():
@@ -981,10 +930,11 @@ def test_check_accepts_a_halt_before_the_baseline_trap():
             assert report.mismatches == (), report.mismatches[:2]
 
 
-# A run judges its checkpoints apart from the walk: a recording run in one
-# pass after it, a halting run at each watched step. It must report and
-# leave the monitor exactly as a walk that submits each observation through
-# checkpoint right after its step.
+# A run judges its checkpoints apart from its replay: a recording run in
+# one pass after it, a halting run at each watched step. It must report and
+# leave the monitor exactly as a walk that computes each tag beside its
+# value and submits each observation through checkpoint right after its
+# step, whether its value pass is its own or one other runs already walked.
 
 
 def fired_in_order(k, ri, cfg, monitor):
@@ -992,7 +942,7 @@ def fired_in_order(k, ri, cfg, monitor):
     report, or the trap as report_or_trap gives it."""
     from diftsim import checkpoint, simulator
 
-    vals = simulator._init_values(k, ri, None)
+    vals = simulator._values(k, ri)[0]
     input_tags = simulator._input_tags(k, ri, monitor)
     tags = None if cfg.rule is None else simulator._init_tags(k, input_tags)
     boundary = 0
@@ -1051,15 +1001,20 @@ def preloaded_monitor():
     return monitor
 
 
-def assert_fires_in_order(kernel, ri, preloaded=False):
-    """run_dift and a replay equal fired_in_order under every config, in
-    report or trap and in the caller's monitor; returns the outcomes."""
+def assert_fires_in_order(kernel, ri, preloaded=False, reverse=False):
+    """run_dift, and replays of one value pass that five_configs share in
+    their order or reversed (halting configs first, so recording replays
+    extend a pass a halting replay left part-walked), equal fired_in_order
+    under every config, in report or trap and in the caller's monitor;
+    returns the outcomes in five_configs' order."""
     from diftsim import simulator
 
     new_monitor = preloaded_monitor if preloaded else MonitorState
     values = simulator._values(kernel, ri)
-    outcomes = []
-    for cfg in five_configs(kernel.tag_width):
+    cfgs = five_configs(kernel.tag_width)
+    outcomes = [None] * len(cfgs)
+    for i in sorted(range(len(cfgs)), reverse=reverse):
+        cfg = cfgs[i]
         want_monitor = new_monitor()
         want = fired_in_order(kernel, ri, cfg, want_monitor)
         for run in (
@@ -1074,7 +1029,7 @@ def assert_fires_in_order(kernel, ri, preloaded=False):
                 want_monitor.irq,
                 want_monitor.registers,
             ), cfg
-        outcomes.append(want)
+        outcomes[i] = want
     return outcomes
 
 
@@ -1142,8 +1097,8 @@ def test_runs_fire_in_order_on_fixtures(preloaded):
     for name in ("fir4.json", "dot8.json", "overflow_demo.json"):
         kernel = load_kernel(name)
         rng = random.Random(5)
-        for _ in range(25):
-            assert_fires_in_order(kernel, sample_inputs(kernel, rng), preloaded)
+        for i in range(25):
+            assert_fires_in_order(kernel, sample_inputs(kernel, rng), preloaded, reverse=i % 2 == 1)
 
 
 def test_runs_fire_in_order_on_every_opcode():
@@ -1158,7 +1113,7 @@ def test_runs_fire_in_order_on_every_opcode():
         ri = sample_inputs(kernel, rng)
         if i % 2:  # an address in range runs every node
             ri.values["s"] = 1 + i % 3
-        assert_fires_in_order(kernel, ri, preloaded=i % 3 == 0)
+        assert_fires_in_order(kernel, ri, preloaded=i % 3 == 0, reverse=i % 4 >= 2)
 
 
 @pytest.mark.parametrize("table", ["empty", "step_zero", "trapping"])
@@ -1191,7 +1146,7 @@ def test_runs_fire_in_order_on_edge_tables(table):
     for i in range(30):
         ri = sample_inputs(kernel, rng)
         ri.values["s"] = i % 3  # in range of both memories; 0 traps at div8
-        outcomes = assert_fires_in_order(kernel, ri, preloaded=i % 2 == 1)
+        outcomes = assert_fires_in_order(kernel, ri, preloaded=i % 2 == 1, reverse=i % 4 >= 2)
         traps += sum(isinstance(o, tuple) for o in outcomes)
     assert traps >= 30  # each record config on each of the ten samples with s 0
 
@@ -1207,7 +1162,7 @@ def test_runs_fire_in_order_on_deny_style_kernels():
             ri = sample_inputs(kernel, rng)
             if i % 3 == 0:
                 ri.tags.clear()  # default tags, or REG_TAG_IN's word
-            outcomes = assert_fires_in_order(kernel, ri, preloaded=i % 2 == 0)
+            outcomes = assert_fires_in_order(kernel, ri, preloaded=i % 2 == 0, reverse=i % 4 >= 2)
             traps += any(isinstance(o, tuple) for o in outcomes)
             halts += any(isinstance(o, SimulationReport) and o.halted for o in outcomes)
     assert traps and halts and shared  # each case the kernels are drawn for occurs
@@ -1232,8 +1187,8 @@ def test_halt_on_a_step_zero_checkpoint_runs_no_step():
     assert kernel is not None, diags
     # b is tainted and 0: a halting run stops before q divides by zero.
     ri = RunInputs(values={"a": 3, "b": 0}, tags={"a": 0, "b": 1})
-    for preloaded in (False, True):
-        outcomes = assert_fires_in_order(kernel, ri, preloaded)
+    for preloaded, reverse in itertools.product((False, True), repeat=2):
+        outcomes = assert_fires_in_order(kernel, ri, preloaded, reverse)
         union_halt, coarse_halt = outcomes[3:]
         for rep in (union_halt, coarse_halt):
             assert rep.halted and rep.steps_executed == 0 and rep.outputs == {}
@@ -1244,8 +1199,8 @@ def test_halt_on_a_step_zero_checkpoint_runs_no_step():
 def test_halt_mode_traps_before_the_first_watched_step():
     # ld traps at step 1; cp_q watches step 2 and never fires.
     ri = RunInputs(values={"la": 5, "a": 7, "b": 2, "c": 3, "sa": 2}, tags={"a": 1})
-    for preloaded in (False, True):
-        outcomes = assert_fires_in_order(trap_kernel(), ri, preloaded)
+    for preloaded, reverse in itertools.product((False, True), repeat=2):
+        outcomes = assert_fires_in_order(trap_kernel(), ri, preloaded, reverse)
         assert [o[:3] for o in outcomes] == [(OutOfBoundsAddress, "ld", 1)] * 5
 
 

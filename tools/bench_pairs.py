@@ -61,6 +61,31 @@ def run_once(archive: bytes, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def judge(before: list[float], after: list[float], better: str, bound: float) -> dict:
+    """The judgement of one gated metric over paired runs, before[i] and
+    after[i] being pair i's parent and change values; better is "lower" or
+    "higher" and bound a share of the parent's median. Returns both sides'
+    summaries ("parent", "change"), the change's "wins" and "losses", its
+    "gain" (positive: better) and the parent's "iqr" in the metric's unit,
+    whether a claimed gain holds ("claim"), and the "verdict": "REGRESSION",
+    "unresolved: ..." or "within bound"."""
+    sign = 1 if better == "lower" else -1  # sign * (parent - change) > 0: change better
+    wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
+    losses = sum(sign * (b - a) < 0 for b, a in zip(before, after))
+    p, c = summarise(before), summarise(after)
+    gain, iqr = sign * (p["median"] - c["median"]), p["q3"] - p["q1"]
+    if -gain > bound * p["median"]:
+        verdict = "REGRESSION"
+    elif iqr > bound * p["median"] and not all(
+        sign * (b - a) > 0 for b in before for a in after
+    ):
+        verdict = "unresolved: the parent's IQR is wider than the bound"
+    else:
+        verdict = "within bound"
+    return {"parent": p, "change": c, "wins": wins, "losses": losses, "gain": gain,
+            "iqr": iqr, "claim": wins >= 0.9 * len(before) and gain > iqr, "verdict": verdict}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -96,30 +121,17 @@ def main() -> int:
         print(f"pair {i + 1} seed {seed} ({order[0]} first)  {cells}  "
               f"failed {failed[0]} -> {failed[1]}", flush=True)
 
-    pairs = len(args.seeds)
     for m in metrics:
         name = m["name"]
-        sign = 1 if m["better"] == "lower" else -1  # sign * (parent - change) > 0: change better
         before = [r["metrics"][name]["value"] for r in results["parent"]]
         after = [r["metrics"][name]["value"] for r in results["change"]]
-        wins = sum(sign * (b - a) > 0 for b, a in zip(before, after))
-        losses = sum(sign * (b - a) < 0 for b, a in zip(before, after))
-        p, c = summarise(before), summarise(after)
-        pmed, cmed = p["median"], c["median"]
-        gain, iqr = sign * (pmed - cmed), p["q3"] - p["q1"]
-        claim = wins >= 0.9 * pairs and gain > iqr
-        if -gain > m["bound"] * pmed:
-            verdict = "REGRESSION"
-        elif iqr > m["bound"] * pmed and not all(
-            sign * (b - a) > 0 for b in before for a in after
-        ):
-            verdict = "unresolved: the parent's IQR is wider than the bound"
-        else:
-            verdict = "within bound"
-        print(f"{name}: parent {pmed:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  "
-              f"change {cmed:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']}  "
-              f"{gain / pmed:+.1%} better  wins {wins}/{pairs} (losses {losses})  "
-              f"parent IQR {iqr:.6g}  claim {'holds' if claim else 'not met'}  {verdict}")
+        j = judge(before, after, m["better"], m["bound"])
+        p, c = j["parent"], j["change"]
+        print(f"{name}: parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  "
+              f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']}  "
+              f"{j['gain'] / p['median']:+.1%} better  wins {j['wins']}/{len(before)} "
+              f"(losses {j['losses']})  parent IQR {j['iqr']:.6g}  "
+              f"claim {'holds' if j['claim'] else 'not met'}  {j['verdict']}")
     failed = {side: sum(r["failed"] for r in runs) for side, runs in results.items()}
     attempted = {side: sum(r["attempted"] for r in runs) for side, runs in results.items()}
     print(f"failed: parent {failed['parent']}/{attempted['parent']}  "
