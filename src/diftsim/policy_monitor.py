@@ -2,10 +2,11 @@
 
 The monitor receives the tag bits a checkpoint observes, never the
 value, judges them by the checkpoint's policy, and on deny queues a
-SecurityException, raises the interrupt-pending flag, and mirrors its
-state into a four-word I/O register file through which software
-observes and clears it. checkpoint judges one observation; record
-queues a run's denials in one transition, as checkpoint's calls would.
+SecurityException; a nonempty queue is the interrupt-pending flag.
+Software observes and clears the monitor through a four-word I/O
+register file, whose status and count words are read from the queue.
+checkpoint judges one observation; record queues a run's denials in one
+transition, as checkpoint's calls would.
 """
 
 from __future__ import annotations
@@ -59,19 +60,20 @@ class SecurityException(NamedTuple):
 class MonitorState:
     """Single-writer monitor: one simulation run mutates it at a time. It
     holds no policies (each checkpoint brings its own), so one state can
-    serve runs of different kernels in turn."""
+    serve runs of different kernels in turn. It stores the exception queue
+    and the two words that software or a deny write, REG_TAG_IN and
+    REG_TAG_OUT; irq, REG_STATUS and REG_EXC_COUNT are read from the queue."""
 
-    __slots__ = ("exceptions", "irq", "registers")
+    __slots__ = ("exceptions", "tag_in", "tag_out")
 
-    def __init__(self, exceptions=None, irq: bool = False, registers=None) -> None:
-        self.exceptions: list[SecurityException] = [] if exceptions is None else exceptions
-        self.irq = irq
-        self.registers: list[int] = [0, 0, 0, 0] if registers is None else registers  # words 0..3
+    def __init__(self) -> None:
+        self.exceptions: list[SecurityException] = []
+        self.tag_in = self.tag_out = 0
 
-
-def _sync_registers(state: MonitorState) -> None:
-    state.registers[REG_STATUS] = 1 if state.irq else 0
-    state.registers[REG_EXC_COUNT] = len(state.exceptions)
+    @property
+    def irq(self) -> bool:
+        """Interrupt pending: the queue holds an exception."""
+        return bool(self.exceptions)
 
 
 def checkpoint(
@@ -94,24 +96,18 @@ def checkpoint(
 
 def record(state: MonitorState, exceptions) -> None:
     """Queue a run's denials, a sequence of SecurityException in arrival
-    order. Unless there are none, raise irq and set three registers once:
-    REG_STATUS to 1 (irq pending), REG_EXC_COUNT to the queue length, and
-    REG_TAG_OUT to the last denial's tag bits."""
-    if not exceptions:
-        return
-    queue = state.exceptions
-    queue += exceptions
-    state.irq = True
-    registers = state.registers
-    registers[REG_STATUS] = 1
-    registers[REG_EXC_COUNT] = len(queue)
-    registers[REG_TAG_OUT] = exceptions[-1].tag_bits & _WORD_MASK
+    order, and set REG_TAG_OUT to the last one's tag bits; no denials
+    change nothing."""
+    if exceptions:
+        state.exceptions += exceptions
+        state.tag_out = exceptions[-1].tag_bits & _WORD_MASK
 
 
 def reg_read(state: MonitorState, addr: int) -> int:
     if addr not in _ADDRESSES:
         raise BadAddress(f"no register at address {addr}")
-    return state.registers[addr]
+    queue = state.exceptions
+    return (int(bool(queue)), len(queue), state.tag_in, state.tag_out)[addr]
 
 
 def reg_write(state: MonitorState, addr: int, word: int) -> None:
@@ -123,10 +119,8 @@ def reg_write(state: MonitorState, addr: int, word: int) -> None:
     if addr == REG_STATUS:
         if word & 1:
             state.exceptions.clear()
-            state.irq = False
-            _sync_registers(state)
     elif addr == REG_TAG_IN:
-        state.registers[REG_TAG_IN] = word
+        state.tag_in = word
     # REG_EXC_COUNT and REG_TAG_OUT are monitor-owned; writes are ignored.
 
 
@@ -134,6 +128,4 @@ def drain_exceptions(state: MonitorState) -> list[SecurityException]:
     """Return and remove all queued exceptions in arrival order; clears irq."""
     drained = list(state.exceptions)
     state.exceptions.clear()
-    state.irq = False
-    _sync_registers(state)
     return drained

@@ -13,12 +13,14 @@ and every checkpoint and output observes one boundary OR. The pass is
 walked lazily: a replay first extends it to the last step it needs, so a
 halting run walks no value past its deny, and the runs that share a pass
 (check_configs and fuzz_properties replay every configuration over one
-per kernel and sample) walk each value at most once. The walks hold no
-checkpoint logic. A recording run judges its checkpoints after its
-replay, over the columns of Plan.checkpoints (in firing order), with a
-few calls that each cover every checkpoint that ran, and hands their
-denials to the monitor at once. A halting run iterates the same columns,
-replays to each watched step in turn and stops at the first deny.
+per kernel and sample) walk each value at most once. A trap is kept in
+the pass as data, so a replay returns it rather than raising it. The
+walks hold no checkpoint logic. A halting run is the recording run cut
+at its first deny: it replays to each watched step in turn only to find
+that cut. One judge then reads the tags of the checkpoints that ran, a
+prefix of Plan.checkpoints' columns, and builds the run's
+SecurityExceptions with a few calls over whole columns; the monitor
+records them at once, and only then is the run's trap raised.
 Distinct runs over immutable kernels are independent. All randomness is
 seeded.
 """
@@ -34,9 +36,9 @@ from operator import and_
 from typing import NamedTuple
 
 from .bitvalue import COMPARE_OPS, OP_ARITY, BitType, OpKind, apply_op
-from .errors import DiftError, EvalError, WidthMismatch, WidthTooLarge
+from .errors import ArityMismatch, DiftError, EvalError, WidthMismatch, WidthTooLarge
 from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim
-from .policy_monitor import REG_TAG_IN, MonitorState, SecurityException, record, reg_read
+from .policy_monitor import MonitorState, SecurityException, record
 from .taint import CoarseBoundary, DiftConfig, FineGrained, PropagationRule
 
 _ORACLE_MAX_WIDTH = 6
@@ -208,7 +210,7 @@ def _input_tags(k: Kernel, inputs: RunInputs, monitor: MonitorState) -> list:
     """Tag bits of every input: explicit override, else a nonzero
     REG_TAG_IN word, else the declared default."""
     mask = (1 << k.tag_width) - 1
-    tag_in = reg_read(monitor, REG_TAG_IN)
+    tag_in = monitor.tag_in
     tags: list = []
     for inp in k.inputs:
         if inp.id in inputs.tags:
@@ -275,13 +277,14 @@ def run_dift(
     return _track(k, inputs, cfg, monitor, diags)
 
 
-def _replay(k: Kernel, values: list, tags, precise, start=0, stop=None) -> None:
+def _replay(k: Kernel, values: list, tags, precise, start=0, stop=None) -> tuple:
     """The one tag walk, from step start + 1 to step stop (None: the last),
     over values from _values: it first extends the pass to stop, keeping
-    the trap it meets, so no value past stop is walked and none twice.
-    Tag functions read operand values only from slots written once, so
-    each read sees the value of its step. Raises the pass's trap when it
-    falls in those steps, after replaying the steps before it."""
+    the trap it meets as data, (type, message, node id, step), so no value
+    past stop is walked and none twice. Tag functions read operand values
+    only from slots written once, so each read sees the value of its step.
+    Returns (the last step replayed, the pass's trap if it falls in the
+    steps to stop, else None): a trap stops the replay before its step."""
     vals, walked, trap = values
     if stop is None:
         stop = len(k.nodes)
@@ -290,32 +293,34 @@ def _replay(k: Kernel, values: list, tags, precise, start=0, stop=None) -> None:
             _execute(k, vals, walked, stop)
             values[1] = stop
         except EvalError as e:
-            values[1:] = e.step - 1, e
-            trap = e
-    if trap is not None and trap.step <= stop:
-        stop = trap.step - 1
+            trap = type(e), e.args[0], e.node_id, e.step
+            values[1:] = e.step - 1, trap
+    if trap is not None and trap[3] <= stop:
+        stop = trap[3] - 1
     else:
         trap = None
     if tags is not None:
         for out, _, x, y, z, union_of, precise_of in k.plan.steps[start:stop]:
             tag_of = precise_of if precise else union_of
             tags[out] = tag_of(vals[x], vals[y], vals[z], tags[x], tags[y], tags[z])
-    if trap is not None:
-        raise trap
+    return stop, trap
 
 
 def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationReport:
     """run_dift's set-up, checkpoints and report around a tag replay of
     values, a value pass of k on inputs from _values (None: a new one).
-    A recording run judges its checkpoints after the replay, as none
-    changes it and the slot each reads is written once, at or before its
-    step. The checkpoints that ran are a prefix of the Plan.checkpoints
-    columns, found by bisect_right on the steps; their tags, their
-    observations and their denials are each built by one call over whole
-    columns, with no Python iteration per checkpoint. A halting run
-    iterates the columns, replays to each watched step in turn and stops
-    at the first deny; a coarse one needs no replay to judge, as its tag
-    is known."""
+
+    A halting run is the recording run cut at its first deny, and its loop
+    only finds that cut: it replays to each watched step in turn (a coarse
+    run walks values only) and stops at the first checkpoint that denies.
+    Any other run replays to its end or its trap, and the checkpoints that
+    ran are the prefix of the Plan.checkpoints columns up to that step.
+    One judge then reads those checkpoints' tags and builds
+    checkpoint_tags and the SecurityExceptions with a few calls over whole
+    columns. Judging after the replay is sound, as no checkpoint changes a
+    run and the slot each reads is written once, at or before its step.
+    The denials go to the monitor in one record, and only then is the
+    run's trap, if any, raised as a new exception."""
     if cfg.tag_width != k.tag_width:
         raise WidthMismatch(f"config tag width {cfg.tag_width} does not match kernel {k.tag_width}")
     if monitor is None:
@@ -332,48 +337,34 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
     else:
         tags = _init_tags(k, input_tags)
     precise = rule is PropagationRule.PRECISE
-    halt = cfg.on_exception == "halt"
-    done, trap = 0, None  # the steps replayed, and the recording replay's trap
-    if halt:
-        observed, denied = [], []
-        for step, cp_id, node_id, slot, bits, name in zip(*k.plan.checkpoints):
-            if step > done and tags is not None:  # a coarse checkpoint reads no slot
-                _replay(k, values, tags, precise, done, step)
-                done = step
-            tag = boundary if tags is None else tags[slot]
-            observed.append((cp_id, tag))
-            if tag & bits:
-                denied.append(SecurityException(cp_id, node_id, tag, step, name))
+    steps, ids, args, slots, denied_bits, policy_names = k.plan.checkpoints
+    done, ran = 0, None  # the steps replayed; the checkpoints that ran, if a deny cut the run
+    if cfg.on_exception == "halt":
+        for i, (step, slot, bits) in enumerate(zip(steps, slots, denied_bits), 1):
+            done, trap = _replay(k, values, tags, precise, done, step)
+            if trap is not None:
                 break
-        observations = tuple(observed)
-    else:  # the checkpoints that ran, a prefix of the columns, each column in one call
-        try:
-            _replay(k, values, tags, precise)
-            done = len(k.nodes)
-        except EvalError as e:
-            trap, done = e, e.step - 1
-        steps, ids, args, slots, denied_bits, policy_names = k.plan.checkpoints
+            if (boundary if tags is None else tags[slot]) & bits:
+                ran = i
+                break
+    halted = ran is not None
+    if not halted:
+        done, trap = _replay(k, values, tags, precise, done)
         ran = bisect_right(steps, done)
-        seen = [boundary] * ran if tags is None else list(map(tags.__getitem__, slots[:ran]))
-        observations = tuple(zip(ids, seen))
-        denied = tuple(
-            map(
-                tuple.__new__,  # SecurityException._make without its per-call Python frame
-                itertools.repeat(SecurityException),
-                itertools.compress(
-                    zip(ids, args, seen, steps, policy_names), map(and_, seen, denied_bits)
-                ),
-            )
+    seen = [boundary] * ran if tags is None else list(map(tags.__getitem__, slots[:ran]))
+    denied = tuple(
+        map(
+            tuple.__new__,  # SecurityException._make without its per-call Python frame
+            itertools.repeat(SecurityException),
+            itertools.compress(
+                zip(ids, args, seen, steps, policy_names), map(and_, seen, denied_bits)
+            ),
         )
-    halted = halt and bool(denied)
-    if halt:  # on to the denying step, or to the end
-        stop = denied[0].step if halted else len(k.nodes)
-        if stop > done:
-            _replay(k, values, tags, precise, done, stop)
-        done = stop
+    )
     record(monitor, denied)
     if trap is not None:
-        raise trap
+        error, *located = trap
+        raise error(*located)
     outputs: dict[str, tuple[int, int]] = {}
     if not halted:
         outputs = {
@@ -387,7 +378,7 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
         done,
         "coarse" if rule is None else "fine",
         None if rule is None else rule._value_,  # not .value, an Enum property call
-        observations,
+        tuple(zip(ids, seen)),
         halted,
     )
 
@@ -528,11 +519,11 @@ def independence_oracle(
     taint-kill soundness; widths are capped so enumeration stays exact."""
     arity = OP_ARITY[kind]
     if len(operand_types) != arity:
-        raise WidthMismatch(f"{kind.value} takes {arity} operand types")
+        raise ArityMismatch(f"{kind.value} takes {arity} operand types")
     if any(t.width > _ORACLE_MAX_WIDTH for t in operand_types):
         raise WidthTooLarge(f"operand widths must be <= {_ORACLE_MAX_WIDTH}")
     if set(untainted_values) | set(tainted_positions) != set(range(arity)):
-        raise WidthMismatch("tainted positions and untainted values must cover all operands")
+        raise ArityMismatch("tainted positions and untainted values must cover all operands")
     if result_ty is None:
         result_ty = BitType(1) if kind in COMPARE_OPS else operand_types[0]
     order = sorted(tainted_positions)

@@ -234,9 +234,12 @@ def test_check_exits_0_with_stable_summary(capsys):
 
 
 @pytest.mark.parametrize("doc_name", ["DEAD_DIVISION_DOC", "FOLDED_CHECKPOINT_DOC"])
-def test_check_prints_the_single_configuration_summaries(doc_name, tmp_path, capsys):
+def test_check_prints_the_single_configuration_summaries(
+    doc_name, tmp_path, capsys, defective_passes
+):
     # check shares each sample among its three configurations; it prints
-    # what three separate check_consistency calls report.
+    # what three separate check_consistency calls report. The defective
+    # passes give it mismatches to print.
     import test_kernel_ir
     from diftsim import CoarseBoundary, check_consistency
 

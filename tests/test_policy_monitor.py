@@ -99,7 +99,7 @@ def test_one_monitor_serves_runs_of_different_kernels(overflow_demo, fir4):
 
 
 def monitor_state(state):
-    return (list(state.exceptions), state.irq, list(state.registers))
+    return (list(state.exceptions), state.irq, [reg_read(state, a) for a in range(4)])
 
 
 @pytest.mark.parametrize("preloaded", [False, True])

@@ -115,9 +115,8 @@ def test_defaults_are_fresh_per_instance():
     assert (b.values, b.tags, b.memory) == ({}, {}, {})
     assert a.tags is not b.tags
     s, t = MonitorState(), MonitorState()
-    s.registers[0] = 1
     s.exceptions.append(None)
-    assert (t.exceptions, t.irq, t.registers) == ([], False, [0, 0, 0, 0])
+    assert (t.exceptions, t.irq, t.tag_in, t.tag_out) == ([], False, 0, 0)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -5,9 +6,10 @@ import random
 import pytest
 
 import diftsim.taint
-from conftest import load_inputs, load_kernel
+from conftest import drop_dead_traps, fold_watched_nodes, load_inputs, load_kernel
 from diftsim import (
     BINARY_OPS,
+    ArityMismatch,
     COMPARE_OPS,
     BitType,
     BitValue,
@@ -32,6 +34,7 @@ from diftsim import (
     independence_oracle,
     parse_inputs,
     propagate,
+    reg_read,
     reg_write,
     run_baseline,
     run_dift,
@@ -394,6 +397,10 @@ def test_independence_oracle():
     assert independence_oracle(OpKind.MUL, [u4, u4], {1}, {0: 0}) is True
     with pytest.raises(WidthTooLarge):
         independence_oracle(OpKind.ADD, [BitType(7), BitType(7)], {0}, {1: 3})
+    with pytest.raises(ArityMismatch, match="add takes 2 operand types"):
+        independence_oracle(OpKind.ADD, [u4], {0}, {})
+    with pytest.raises(ArityMismatch, match="must cover all operands"):
+        independence_oracle(OpKind.ADD, [u4, u4], {0}, {})
 
 
 def test_fuzz_properties_pass_on_fixtures(fir4, dot8, overflow_demo):
@@ -654,6 +661,58 @@ def test_halting_runs_walk_no_value_past_their_deny(monkeypatch):
         assert walked and all(stop is not None and stop <= 2 for _, stop in walked), walked
     with pytest.raises(DivisionByZero):
         run_dift(kernel, ri, fine(2, UNION))
+
+
+def garbage_left_by(run):
+    """What gc.collect() frees after run, with the collector off while it
+    runs: the objects that only reference cycles kept alive."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def trapped(run, *args):
+    try:
+        run(*args)
+    except EvalError:
+        return
+    raise AssertionError("the run did not trap")
+
+
+def test_a_trap_leaves_no_garbage():
+    # A trap kept as an exception object in a run's value pass forms a cycle
+    # through its traceback's frames, which holds the run's slot lists until
+    # the cyclic collector runs.
+    kernel = trap_kernel()
+    ri = RunInputs(values={"a": 7, "b": 0}, tags={"a": 1})
+    for cfg in five_configs(2):
+        trapped(run_dift, kernel, ri, cfg)  # lowers the plan once, outside the count
+        assert garbage_left_by(lambda: trapped(run_dift, kernel, ri, cfg)) == 0, cfg
+    for cfg in five_configs(2):
+        assert garbage_left_by(lambda: check_consistency(kernel, cfg, 20, 1)) == 0, cfg
+    assert garbage_left_by(lambda: fuzz_properties(kernel, 20, 1)) == 0
+
+
+def test_replays_of_one_trapping_pass_raise_new_equal_exceptions():
+    from diftsim import simulator
+
+    kernel = trap_kernel()
+    ri = RunInputs(values={"a": 7, "b": 0})
+    values = simulator._values(kernel, ri)
+    errors = []
+    for cfg in (fine(2), coarse(2)):
+        with pytest.raises(DivisionByZero) as info:
+            simulator._track(kernel, ri, cfg, values=values)
+        errors.append(info.value)
+    first, second = errors
+    assert first is not second
+    assert [(type(e), str(e), e.node_id, e.step) for e in errors] == [
+        (DivisionByZero, "division by zero (node q, step 2)", "q", 2)
+    ] * 2
 
 
 def twin_memory_kernel():
@@ -1001,6 +1060,11 @@ def preloaded_monitor():
     return monitor
 
 
+def monitor_words(monitor):
+    """The queue and the four register words, as software reads them."""
+    return monitor.exceptions, [reg_read(monitor, addr) for addr in range(4)]
+
+
 def assert_fires_in_order(kernel, ri, preloaded=False, reverse=False):
     """run_dift, and replays of one value pass that five_configs share in
     their order or reversed (halting configs first, so recording replays
@@ -1024,11 +1088,7 @@ def assert_fires_in_order(kernel, ri, preloaded=False, reverse=False):
             monitor = new_monitor()
             got = report_or_trap(lambda: run(monitor))
             assert type(got) is type(want) and got == want, cfg
-            assert (monitor.exceptions, monitor.irq, monitor.registers) == (
-                want_monitor.exceptions,
-                want_monitor.irq,
-                want_monitor.registers,
-            ), cfg
+            assert monitor_words(monitor) == monitor_words(want_monitor), cfg
         outcomes[i] = want
     return outcomes
 
@@ -1206,8 +1266,9 @@ def test_halt_mode_traps_before_the_first_watched_step():
 
 def reference_check(k, cfg, samples, seed):
     """check_consistency's mismatches, computed run by run: per sample,
-    run_baseline, then run_dift on k and on the optimized kernel."""
-    from diftsim import Mismatch, const_fold, dead_code_elim
+    run_baseline, then run_dift on k and on k optimized by the defective
+    passes."""
+    from diftsim import Mismatch
 
     def sig(e):
         return (type(e).__name__, e.node_id)
@@ -1216,7 +1277,7 @@ def reference_check(k, cfg, samples, seed):
         return [(e.checkpoint_id, e.node_id, e.tag_bits, e.policy_name) for e in rep.exceptions]
 
     rng = random.Random(seed)
-    opt = dead_code_elim(const_fold(k))
+    opt = drop_dead_traps(fold_watched_nodes(k))
     found = []
     for i in range(samples):
         ri = sample_inputs(k, rng)
@@ -1284,7 +1345,7 @@ def test_check_consistency_compares_baseline_values(monkeypatch):
     assert report.mismatches[0].detail.startswith("output out: baseline ")
 
 
-def test_check_consistency_matches_a_run_by_run_reference():
+def test_check_consistency_matches_a_run_by_run_reference(defective_passes):
     from diftsim import parse_kernel
     from test_kernel_ir import DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC
 
@@ -1296,5 +1357,5 @@ def test_check_consistency_matches_a_run_by_run_reference():
             report = check_consistency(kernel, cfg, samples=60, seed=4)
             assert report.mismatches == reference_check(kernel, cfg, 60, 4), (kernel.name, cfg)
             kinds |= {m.kind for m in report.mismatches}
-    # The two kernels with known pass defects give mismatches to compare.
+    # The defective passes give the last two kernels mismatches to compare.
     assert {"error", "opt_exceptions"} <= kinds
