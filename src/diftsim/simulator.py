@@ -13,16 +13,19 @@ and every checkpoint and output observes one boundary OR. The pass is
 walked lazily: a replay first extends it to the last step it needs, so a
 halting run walks no value past its deny, and the runs that share a pass
 (check_configs and fuzz_properties replay every configuration over one
-per kernel and sample) walk each value at most once. A trap is kept in
-the pass as data, so a replay returns it rather than raising it. The
-walks hold no checkpoint logic. A halting run is the recording run cut
-at its first deny: it replays to each watched step in turn only to find
-that cut. One judge then reads the tags of the checkpoints that ran, a
-prefix of Plan.checkpoints' columns, and builds the run's
-SecurityExceptions with a few calls over whole columns; the monitor
-records them at once, and only then is the run's trap raised.
-Distinct runs over immutable kernels are independent. All randomness is
-seeded.
+per kernel and sample) walk each value at most once. The walks hold no
+checkpoint logic. A halting run is the recording run cut at its first
+deny: it replays to each watched step in turn only to find that cut. One
+judge then reads the tags of the checkpoints that ran, a prefix of
+Plan.checkpoints' columns, and builds the run's SecurityExceptions with
+a few calls over whole columns; the monitor records them at once.
+
+A trap is data from the value walk to the API edge: _execute returns it
+as (type, located message, node id, step), the pass stores it, and a
+replay returns it beside its report. check_configs and fuzz_properties
+compare traps without raising; only run_baseline and run_dift raise one,
+as a new exception from frames that hold no run state. Distinct runs
+over immutable kernels are independent. All randomness is seeded.
 """
 
 from __future__ import annotations
@@ -231,31 +234,43 @@ def _init_tags(k: Kernel, input_tags: list) -> list:
     return tags
 
 
-def _locate(exc: EvalError, node_id: str, step: int) -> EvalError:
-    exc.node_id = node_id
-    exc.step = step
-    exc.args = (f"{exc.args[0]} (node {node_id}, step {step})",)
-    return exc
-
-
-def _execute(k: Kernel, vals: list, start=0, stop=None) -> None:
+def _execute(k: Kernel, vals: list, start=0, stop=None) -> tuple | None:
     """The one value walk over k.plan, from step start + 1 to step stop
-    (None: the last): each step sets its slot by its value function. A
-    trap is raised located at its node and step."""
+    (None: the last): each step sets its slot by its value function. The
+    walk stops at a trap and returns it as data, (type, message located at
+    its node and step, node id, step); else None."""
     for step, (out, value_of, x, y, z, _, _) in enumerate(k.plan.steps[start:stop], start + 1):
         try:
             vals[out] = value_of(vals[x], vals[y], vals[z])
         except EvalError as e:
-            raise _locate(e, k.nodes[step - 1].id, step)
+            node_id = k.nodes[step - 1].id
+            return type(e), f"{e.args[0]} (node {node_id}, step {step})", node_id, step
+    return None
+
+
+def _raised(result, trap):
+    """result, or trap raised as a new exception. Its frame, like its
+    callers', holds no slot, cell or tag list, so neither does the trace."""
+    if trap is not None:
+        error, *located = trap
+        raise error(*located)
+    return result
+
+
+def _baseline(k: Kernel, inputs: RunInputs, diags=None) -> tuple:
+    """run_baseline's walk: (outputs, None), or (None, trap)."""
+    vals = _values(k, inputs, diags)[0]
+    trap = _execute(k, vals)
+    if trap is not None:
+        return None, trap
+    return {oid: vals[slot] for oid, slot in k.plan.outputs}, None
 
 
 def run_baseline(
     k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None = None
 ) -> dict[str, int]:
     """Execute the kernel without any tracking; checkpoints are no-ops."""
-    vals = _values(k, inputs, diags)[0]
-    _execute(k, vals)
-    return {oid: vals[slot] for oid, slot in k.plan.outputs}
+    return _raised(*_baseline(k, inputs, diags))
 
 
 def run_dift(
@@ -274,27 +289,23 @@ def run_dift(
     observation the boundary tag: the join of all input and initial
     memory tags. Output values always equal run_baseline's.
     """
-    return _track(k, inputs, cfg, monitor, diags)
+    return _raised(*_track(k, inputs, cfg, monitor, diags))
 
 
 def _replay(k: Kernel, values: list, tags, precise, start=0, stop=None) -> tuple:
     """The one tag walk, from step start + 1 to step stop (None: the last),
-    over values from _values: it first extends the pass to stop, keeping
-    the trap it meets as data, (type, message, node id, step), so no value
-    past stop is walked and none twice. Tag functions read operand values
-    only from slots written once, so each read sees the value of its step.
-    Returns (the last step replayed, the pass's trap if it falls in the
-    steps to stop, else None): a trap stops the replay before its step."""
+    over values from _values: it first extends the pass to stop and stores
+    the trap _execute returns in it, so no value past stop is walked and
+    none twice. Tag functions read operand values only from slots written
+    once, so each read sees the value of its step. Returns (the last step
+    replayed, the pass's trap if it falls in the steps to stop, else None):
+    a trap stops the replay before its step."""
     vals, walked, trap = values
     if stop is None:
         stop = len(k.nodes)
     if trap is None and walked < stop:
-        try:
-            _execute(k, vals, walked, stop)
-            values[1] = stop
-        except EvalError as e:
-            trap = type(e), e.args[0], e.node_id, e.step
-            values[1:] = e.step - 1, trap
+        trap = _execute(k, vals, walked, stop)
+        values[1:] = (stop, None) if trap is None else (trap[3] - 1, trap)
     if trap is not None and trap[3] <= stop:
         stop = trap[3] - 1
     else:
@@ -306,9 +317,10 @@ def _replay(k: Kernel, values: list, tags, precise, start=0, stop=None) -> tuple
     return stop, trap
 
 
-def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationReport:
+def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> tuple:
     """run_dift's set-up, checkpoints and report around a tag replay of
-    values, a value pass of k on inputs from _values (None: a new one).
+    values, a value pass of k on inputs from _values (None: a new one):
+    (report, None), or (None, the run's trap).
 
     A halting run is the recording run cut at its first deny, and its loop
     only finds that cut: it replays to each watched step in turn (a coarse
@@ -319,8 +331,7 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
     checkpoint_tags and the SecurityExceptions with a few calls over whole
     columns. Judging after the replay is sound, as no checkpoint changes a
     run and the slot each reads is written once, at or before its step.
-    The denials go to the monitor in one record, and only then is the
-    run's trap, if any, raised as a new exception."""
+    The denials go to the monitor in one record, a trapped run's too."""
     if cfg.tag_width != k.tag_width:
         raise WidthMismatch(f"config tag width {cfg.tag_width} does not match kernel {k.tag_width}")
     if monitor is None:
@@ -363,8 +374,7 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
     )
     record(monitor, denied)
     if trap is not None:
-        error, *located = trap
-        raise error(*located)
+        return None, trap
     outputs: dict[str, tuple[int, int]] = {}
     if not halted:
         outputs = {
@@ -380,15 +390,7 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> SimulationR
         None if rule is None else rule._value_,  # not .value, an Enum property call
         tuple(zip(ids, seen)),
         halted,
-    )
-
-
-def _replayed(k: Kernel, inputs: RunInputs, cfg: DiftConfig, values: list):
-    """A replay of values under cfg: (report, None), or (None, error signature)."""
-    try:
-        return _track(k, inputs, cfg, values=values), None
-    except EvalError as e:
-        return None, _error_sig(e)
+    ), None
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +434,6 @@ class ConsistencyReport(NamedTuple):
         )
 
 
-def _error_sig(e: EvalError) -> tuple[str, str | None]:
-    return (type(e).__name__, e.node_id)
-
-
 def _exception_seq(rep: SimulationReport) -> list[tuple[str, str, int, str]]:
     # Step indices may shift across passes; the sequence is what must hold.
     return [(e.checkpoint_id, e.node_id, e.tag_bits, e.policy_name) for e in rep.exceptions]
@@ -454,25 +452,25 @@ def check_configs(
     k: Kernel, cfgs: list[DiftConfig], samples: int, seed: int
 ) -> list[ConsistencyReport]:
     """check_consistency under each of cfgs on the same samples: per
-    sample, one run_baseline, one value pass of k and one of the
+    sample, one baseline walk, one value pass of k and one of the
     optimized kernel, and a replay of each under every configuration."""
     rng = random.Random(seed)
     opt = dead_code_elim(const_fold(k))
     found: list[list[Mismatch]] = [[] for _ in cfgs]
     for i in range(samples):
         ri = sample_inputs(k, rng)
-        base = base_err = None
-        try:
-            base = run_baseline(k, ri)
-        except EvalError as e:
-            base_err = _error_sig(e)
+        base, base_trap = _baseline(k, ri)
         values, opt_values = _values(k, ri), _values(opt, ri)
         for cfg, mismatches in zip(cfgs, found):
             add = mismatches.append
-            rep, dift_err = _replayed(k, ri, cfg, values)
-            rep_opt, opt_err = _replayed(opt, ri, cfg, opt_values)
+            rep, trap = _track(k, ri, cfg, values=values)
+            rep_opt, opt_trap = _track(opt, ri, cfg, values=opt_values)
+            # Traps are compared by type and node: steps shift across passes.
+            base_err, dift_err, opt_err = [
+                t and (t[0].__name__, t[2]) for t in (base_trap, trap, opt_trap)
+            ]
             if base_err or dift_err:
-                # A replay raises a trap at or before its halt: one that halted stopped first.
+                # A replay traps at or before its halt: one that halted stopped first.
                 if base_err != dift_err and not (dift_err is None and rep.halted):
                     add(Mismatch(i, "error", f"baseline {base_err} vs dift {dift_err}", ri))
             elif not rep.halted:
@@ -603,11 +601,11 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
             runs.append((k, wide_ri, union_cfg))
 
         values = _values(k, ri)  # the runs differ from k on ri only in tags
-        reps, errs = zip(*[_replayed(*run, values) for run in runs])
-        if any(errs):
-            if None in errs or len(set(errs)) > 1:
+        reps, traps = zip(*[_track(*run, values=values) for run in runs])
+        if any(traps):
+            if None in traps or len(set(traps)) > 1:
                 outcomes = ", ".join(
-                    "ok" if e is None else f"{e[0]} at {e[1]}" for e in errs
+                    "ok" if t is None else f"{t[0].__name__} at {t[2]}" for t in traps
                 )
                 cexs.append(Counterexample("trap", trial, ri, f"runs disagree: {outcomes}"))
             continue

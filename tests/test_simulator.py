@@ -697,22 +697,47 @@ def test_a_trap_leaves_no_garbage():
     assert garbage_left_by(lambda: fuzz_properties(kernel, 20, 1)) == 0
 
 
-def test_replays_of_one_trapping_pass_raise_new_equal_exceptions():
-    from diftsim import simulator
+def test_a_caught_trap_holds_no_run_state():
+    # One load at an out-of-range address of a 65536-cell memory traps in
+    # every mode. A caught exception whose traceback reached the run's
+    # frames would keep its cell list (512 KB of slots) and, in a fine
+    # run, its tag lists alive for as long as the caller holds it.
+    import tracemalloc
 
-    kernel = trap_kernel()
-    ri = RunInputs(values={"a": 7, "b": 0})
-    values = simulator._values(kernel, ri)
-    errors = []
-    for cfg in (fine(2), coarse(2)):
-        with pytest.raises(DivisionByZero) as info:
-            simulator._track(kernel, ri, cfg, values=values)
-        errors.append(info.value)
-    first, second = errors
-    assert first is not second
-    assert [(type(e), str(e), e.node_id, e.step) for e in errors] == [
-        (DivisionByZero, "division by zero (node q, step 2)", "q", 2)
-    ] * 2
+    from diftsim import parse_kernel
+
+    doc = {
+        "name": "big_load",
+        "tag_width": 2,
+        "inputs": [{"id": "a", "width": 32}],
+        "memories": [{"id": "m", "size": 65536, "width": 8}],
+        "nodes": [{"id": "ld", "op": "load", "args": ["m", "a"], "width": 8}],
+        "outputs": [{"id": "out", "source": "ld"}],
+    }
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    ri = RunInputs(values={"a": 1 << 20}, tags={"a": 1})
+    runs = [lambda: run_baseline(kernel, ri)]
+    runs += [lambda cfg=cfg: run_dift(kernel, ri, cfg) for cfg in five_configs(2)]
+    trapped(runs[0])  # lowers the plan once, outside the count
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        caught = []
+        for run in runs:
+            with pytest.raises(OutOfBoundsAddress) as info:
+                run()
+            caught.append(info.value)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert [str(e) for e in caught] == ["address 1048576 outside m[0..65536) (node ld, step 1)"] * 6
+    assert held < 256 * 1024, held
 
 
 def twin_memory_kernel():
@@ -919,14 +944,15 @@ def test_fuzz_passes_trials_that_trap_alike(monkeypatch):
 def test_fuzz_reports_runs_that_trap_differently(monkeypatch):
     # A coarse run that traps where the fine runs do not is a "trap"
     # counterexample carrying the trial's inputs. Replays share one value
-    # pass, so the disagreement is injected where each run is replayed.
+    # pass, so the disagreement is injected where each run is replayed, as
+    # the trap a replay returns.
     from diftsim import simulator
 
     track = simulator._track
 
     def coarse_traps(k, ri, cfg, *args, **kwargs):
         if cfg.rule is None:
-            raise DivisionByZero("division by zero")
+            return None, (DivisionByZero, "division by zero", None, None)
         return track(k, ri, cfg, *args, **kwargs)
 
     monkeypatch.setattr(simulator, "_track", coarse_traps)
@@ -1032,8 +1058,8 @@ def fired_in_order(k, ri, cfg, monitor):
                 tag_of = precise_of if cfg.rule is PRECISE else union_of
                 tags[out] = tag_of(vals[x], vals[y], vals[z], tags[x], tags[y], tags[z])
         except EvalError as e:
-            e = simulator._locate(e, k.nodes[step - 1].id, step)
-            return (type(e), e.node_id, e.step, str(e))
+            node = k.nodes[step - 1].id
+            return (type(e), node, step, f"{e} (node {node}, step {step})")
         steps, halted = step, fire(step)
     outputs = {} if halted else {
         oid: (vals[slot], boundary if tags is None else tags[slot]) for oid, slot in k.plan.outputs
@@ -1081,12 +1107,17 @@ def assert_fires_in_order(kernel, ri, preloaded=False, reverse=False):
         cfg = cfgs[i]
         want_monitor = new_monitor()
         want = fired_in_order(kernel, ri, cfg, want_monitor)
-        for run in (
-            lambda m: run_dift(kernel, ri, cfg, m),
-            lambda m: simulator._track(kernel, ri, cfg, m, values=values),
-        ):
+
+        def replay(m):
+            rep, trap = simulator._track(kernel, ri, cfg, m, values=values)
+            if trap is None:
+                return rep
+            error, message, node, step = trap
+            return (error, node, step, message)
+
+        for run in (lambda m: report_or_trap(lambda: run_dift(kernel, ri, cfg, m)), replay):
             monitor = new_monitor()
-            got = report_or_trap(lambda: run(monitor))
+            got = run(monitor)
             assert type(got) is type(want) and got == want, cfg
             assert monitor_words(monitor) == monitor_words(want_monitor), cfg
         outcomes[i] = want
@@ -1331,15 +1362,16 @@ def reference_check(k, cfg, samples, seed):
 
 def test_check_consistency_compares_baseline_values(monkeypatch):
     # Replays never change values, so only a broken baseline can differ;
-    # the comparison with the real run_baseline must still report it.
+    # the comparison with check's own baseline walk must still report it.
     from diftsim import simulator
 
-    baseline = simulator.run_baseline
+    baseline = simulator._baseline
 
     def off_by_one(k, ri, diags=None):
-        return {oid: value + 1 for oid, value in baseline(k, ri, diags).items()}
+        outputs, trap = baseline(k, ri, diags)
+        return {oid: value + 1 for oid, value in outputs.items()}, trap
 
-    monkeypatch.setattr(simulator, "run_baseline", off_by_one)
+    monkeypatch.setattr(simulator, "_baseline", off_by_one)
     report = check_consistency(tiny_add_kernel(), fine(2), samples=3, seed=0)
     assert [(m.sample, m.kind) for m in report.mismatches] == [(0, "value"), (1, "value"), (2, "value")]
     assert report.mismatches[0].detail.startswith("output out: baseline ")
