@@ -22,10 +22,11 @@ a few calls over whole columns; the monitor records them at once.
 
 A trap is data from the value walk to the API edge: _execute returns it
 as (type, located message, node id, step), the pass stores it, and a
-replay returns it beside its report. check_configs and fuzz_properties
-compare traps without raising; only run_baseline and run_dift raise one,
-as a new exception from frames that hold no run state. Distinct runs
-over immutable kernels are independent. All randomness is seeded.
+replay returns it beside its report. Only run_baseline and run_dift raise
+one, as a new exception from frames that hold no run state. check_configs
+catches the one its baseline raises; it and fuzz_properties compare the
+replays' traps as data. Distinct runs over immutable kernels are
+independent. All randomness is seeded.
 """
 
 from __future__ import annotations
@@ -452,23 +453,24 @@ def check_configs(
     k: Kernel, cfgs: list[DiftConfig], samples: int, seed: int
 ) -> list[ConsistencyReport]:
     """check_consistency under each of cfgs on the same samples: per
-    sample, one baseline walk, one value pass of k and one of the
+    sample, one run_baseline, one value pass of k and one of the
     optimized kernel, and a replay of each under every configuration."""
     rng = random.Random(seed)
     opt = dead_code_elim(const_fold(k))
     found: list[list[Mismatch]] = [[] for _ in cfgs]
     for i in range(samples):
         ri = sample_inputs(k, rng)
-        base, base_trap = _baseline(k, ri)
+        # Traps are compared by type and node: steps shift across passes.
+        try:
+            base, base_err = run_baseline(k, ri), None
+        except EvalError as e:
+            base, base_err = None, (type(e).__name__, e.node_id)
         values, opt_values = _values(k, ri), _values(opt, ri)
         for cfg, mismatches in zip(cfgs, found):
             add = mismatches.append
             rep, trap = _track(k, ri, cfg, values=values)
             rep_opt, opt_trap = _track(opt, ri, cfg, values=opt_values)
-            # Traps are compared by type and node: steps shift across passes.
-            base_err, dift_err, opt_err = [
-                t and (t[0].__name__, t[2]) for t in (base_trap, trap, opt_trap)
-            ]
+            dift_err, opt_err = [t and (t[0].__name__, t[2]) for t in (trap, opt_trap)]
             if base_err or dift_err:
                 # A replay traps at or before its halt: one that halted stopped first.
                 if base_err != dift_err and not (dift_err is None and rep.halted):

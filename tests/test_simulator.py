@@ -1362,16 +1362,15 @@ def reference_check(k, cfg, samples, seed):
 
 def test_check_consistency_compares_baseline_values(monkeypatch):
     # Replays never change values, so only a broken baseline can differ;
-    # the comparison with check's own baseline walk must still report it.
+    # the comparison with the real run_baseline must still report it.
     from diftsim import simulator
 
-    baseline = simulator._baseline
+    baseline = simulator.run_baseline
 
     def off_by_one(k, ri, diags=None):
-        outputs, trap = baseline(k, ri, diags)
-        return {oid: value + 1 for oid, value in outputs.items()}, trap
+        return {oid: value + 1 for oid, value in baseline(k, ri, diags).items()}
 
-    monkeypatch.setattr(simulator, "_baseline", off_by_one)
+    monkeypatch.setattr(simulator, "run_baseline", off_by_one)
     report = check_consistency(tiny_add_kernel(), fine(2), samples=3, seed=0)
     assert [(m.sample, m.kind) for m in report.mismatches] == [(0, "value"), (1, "value"), (2, "value")]
     assert report.mismatches[0].detail.startswith("output out: baseline ")
