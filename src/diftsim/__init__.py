@@ -64,26 +64,45 @@ from .policy_monitor import (
     reg_read,
     reg_write,
 )
-from .simulator import (
-    ConsistencyReport,
-    Counterexample,
-    Mismatch,
-    PropertyReport,
-    RunInputs,
-    SimulationReport,
-    check_consistency,
-    fuzz_properties,
-    independence_oracle,
-    inputs_to_json,
-    parse_inputs,
-    run_baseline,
-    run_dift,
-    sample_inputs,
-)
 from .taint import CoarseBoundary, DiftConfig, FineGrained, PropagationRule
-from .tainted import DiftValue, Tag, apply_binop, eval_binop, propagate
 
 __version__ = "0.1.0"
+
+# The simulator and tainted exports, and those two modules, are resolved
+# on first access by __getattr__, so instrument and --help never import
+# the simulator and no command imports tainted.
+_SIMULATOR = frozenset({
+    "simulator", "ConsistencyReport", "Counterexample", "Mismatch", "PropertyReport",
+    "RunInputs", "SimulationReport", "check_consistency", "fuzz_properties",
+    "independence_oracle", "inputs_to_json", "parse_inputs", "run_baseline", "run_dift",
+    "sample_inputs",
+})
+_TAINTED = frozenset({"tainted", "DiftValue", "Tag", "apply_binop", "eval_binop", "propagate"})
+
+
+def __getattr__(name: str):
+    # "from .simulator import", not "from . import simulator": the latter
+    # asks the package for the module first, which would call back here.
+    if name in _SIMULATOR:
+        from .simulator import (
+            ConsistencyReport, Counterexample, Mismatch, PropertyReport, RunInputs,
+            SimulationReport, check_consistency, fuzz_properties, independence_oracle,
+            inputs_to_json, parse_inputs, run_baseline, run_dift, sample_inputs,
+        )
+    elif name in _TAINTED:
+        from .tainted import DiftValue, Tag, apply_binop, eval_binop, propagate
+    elif name == "__all__":  # what "from diftsim import *" binds: every public name
+        return [n for n in __dir__() if not n.startswith("_")]
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    resolved = locals()
+    del resolved["name"]
+    globals().update(resolved)  # the import itself bound the module here
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _SIMULATOR | _TAINTED)
 
 
 def fixture_path(name: str):

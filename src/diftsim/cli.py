@@ -24,15 +24,10 @@ from .kernel_ir import (
     instrument,
     parse_kernel,
 )
-from .simulator import (
-    RunInputs,
-    check_configs,
-    fuzz_properties,
-    inputs_to_json,
-    parse_inputs,
-    run_dift,
-)
 from .taint import CoarseBoundary, DiftConfig, FineGrained, PropagationRule
+
+# run, check and fuzz import the simulator when they start: instrument and
+# --help never load it.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,7 +96,9 @@ def _load_kernel(path: str) -> Kernel:
     return kernel
 
 
-def _load_inputs(path: str) -> RunInputs:
+def _load_inputs(path: str):
+    from .simulator import parse_inputs
+
     inputs, diags = parse_inputs(_read_file(path))
     _print_diags(diags)
     if inputs is None:
@@ -116,6 +113,8 @@ def _make_config(kernel: Kernel, mode: str, rule: str, on_exception: str) -> Dif
 
 
 def cmd_run(args) -> int:
+    from .simulator import run_dift
+
     kernel = _load_kernel(args.kernel)
     inputs = _load_inputs(args.inputs)
     diags: list[Diagnostic] = []
@@ -149,6 +148,8 @@ def cmd_instrument(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .simulator import check_configs
+
     kernel = _load_kernel(args.kernel)
     configs = [
         _make_config(kernel, "fine", "union", "record"),
@@ -166,6 +167,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .simulator import fuzz_properties, inputs_to_json
+
     kernel = _load_kernel(args.kernel)
     report = fuzz_properties(kernel, args.trials, args.seed)
     for i, cex in enumerate(report.counterexamples, start=1):

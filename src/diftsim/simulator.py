@@ -18,13 +18,22 @@ checkpoint logic. A halting run is the recording run cut at its first
 deny: it replays to each watched step in turn only to find that cut. One
 judge then reads the tags of the checkpoints that ran, a prefix of
 Plan.checkpoints' columns, and builds the run's SecurityExceptions with
-a few calls over whole columns; the monitor records them at once.
+a few calls over whole columns.
+
+The replay core, _track, takes a run's tags as data, its input tags and
+its memories' initial tags, as the paper's shadow logic reads only the
+datapath's values plus initial tags, and returns plain data: outputs,
+denials, checkpoint tags, steps, halted and trap. Only run_dift meets a
+monitor: it applies REG_TAG_IN, records the denials and builds the
+SimulationReport. check_configs computes a sample's input tags once and
+replays every configuration from them, and fuzz_properties replays its
+closure runs from zero tags, on the kernel's own plan.
 
 A trap is data from the value walk to the API edge: _execute returns it
-as (type, located message, node id, step), the pass stores it, and a
-replay returns it beside its report. Only run_baseline and run_dift raise
-one, as a new exception from frames that hold no run state. check_configs
-catches the one its baseline raises; it and fuzz_properties compare the
+as (type, located message, node id, step), the pass stores it, and the
+replay core returns it. Only run_baseline and run_dift raise one, as a
+new exception from frames that hold no run state. check_configs catches
+the one its baseline raises; it and fuzz_properties compare the
 replays' traps as data. Distinct runs over immutable kernels are
 independent. All randomness is seeded.
 """
@@ -43,7 +52,7 @@ from .bitvalue import COMPARE_OPS, OP_ARITY, BitType, OpKind, apply_op
 from .errors import ArityMismatch, DiftError, EvalError, WidthMismatch, WidthTooLarge
 from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim
 from .policy_monitor import MonitorState, SecurityException, record
-from .taint import CoarseBoundary, DiftConfig, FineGrained, PropagationRule
+from .taint import DiftConfig, PropagationRule
 
 _ORACLE_MAX_WIDTH = 6
 
@@ -210,27 +219,27 @@ def _values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None = None)
     return [vals, 0, None]
 
 
-def _input_tags(k: Kernel, inputs: RunInputs, monitor: MonitorState) -> list:
-    """Tag bits of every input: explicit override, else a nonzero
-    REG_TAG_IN word, else the declared default."""
+def _input_tags(k: Kernel, tags: dict, tag_in: int = 0) -> list:
+    """Tag bits of every input: its entry in tags, else a nonzero
+    REG_TAG_IN word tag_in, else the declared default."""
     mask = (1 << k.tag_width) - 1
-    tag_in = monitor.tag_in
-    tags: list = []
+    input_tags: list = []
     for inp in k.inputs:
-        if inp.id in inputs.tags:
-            tags.append(inputs.tags[inp.id] & mask)
+        if inp.id in tags:
+            input_tags.append(tags[inp.id] & mask)
         elif tag_in:
-            tags.append(tag_in & mask)
+            input_tags.append(tag_in & mask)
         else:
-            tags.append(inp.default_tag)
-    return tags
+            input_tags.append(inp.default_tag)
+    return input_tags
 
 
-def _init_tags(k: Kernel, input_tags: list) -> list:
+def _init_tags(k: Kernel, input_tags: list, memories) -> list:
     """The tag slots of a fine run: the input tags, 0 for constants and
-    nodes, and every memory's list of cell tags."""
+    nodes, and the list of cell tags of each of memories, k's memory
+    declarations or copies with other init_tags: its initial tags, then 0."""
     tags = input_tags + [0] * len(k.constants)
-    tags += [list(m.init_tags) + [0] * (m.size - len(m.init_tags)) for m in k.memories]
+    tags += [list(m.init_tags) + [0] * (m.size - len(m.init_tags)) for m in memories]
     tags += [0] * len(k.nodes)
     return tags
 
@@ -289,8 +298,42 @@ def run_dift(
     mode replays no tags and gives every output and checkpoint
     observation the boundary tag: the join of all input and initial
     memory tags. Output values always equal run_baseline's.
+
+    The run is one call of the replay core, _track; only here does a run
+    meet a monitor: a nonzero REG_TAG_IN word tags the inputs that inputs
+    leaves untagged, the denials are recorded, a trapped run's too, and
+    the report reads the monitor's queue.
     """
-    return _raised(*_track(k, inputs, cfg, monitor, diags))
+    _check_width(k, cfg)
+    if monitor is None:
+        monitor = MonitorState()
+    rule = cfg.rule
+    outputs, denied, seen, steps, halted, trap = _track(
+        k,
+        _values(k, inputs, diags),
+        _input_tags(k, inputs.tags, monitor.tag_in),
+        k.memories,
+        rule,
+        cfg.on_exception == "halt",
+    )
+    record(monitor, denied)
+    if trap is not None:
+        return _raised(None, trap)
+    return SimulationReport(
+        outputs,
+        tuple(monitor.exceptions),
+        monitor.irq,
+        steps,
+        "coarse" if rule is None else "fine",
+        None if rule is None else rule._value_,  # not .value, an Enum property call
+        seen,
+        halted,
+    )
+
+
+def _check_width(k: Kernel, cfg: DiftConfig) -> None:
+    if cfg.tag_width != k.tag_width:
+        raise WidthMismatch(f"config tag width {cfg.tag_width} does not match kernel {k.tag_width}")
 
 
 def _replay(k: Kernel, values: list, tags, precise, start=0, stop=None) -> tuple:
@@ -318,40 +361,36 @@ def _replay(k: Kernel, values: list, tags, precise, start=0, stop=None) -> tuple
     return stop, trap
 
 
-def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> tuple:
-    """run_dift's set-up, checkpoints and report around a tag replay of
-    values, a value pass of k on inputs from _values (None: a new one):
-    (report, None), or (None, the run's trap).
+def _track(k: Kernel, values: list, input_tags: list, memories, rule, halt: bool) -> tuple:
+    """The replay core: one tracked run of k as plain data. It replays
+    tags over values, a value pass of k from _values, from the run's input
+    tags and its memories' initial tags, the init_tags of memories (k's
+    memory declarations, or copies with other init_tags), under rule
+    (None: coarse), cut at the first deny if halt. It holds no monitor and builds
+    no report: it returns (outputs, denials, checkpoint tags, steps
+    replayed, halted, trap or None), and a run that halts or traps has no
+    outputs.
 
     A halting run is the recording run cut at its first deny, and its loop
     only finds that cut: it replays to each watched step in turn (a coarse
     run walks values only) and stops at the first checkpoint that denies.
     Any other run replays to its end or its trap, and the checkpoints that
     ran are the prefix of the Plan.checkpoints columns up to that step.
-    One judge then reads those checkpoints' tags and builds
-    checkpoint_tags and the SecurityExceptions with a few calls over whole
-    columns. Judging after the replay is sound, as no checkpoint changes a
-    run and the slot each reads is written once, at or before its step.
-    The denials go to the monitor in one record, a trapped run's too."""
-    if cfg.tag_width != k.tag_width:
-        raise WidthMismatch(f"config tag width {cfg.tag_width} does not match kernel {k.tag_width}")
-    if monitor is None:
-        monitor = MonitorState()
-    if values is None:
-        values = _values(k, inputs, diags)
-    input_tags = _input_tags(k, inputs, monitor)
-    rule = cfg.rule
+    One judge then reads those checkpoints' tags and builds the checkpoint
+    tags and the SecurityExceptions with a few calls over whole columns.
+    Judging after the replay is sound, as no checkpoint changes a run and
+    the slot each reads is written once, at or before its step."""
     tags = None
     if rule is None:
         boundary = 0
-        for t in itertools.chain(input_tags, *(m.init_tags for m in k.memories)):
+        for t in itertools.chain(input_tags, *(m.init_tags for m in memories)):
             boundary |= t
     else:
-        tags = _init_tags(k, input_tags)
+        tags = _init_tags(k, input_tags, memories)
     precise = rule is PropagationRule.PRECISE
     steps, ids, args, slots, denied_bits, policy_names = k.plan.checkpoints
     done, ran = 0, None  # the steps replayed; the checkpoints that ran, if a deny cut the run
-    if cfg.on_exception == "halt":
+    if halt:
         for i, (step, slot, bits) in enumerate(zip(steps, slots, denied_bits), 1):
             done, trap = _replay(k, values, tags, precise, done, step)
             if trap is not None:
@@ -373,25 +412,13 @@ def _track(k, inputs, cfg, monitor=None, diags=None, values=None) -> tuple:
             ),
         )
     )
-    record(monitor, denied)
-    if trap is not None:
-        return None, trap
-    outputs: dict[str, tuple[int, int]] = {}
-    if not halted:
+    outputs = {}
+    if not halted and trap is None:
         outputs = {
             oid: (values[0][slot], boundary if tags is None else tags[slot])
             for oid, slot in k.plan.outputs
         }
-    return SimulationReport(
-        outputs,
-        tuple(monitor.exceptions),
-        monitor.irq,
-        done,
-        "coarse" if rule is None else "fine",
-        None if rule is None else rule._value_,  # not .value, an Enum property call
-        tuple(zip(ids, seen)),
-        halted,
-    ), None
+    return outputs, denied, tuple(zip(ids, seen)), done, halted, trap
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +462,9 @@ class ConsistencyReport(NamedTuple):
         )
 
 
-def _exception_seq(rep: SimulationReport) -> list[tuple[str, str, int, str]]:
+def _exception_seq(denied) -> list[tuple[str, str, int, str]]:
     # Step indices may shift across passes; the sequence is what must hold.
-    return [(e.checkpoint_id, e.node_id, e.tag_bits, e.policy_name) for e in rep.exceptions]
+    return [(e.checkpoint_id, e.node_id, e.tag_bits, e.policy_name) for e in denied]
 
 
 def check_consistency(k: Kernel, cfg: DiftConfig, samples: int, seed: int) -> ConsistencyReport:
@@ -453,10 +480,15 @@ def check_configs(
     k: Kernel, cfgs: list[DiftConfig], samples: int, seed: int
 ) -> list[ConsistencyReport]:
     """check_consistency under each of cfgs on the same samples: per
-    sample, one run_baseline, one value pass of k and one of the
-    optimized kernel, and a replay of each under every configuration."""
+    sample, one run_baseline, its input tags, one value pass of k and one
+    of the optimized kernel, and a replay of each under every
+    configuration. The passes keep k's inputs, so both kernels' replays
+    start from the same input tags."""
+    for cfg in cfgs:
+        _check_width(k, cfg)
     rng = random.Random(seed)
     opt = dead_code_elim(const_fold(k))
+    runs = [(cfg.rule, cfg.on_exception == "halt") for cfg in cfgs]
     found: list[list[Mismatch]] = [[] for _ in cfgs]
     for i in range(samples):
         ri = sample_inputs(k, rng)
@@ -466,18 +498,23 @@ def check_configs(
         except EvalError as e:
             base, base_err = None, (type(e).__name__, e.node_id)
         values, opt_values = _values(k, ri), _values(opt, ri)
-        for cfg, mismatches in zip(cfgs, found):
+        input_tags = _input_tags(k, ri.tags)
+        for (rule, halt), mismatches in zip(runs, found):
             add = mismatches.append
-            rep, trap = _track(k, ri, cfg, values=values)
-            rep_opt, opt_trap = _track(opt, ri, cfg, values=opt_values)
+            outputs, denied, _, _, halted, trap = _track(
+                k, values, input_tags, k.memories, rule, halt
+            )
+            opt_outputs, opt_denied, _, _, opt_halted, opt_trap = _track(
+                opt, opt_values, input_tags, opt.memories, rule, halt
+            )
             dift_err, opt_err = [t and (t[0].__name__, t[2]) for t in (trap, opt_trap)]
             if base_err or dift_err:
                 # A replay traps at or before its halt: one that halted stopped first.
-                if base_err != dift_err and not (dift_err is None and rep.halted):
+                if base_err != dift_err and not (dift_err is None and halted):
                     add(Mismatch(i, "error", f"baseline {base_err} vs dift {dift_err}", ri))
-            elif not rep.halted:
+            elif not halted:
                 for oid, value in base.items():
-                    got = rep.outputs[oid][0]
+                    got = outputs[oid][0]
                     if got != value:
                         add(Mismatch(i, "value", f"output {oid}: baseline {value}, dift {got}", ri))
 
@@ -485,15 +522,15 @@ def check_configs(
                 if dift_err != opt_err:
                     add(Mismatch(i, "error", f"unoptimized {dift_err} vs optimized {opt_err}", ri))
                 continue
-            seq, opt_seq = _exception_seq(rep), _exception_seq(rep_opt)
+            seq, opt_seq = _exception_seq(denied), _exception_seq(opt_denied)
             if seq != opt_seq:
                 add(Mismatch(i, "opt_exceptions", f"unoptimized {seq} vs optimized {opt_seq}", ri))
-            if rep.halted or rep_opt.halted:
-                if rep.halted != rep_opt.halted:
+            if halted or opt_halted:
+                if halted != opt_halted:
                     add(Mismatch(i, "opt_value", "halt state differs", ri))
                 continue
-            for oid, (value, tag) in rep.outputs.items():
-                ovalue, otag = rep_opt.outputs[oid]
+            for oid, (value, tag) in outputs.items():
+                ovalue, otag = opt_outputs[oid]
                 if value != ovalue:
                     add(Mismatch(i, "opt_value", f"output {oid}: {value} vs {ovalue}", ri))
                 if tag != otag:
@@ -565,45 +602,45 @@ class PropertyReport(NamedTuple):
         )
 
 
-def _zero_tag_kernel(k: Kernel) -> Kernel:
-    """k without initial memory tags. It shares k's plan, which holds no tags."""
-    zeroed = k._replace(memories=tuple(m._replace(init_tags=()) for m in k.memories))
-    zeroed.__dict__["plan"] = k.plan
-    return zeroed
-
-
 def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
     """Seeded random trials of the four tracking properties: untainted
     closure, union-rule monotonicity, precise-subset-of-union, and
     fine-subset-of-coarse. Counterexamples carry the full inputs.
 
-    A trial's runs share its input values and memory, so they trap
-    alike: a trial whose runs all fail with the same error on the same
-    node passes, and runs that disagree give a "trap" counterexample."""
+    A trial's runs are replays of one value pass from tags given as data:
+    the closure runs from zero input and memory tags, the others from the
+    sample's tags, and the monotonicity run with one input's tag widened.
+    They share their input values and memory, so they trap alike: a trial
+    whose runs all fail with the same error on the same node passes, and
+    runs that disagree give a "trap" counterexample."""
     rng = random.Random(seed)
     tw = k.tag_width
-    union_cfg = DiftConfig(tw, FineGrained(PropagationRule.UNION))
-    precise_cfg = DiftConfig(tw, FineGrained(PropagationRule.PRECISE))
-    coarse_cfg = DiftConfig(tw, CoarseBoundary())
-    cfgs = (union_cfg, precise_cfg, coarse_cfg)
-    zeroed = _zero_tag_kernel(k)
+    rules = (PropagationRule.UNION, PropagationRule.PRECISE, None)
+    modes = [("fine", "union"), ("fine", "precise"), ("coarse", None)]
+    zero_inputs = [0] * len(k.inputs)
+    zero_memories = tuple(m._replace(init_tags=()) for m in k.memories)
     cexs: list[Counterexample] = []
+
+    def with_tags(ri: RunInputs, tags: dict) -> RunInputs:
+        return RunInputs(dict(ri.values), tags, dict(ri.memory))
 
     for trial in range(trials):
         ri = sample_inputs(k, rng)
-        zero_ri = RunInputs(dict(ri.values), {i.id: 0 for i in k.inputs}, dict(ri.memory))
-        runs = [(zeroed, zero_ri, cfg) for cfg in cfgs] + [(k, ri, cfg) for cfg in cfgs]
+        input_tags = _input_tags(k, ri.tags)
+        runs = [(zero_inputs, zero_memories, rule) for rule in rules]
+        runs += [(input_tags, k.memories, rule) for rule in rules]
         if k.inputs:
-            # Drawn on every trial, so one trial's trap never shifts the next's inputs.
-            picked = rng.choice(k.inputs).id
+            # Drawn on every trial, so one trial's trap never shifts the next's
+            # inputs; choosing an index draws as choosing from k.inputs would.
+            widened = rng.choice(range(len(k.inputs)))
             extra = rng.randrange(1 << tw)
-            wide_tags = dict(ri.tags)
-            wide_tags[picked] = wide_tags[picked] | extra
-            wide_ri = RunInputs(dict(ri.values), wide_tags, dict(ri.memory))
-            runs.append((k, wide_ri, union_cfg))
+            wide_tags = list(input_tags)
+            wide_tags[widened] |= extra
+            runs.append((wide_tags, k.memories, PropagationRule.UNION))
 
-        values = _values(k, ri)  # the runs differ from k on ri only in tags
-        reps, traps = zip(*[_track(*run, values=values) for run in runs])
+        values = _values(k, ri)  # the runs differ only in tags
+        results = [_track(k, values, *run, False) for run in runs]
+        traps = [result[5] for result in results]
         if any(traps):
             if None in traps or len(set(traps)) > 1:
                 outcomes = ", ".join(
@@ -611,23 +648,25 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
                 )
                 cexs.append(Counterexample("trap", trial, ri, f"runs disagree: {outcomes}"))
             continue
+        outputs = [result[0] for result in results]
 
-        for rep in reps[:3]:
-            bad = [oid for oid, (_, t) in rep.outputs.items() if t != 0]
-            if bad or rep.exceptions:
+        for (mode, rule), (outs, denied, *_) in zip(modes, results[:3]):
+            bad = [oid for oid, (_, t) in outs.items() if t != 0]
+            if bad or denied:
+                zero_ri = with_tags(ri, {i.id: 0 for i in k.inputs})
                 cexs.append(
                     Counterexample(
                         "closure",
                         trial,
                         zero_ri,
-                        f"mode={rep.mode} rule={rep.rule} tainted outputs={bad} "
-                        f"exceptions={len(rep.exceptions)}",
+                        f"mode={mode} rule={rule} tainted outputs={bad} "
+                        f"exceptions={len(denied)}",
                     )
                 )
 
-        rep_u, rep_p, rep_c = reps[3:6]
-        for oid, (_, t_p) in rep_p.outputs.items():
-            t_u = rep_u.outputs[oid][1]
+        out_u, out_p, out_c = outputs[3:6]
+        for oid, (_, t_p) in out_p.items():
+            t_u = out_u[oid][1]
             if t_p & ~t_u:
                 cexs.append(
                     Counterexample(
@@ -637,24 +676,26 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
                         f"output {oid}: precise {t_p:#x} not within union {t_u:#x}",
                     )
                 )
-        for rep in (rep_u, rep_p):
-            for oid, (_, t) in rep.outputs.items():
-                t_c = rep_c.outputs[oid][1]
+        for rule, outs in (("union", out_u), ("precise", out_p)):
+            for oid, (_, t) in outs.items():
+                t_c = out_c[oid][1]
                 if t & ~t_c:
                     cexs.append(
                         Counterexample(
                             "coarse_subset",
                             trial,
                             ri,
-                            f"output {oid}: fine({rep.rule}) {t:#x} not within boundary {t_c:#x}",
+                            f"output {oid}: fine({rule}) {t:#x} not within boundary {t_c:#x}",
                         )
                     )
 
         if k.inputs:
-            rep_w = reps[6]
-            for oid, (_, base_tag) in rep_u.outputs.items():
-                wide_tag = rep_w.outputs[oid][1]
+            out_w = outputs[6]
+            for oid, (_, base_tag) in out_u.items():
+                wide_tag = out_w[oid][1]
                 if base_tag & ~wide_tag:
+                    picked = k.inputs[widened].id
+                    wide_ri = with_tags(ri, {**ri.tags, picked: ri.tags[picked] | extra})
                     cexs.append(
                         Counterexample(
                             "monotonicity",

@@ -1,12 +1,19 @@
 """The package's public surface, and where the checked tagged layer lives."""
 
 import ast
+import json
+import subprocess
+import sys
+import textwrap
 import types
 from pathlib import Path
+
+import pytest
 
 import diftsim
 
 PACKAGE = Path(diftsim.__file__).resolve().parent
+BENCHMARKS = PACKAGE.parent.parent / "benchmarks"
 
 PUBLIC_NAMES = [
     "ArityMismatch", "BINARY_OPS", "BadAddress", "BitType", "BitValue", "COMPARE_OPS",
@@ -70,3 +77,77 @@ def test_only_tainted_defines_or_uses_tag():
                 importers.add((name, node.module))
     assert users == {"tainted.py"}
     assert importers == {("__init__.py", "tainted")}
+
+
+def fresh(code: str):
+    """What code prints as JSON, run in a new interpreter without site
+    packages that finds the package through PYTHONPATH, as the CLI does."""
+    code = "import json, sys\n" + textwrap.dedent(code)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    return json.loads(proc.stdout)
+
+
+LOADED = "[m for m in sys.modules if m.startswith('diftsim')]"
+
+
+def test_the_cli_loads_neither_the_simulator_nor_tainted():
+    loaded = fresh(f"import diftsim.cli\nprint(json.dumps({LOADED}))")
+    assert "diftsim.cli" in loaded
+    assert "diftsim.simulator" not in loaded and "diftsim.tainted" not in loaded
+
+
+NAMES = [*PUBLIC_NAMES, "simulator", "tainted"]
+
+
+def test_dir_lists_every_name_and_loads_nothing():
+    listed, loaded = fresh(f"import diftsim\nprint(json.dumps([dir(diftsim), {LOADED}]))")
+    assert set(NAMES) <= set(listed)
+    assert "diftsim.simulator" not in loaded and "diftsim.tainted" not in loaded
+
+
+@pytest.mark.parametrize("first", ["attribute", "from_import"])
+def test_every_name_resolves_by_attribute_and_by_from_import(first):
+    # Each way first in a new interpreter, then the other: both give the
+    # object the name's home module holds.
+    by_attribute = "got = {n: getattr(diftsim, n) for n in names}"
+    by_import = f"from diftsim import {', '.join(NAMES)}; imported = {{n: globals()[n] for n in names}}"
+    homes = fresh(f"""
+        import diftsim
+        names = {NAMES!r}
+        {by_attribute if first == "attribute" else by_import}
+        {by_import if first == "attribute" else by_attribute}
+        assert all(got[n] is imported[n] for n in names)
+        print(json.dumps({{
+            n: v.__name__ if isinstance(v, type(sys)) else getattr(v, "__module__", None)
+            for n, v in got.items()
+        }}))
+    """)
+    assert homes["simulator"] == "diftsim.simulator" and homes["tainted"] == "diftsim.tainted"
+    assert homes["run_dift"] == homes["RunInputs"] == "diftsim.simulator"
+    assert homes["Tag"] == homes["propagate"] == "diftsim.tainted"
+    assert homes["parse_kernel"] == "diftsim.kernel_ir"
+
+
+def test_a_star_import_binds_every_name():
+    bound = fresh("from diftsim import *\nprint(json.dumps(sorted(globals())))")
+    assert set(NAMES) <= set(bound)
+
+
+def test_the_benchmark_tracer_leaves_no_shim_in_the_package():
+    # The traced benchmark run shims the package's names too: one the
+    # package resolves lazily must get its original back when the tracer
+    # leaves, as an eager one does.
+    unshimmed, left = fresh(f"""
+        sys.path.insert(0, {str(BENCHMARKS)!r})
+        from spans import TRACED, Tracer
+        import diftsim, diftsim.cli, diftsim.simulator
+        originals = {{n: getattr(sys.modules["diftsim." + home], n) for home, n in TRACED}}
+        with Tracer().installed(0):
+            unshimmed = [n for n, fn in originals.items() if getattr(diftsim, n) is fn]
+        left = [n for n, fn in originals.items() if vars(diftsim).get(n, fn) is not fn]
+        left += [n for n, fn in originals.items() if getattr(diftsim, n) is not fn]
+        print(json.dumps([unshimmed, left]))
+    """)
+    assert unshimmed == [] and left == []

@@ -1,6 +1,8 @@
-"""tools/bench_pairs.py's judgement of one gated metric, on synthetic pairs."""
+"""tools/bench_pairs.py: its command line, and its judgement of one gated
+metric on synthetic pairs."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -11,7 +13,7 @@ PARENT = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]  # median 
 
 
 @pytest.fixture
-def judge(monkeypatch):
+def tool(monkeypatch):
     # The tool puts the repository on sys.path and turns bytecode writing
     # off when imported; both are restored after the test.
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -19,7 +21,28 @@ def judge(monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.judge
+    return module
+
+
+@pytest.fixture
+def judge(tool):
+    return tool.judge
+
+
+def test_workload_takes_a_name_a_list_or_all(tool, capsys):
+    def workloads(arg):
+        return tool.parse_args(["HEAD~1", "HEAD", "--workload", arg, "--seeds", "1-3,9",
+                                "--seconds", "30"]).workload
+
+    declared = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())["workloads"]
+    assert workloads("all") == [w["name"] for w in declared]
+    assert workloads("deny-storm") == ["deny-storm"]
+    assert workloads("verify-fixtures,large-kernel") == ["verify-fixtures", "large-kernel"]
+    args = tool.parse_args(["a", "b", "--workload", "all", "--seeds", "1-3,9", "--seconds", "2"])
+    assert (args.parent, args.change, args.seeds, args.seconds) == ("a", "b", [1, 2, 3, 9], 2.0)
+    with pytest.raises(SystemExit):
+        workloads("deny-storm,no-such")
+    assert "unknown workload no-such" in capsys.readouterr().err
 
 
 def shifted(values, by, losses=0):

@@ -40,7 +40,6 @@ from diftsim import (
     run_dift,
     sample_inputs,
 )
-from diftsim.simulator import _zero_tag_kernel
 from test_bitvalue import ref_binop, ref_to_int, ref_wrap
 
 U4 = BitType(4)
@@ -796,33 +795,10 @@ def test_equal_kernels_stay_equal_after_a_run():
     assert a == a._replace(name=a.name)
 
 
-def test_zero_tag_kernel_shares_the_plan_not_the_tags():
-    # A plan holds no tags, so the zeroed copy runs the original's plan;
-    # its memory's initial tags are gone: the load of a tagged cell stays
-    # untainted there, and the original still sees the tag.
-    from diftsim import parse_kernel
-
-    doc = {
-        "name": "tagged_cell",
-        "tag_width": 2,
-        "inputs": [{"id": "i", "width": 1}],
-        "memories": [{"id": "m", "size": 2, "width": 4, "init": [5], "init_tags": [0b10]}],
-        "nodes": [{"id": "ld", "op": "load", "args": ["m", "i"], "width": 4}],
-        "outputs": [{"id": "out", "source": "ld"}],
-    }
-    kernel, _ = parse_kernel(json.dumps(doc))
-    ri = RunInputs(values={"i": 0}, tags={"i": 0})
-    assert run_dift(kernel, ri, fine(2)).outputs == {"out": (5, 0b10)}
-    zeroed = _zero_tag_kernel(kernel)
-    assert zeroed.plan is kernel.plan
-    assert run_dift(zeroed, ri, fine(2)).outputs == {"out": (5, 0)}
-    assert run_dift(kernel, ri, fine(2)).outputs == {"out": (5, 0b10)}
-
-
 def test_fuzz_lowers_the_kernel_once(monkeypatch, dot8):
-    # The zeroed kernel reuses the plan: one fuzz_properties call on a
-    # kernel never run lowers it once, and on a kernel already lowered
-    # not at all.
+    # Every run replays the kernel's own plan, the zero-tag runs too: one
+    # fuzz_properties call on a kernel never run lowers it once, and on a
+    # kernel already lowered not at all.
     from diftsim import kernel_ir
 
     lowered = []
@@ -919,18 +895,19 @@ def test_memory_set_up_in_every_mode(override, cells):
 def test_fuzz_passes_trials_that_trap_alike(monkeypatch):
     # u4 a / u4 b traps whenever b is 0; every run of such a trial traps on
     # q, so the trial passes, and its wide-run draws are still taken: the
-    # same trials on a kernel that cannot trap see the same inputs. Each
-    # run is a replay through _track, which records them.
+    # same trials on a kernel that cannot trap see the same inputs. A
+    # trial's runs replay one value pass, which _values builds from the
+    # trial's inputs and records here.
     from diftsim import simulator
 
     seen = []
-    track = simulator._track
+    values = simulator._values
 
-    def recording_track(k, ri, cfg, *args, **kwargs):
+    def recording_values(k, ri, *args):
         seen.append(ri)
-        return track(k, ri, cfg, *args, **kwargs)
+        return values(k, ri, *args)
 
-    monkeypatch.setattr(simulator, "_track", recording_track)
+    monkeypatch.setattr(simulator, "_values", recording_values)
     u4 = BitType(4)
     divide = op_kernel("div", [u4, u4], u4, tag_width=2)
     assert fuzz_properties(divide, trials=50, seed=0).counterexamples == ()
@@ -945,15 +922,15 @@ def test_fuzz_reports_runs_that_trap_differently(monkeypatch):
     # A coarse run that traps where the fine runs do not is a "trap"
     # counterexample carrying the trial's inputs. Replays share one value
     # pass, so the disagreement is injected where each run is replayed, as
-    # the trap a replay returns.
+    # the trap the replay core returns.
     from diftsim import simulator
 
     track = simulator._track
 
-    def coarse_traps(k, ri, cfg, *args, **kwargs):
-        if cfg.rule is None:
-            return None, (DivisionByZero, "division by zero", None, None)
-        return track(k, ri, cfg, *args, **kwargs)
+    def coarse_traps(k, values, input_tags, memories, rule, halt):
+        if rule is None:
+            return {}, (), (), 0, False, (DivisionByZero, "division by zero", None, None)
+        return track(k, values, input_tags, memories, rule, halt)
 
     monkeypatch.setattr(simulator, "_track", coarse_traps)
     report = fuzz_properties(tiny_add_kernel(), trials=3, seed=1)
@@ -1028,8 +1005,8 @@ def fired_in_order(k, ri, cfg, monitor):
     from diftsim import checkpoint, simulator
 
     vals = simulator._values(k, ri)[0]
-    input_tags = simulator._input_tags(k, ri, monitor)
-    tags = None if cfg.rule is None else simulator._init_tags(k, input_tags)
+    input_tags = simulator._input_tags(k, ri.tags, monitor.tag_in)
+    tags = None if cfg.rule is None else simulator._init_tags(k, input_tags, k.memories)
     boundary = 0
     for t in [*input_tags, *(t for m in k.memories for t in m.init_tags)]:
         boundary |= t
@@ -1096,8 +1073,10 @@ def assert_fires_in_order(kernel, ri, preloaded=False, reverse=False):
     their order or reversed (halting configs first, so recording replays
     extend a pass a halting replay left part-walked), equal fired_in_order
     under every config, in report or trap and in the caller's monitor;
-    returns the outcomes in five_configs' order."""
+    returns the outcomes in five_configs' order. A replay's plain data
+    goes to the monitor and into a report as run_dift puts it."""
     from diftsim import simulator
+    from diftsim.policy_monitor import record
 
     new_monitor = preloaded_monitor if preloaded else MonitorState
     values = simulator._values(kernel, ri)
@@ -1109,11 +1088,22 @@ def assert_fires_in_order(kernel, ri, preloaded=False, reverse=False):
         want = fired_in_order(kernel, ri, cfg, want_monitor)
 
         def replay(m):
-            rep, trap = simulator._track(kernel, ri, cfg, m, values=values)
-            if trap is None:
-                return rep
-            error, message, node, step = trap
-            return (error, node, step, message)
+            outputs, denied, seen, steps, halted, trap = simulator._track(
+                kernel,
+                values,
+                simulator._input_tags(kernel, ri.tags, m.tag_in),
+                kernel.memories,
+                cfg.rule,
+                cfg.on_exception == "halt",
+            )
+            record(m, denied)
+            if trap is not None:
+                error, message, node, step = trap
+                return (error, node, step, message)
+            mode, rule = ("coarse", None) if cfg.rule is None else ("fine", cfg.rule.value)
+            return SimulationReport(
+                outputs, tuple(m.exceptions), m.irq, steps, mode, rule, seen, halted
+            )
 
         for run in (lambda m: report_or_trap(lambda: run_dift(kernel, ri, cfg, m)), replay):
             monitor = new_monitor()
@@ -1238,7 +1228,7 @@ def test_runs_fire_in_order_on_edge_tables(table):
         ri = sample_inputs(kernel, rng)
         ri.values["s"] = i % 3  # in range of both memories; 0 traps at div8
         outcomes = assert_fires_in_order(kernel, ri, preloaded=i % 2 == 1, reverse=i % 4 >= 2)
-        traps += sum(isinstance(o, tuple) for o in outcomes)
+        traps += sum(not isinstance(o, SimulationReport) for o in outcomes)
     assert traps >= 30  # each record config on each of the ten samples with s 0
 
 
@@ -1254,7 +1244,7 @@ def test_runs_fire_in_order_on_deny_style_kernels():
             if i % 3 == 0:
                 ri.tags.clear()  # default tags, or REG_TAG_IN's word
             outcomes = assert_fires_in_order(kernel, ri, preloaded=i % 2 == 0, reverse=i % 4 >= 2)
-            traps += any(isinstance(o, tuple) for o in outcomes)
+            traps += any(not isinstance(o, SimulationReport) for o in outcomes)
             halts += any(isinstance(o, SimulationReport) and o.halted for o in outcomes)
     assert traps and halts and shared  # each case the kernels are drawn for occurs
 
@@ -1390,3 +1380,120 @@ def test_check_consistency_matches_a_run_by_run_reference(defective_passes):
             kinds |= {m.kind for m in report.mismatches}
     # The defective passes give the last two kernels mismatches to compare.
     assert {"error", "opt_exceptions"} <= kinds
+
+
+def reference_fuzz(k, trials, seed):
+    """fuzz_properties' report, computed run by run: per trial, run_dift on
+    fresh RunInputs for each run, the closure runs on a copy of k without
+    initial memory tags."""
+    from diftsim import Counterexample, PropertyReport
+
+    rng = random.Random(seed)
+    tw = k.tag_width
+    cfgs = [fine(tw, UNION), fine(tw, PRECISE), coarse(tw)]
+    zeroed = k._replace(memories=tuple(m._replace(init_tags=()) for m in k.memories))
+    cexs = []
+    for trial in range(trials):
+        ri = sample_inputs(k, rng)
+
+        def fresh(tags):
+            return RunInputs(dict(ri.values), tags, dict(ri.memory))
+
+        zero_ri = fresh({i.id: 0 for i in k.inputs})
+        runs = [(zeroed, fresh(dict(zero_ri.tags)), cfg) for cfg in cfgs]
+        runs += [(k, fresh(dict(ri.tags)), cfg) for cfg in cfgs]
+        if k.inputs:
+            picked = rng.choice(k.inputs).id
+            extra = rng.randrange(1 << tw)
+            wide_ri = fresh({**ri.tags, picked: ri.tags[picked] | extra})
+            runs.append((k, fresh(dict(wide_ri.tags)), cfgs[0]))
+        outcomes = [report_or_trap(lambda: run_dift(*run)) for run in runs]
+        traps = [o for o in outcomes if not isinstance(o, SimulationReport)]
+        if traps:
+            if len(traps) < len(outcomes) or len(set(traps)) > 1:
+                detail = ", ".join(
+                    "ok" if isinstance(o, SimulationReport) else f"{o[0].__name__} at {o[1]}"
+                    for o in outcomes
+                )
+                cexs.append(Counterexample("trap", trial, ri, f"runs disagree: {detail}"))
+            continue
+        for rep in outcomes[:3]:
+            bad = [oid for oid, (_, t) in rep.outputs.items() if t]
+            if bad or rep.exceptions:
+                detail = (f"mode={rep.mode} rule={rep.rule} tainted outputs={bad} "
+                          f"exceptions={len(rep.exceptions)}")
+                cexs.append(Counterexample("closure", trial, zero_ri, detail))
+        rep_u, rep_p, rep_c = outcomes[3:6]
+        for oid, (_, t_p) in rep_p.outputs.items():
+            t_u = rep_u.outputs[oid][1]
+            if t_p & ~t_u:
+                detail = f"output {oid}: precise {t_p:#x} not within union {t_u:#x}"
+                cexs.append(Counterexample("precise_subset", trial, ri, detail))
+        for rep in (rep_u, rep_p):
+            for oid, (_, t) in rep.outputs.items():
+                t_c = rep_c.outputs[oid][1]
+                if t & ~t_c:
+                    detail = f"output {oid}: fine({rep.rule}) {t:#x} not within boundary {t_c:#x}"
+                    cexs.append(Counterexample("coarse_subset", trial, ri, detail))
+        if k.inputs:
+            for oid, (_, base_tag) in rep_u.outputs.items():
+                wide_tag = outcomes[6].outputs[oid][1]
+                if base_tag & ~wide_tag:
+                    detail = (f"output {oid}: widening {picked} shrank the tag "
+                              f"{base_tag:#x} -> {wide_tag:#x}")
+                    cexs.append(Counterexample("monotonicity", trial, wide_ri, detail))
+    return PropertyReport(k.name, trials, tuple(cexs))
+
+
+def test_fuzz_matches_a_run_by_run_reference(monkeypatch):
+    from diftsim import parse_kernel
+    from test_kernel_ir import DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC
+
+    kernels = [load_kernel(n) for n in ("fir4.json", "dot8.json", "overflow_demo.json")]
+    kernels += [parse_kernel(json.dumps(d))[0] for d in (DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC)]
+    kernels.append(trap_kernel())
+    for kernel in kernels:
+        assert fuzz_properties(kernel, 60, seed=3) == reference_fuzz(kernel, 60, 3), kernel.name
+
+    # The xor tag-rule mutant (see test_mutant_rule_caught_by_monotonicity)
+    # gives counterexamples to compare.
+    def xor_tag_fn(rule, kind, types, result_ty):
+        return lambda x, y, z, tx, ty, tz: tx ^ ty  # fir4's nodes are all binary
+
+    monkeypatch.setattr(diftsim.taint, "tag_fn", xor_tag_fn)
+    fir4 = load_kernel("fir4.json")  # parsed here: its plan is lowered under the mutant
+    report = fuzz_properties(fir4, 200, seed=5)
+    assert report.counterexamples
+    assert report == reference_fuzz(fir4, 200, 5)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 10: a store at a tainted address leaks")
+def test_a_store_at_a_tainted_address_is_noninterfering():
+    # store m[a] = 1, then load m[0]: whether the load reads 1 depends on
+    # the tainted a. A run whose output tag lacks a's label bit must give
+    # the same output value for both values of a.
+    from diftsim import parse_kernel
+
+    doc = {
+        "name": "tainted_store_address",
+        "tag_width": 1,
+        "inputs": [{"id": "a", "width": 1, "default_tag": 1}],
+        "constants": [{"id": "zero", "width": 1, "value": 0}, {"id": "one", "width": 1, "value": 1}],
+        "memories": [{"id": "m", "size": 2, "width": 1}],
+        "nodes": [
+            {"id": "st", "op": "store", "args": ["m", "a", "one"]},
+            {"id": "ld", "op": "load", "args": ["m", "zero"], "width": 1},
+        ],
+        "policies": [{"name": "any", "kind": "deny_if_any"}],
+        "checkpoints": [{"id": "cp", "arg": "ld", "policy": "any"}],
+        "outputs": [{"id": "out", "source": "ld"}],
+    }
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    leaks = []
+    for rule in (UNION, PRECISE):
+        outs = {a: run_dift(kernel, RunInputs(values={"a": a}), fine(1, rule)).outputs["out"]
+                for a in (0, 1)}
+        if len({value for value, _ in outs.values()}) > 1 and any(not t & 1 for _, t in outs.values()):
+            leaks.append((rule.value, outs))
+    assert leaks == []

@@ -2,14 +2,19 @@
 """Run the benchmark on two git revisions in alternating pairs and judge a claim.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload deny-storm --seeds 1-9,1009 --seconds 30
+    python3 tools/bench_pairs.py PARENT CHANGE --workload all --seeds 1-9,1009 --seconds 30
 
 PARENT and CHANGE are anything `git rev-parse` accepts; to measure
 uncommitted work, stage it and pass the commit `git stash create`
-prints. Each seed is one pair: both revisions run the benchmark command
-of BENCHMARK.json with that seed, the parent first on even pairs and the
-change first on odd ones. Every run gets a fresh `git archive` copy of
-its revision and runs it with PYTHONDONTWRITEBYTECODE=1, so no run sees
-bytecode or results another left behind.
+prints. --workload takes one workload, a comma-separated list, or `all`,
+BENCHMARK.json's workloads; they run one after another, each with its
+own pairs and verdict block, so one call can check a claim on one
+workload and the bounds on the others. Each seed is one pair: both
+revisions run the benchmark command of BENCHMARK.json with that seed,
+the parent first on even pairs and the change first on odd ones. Every
+run gets a fresh `git archive` copy of its revision and runs it with
+PYTHONDONTWRITEBYTECODE=1, so no run sees bytecode or results another
+left behind.
 
 For each gated (end-to-end) metric it prints every pair, each side's
 median and quartiles, and the change's wins (ties count for neither
@@ -38,6 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 sys.dont_write_bytecode = True  # leave no __pycache__ in benchmarks/ either
 from benchmarks.spread import seeds, summarise  # noqa: E402
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def git(*argv: str) -> bytes:
@@ -86,31 +93,38 @@ def judge(before: list[float], after: list[float], better: str, bound: float) ->
             "iqr": iqr, "claim": wins >= 0.9 * len(before) and gain > iqr, "verdict": verdict}
 
 
-def main() -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The command line; args.workload is the list of workloads to run."""
+    known = [w["name"] for w in BENCHMARK["workloads"]]
+
+    def workloads(text: str) -> list[str]:
+        names = known if text == "all" else text.split(",")
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown workload {', '.join(unknown)}; BENCHMARK.json has {', '.join(known)}"
+            )
+        return names
+
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     ap.add_argument("parent")
     ap.add_argument("change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", type=workloads, required=True, help="a name, name,name... or all")
     ap.add_argument("--seeds", type=seeds, required=True, help="e.g. 1-9,1009: one pair per seed")
     ap.add_argument("--seconds", type=float, required=True)
-    args = ap.parse_args()
+    return ap.parse_args(argv)
 
-    shas, archives = {}, {}
-    for side in ("parent", "change"):
-        rev = getattr(args, side) + "^{commit}"
-        shas[side] = git("rev-parse", "--verify", rev).decode().strip()
-        archives[side] = git("archive", "--format=tar", shas[side])
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    print(f"# parent {shas['parent'][:12]}  change {shas['change'][:12]}  "
-          f"workload {args.workload}  seconds {args.seconds:g}")
 
+def pairs(archives: dict, workload: str, seed_list: list[int], seconds: float) -> dict:
+    """Run one pair per seed, printing each; returns each side's result lines."""
+    metrics = BENCHMARK["end_to_end"]
     results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i, seed in enumerate(args.seeds):
+    for i, seed in enumerate(seed_list):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            results[side].append(run_once(archives[side], args.workload, seed, args.seconds))
+            results[side].append(run_once(archives[side], workload, seed, seconds))
         parent, change = results["parent"][-1], results["change"][-1]
         cells = "  ".join(
             f"{m['name']} {parent['metrics'][m['name']]['value']:.6g} -> "
@@ -120,22 +134,40 @@ def main() -> int:
         failed = [f"{r['failed']}/{r['attempted']}" for r in (parent, change)]
         print(f"pair {i + 1} seed {seed} ({order[0]} first)  {cells}  "
               f"failed {failed[0]} -> {failed[1]}", flush=True)
+    return results
 
-    for m in metrics:
+
+def verdicts(workload: str, results: dict) -> None:
+    """Print one workload's verdict block: a line per gated metric, then
+    the failed operations of each side."""
+    for m in BENCHMARK["end_to_end"]:
         name = m["name"]
         before = [r["metrics"][name]["value"] for r in results["parent"]]
         after = [r["metrics"][name]["value"] for r in results["change"]]
         j = judge(before, after, m["better"], m["bound"])
         p, c = j["parent"], j["change"]
-        print(f"{name}: parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  "
+        print(f"{workload} {name}: parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]  "
               f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}] {m['unit']}  "
               f"{j['gain'] / p['median']:+.1%} better  wins {j['wins']}/{len(before)} "
               f"(losses {j['losses']})  parent IQR {j['iqr']:.6g}  "
               f"claim {'holds' if j['claim'] else 'not met'}  {j['verdict']}")
     failed = {side: sum(r["failed"] for r in runs) for side, runs in results.items()}
     attempted = {side: sum(r["attempted"] for r in runs) for side, runs in results.items()}
-    print(f"failed: parent {failed['parent']}/{attempted['parent']}  "
-          f"change {failed['change']}/{attempted['change']}")
+    print(f"{workload} failed: parent {failed['parent']}/{attempted['parent']}  "
+          f"change {failed['change']}/{attempted['change']}", flush=True)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    shas, archives = {}, {}
+    for side in ("parent", "change"):
+        rev = getattr(args, side) + "^{commit}"
+        shas[side] = git("rev-parse", "--verify", rev).decode().strip()
+        archives[side] = git("archive", "--format=tar", shas[side])
+    for workload in args.workload:
+        print(f"# parent {shas['parent'][:12]}  change {shas['change'][:12]}  "
+              f"workload {workload}  seconds {args.seconds:g}")
+        verdicts(workload, pairs(archives, workload, args.seeds, args.seconds))
     return 0
 
 
