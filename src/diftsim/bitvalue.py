@@ -232,12 +232,12 @@ def _mux(sy: int, sz: int, mask: int):
 
 
 @lru_cache(maxsize=1024)
-def _load(memory: str, size: int, sy: int):
+def _load(memory: str, size: int, sy: int, mask: int):
     def load(cells, y, z):
         i = (y ^ sy) - sy
         if not 0 <= i < size:
             raise OutOfBoundsAddress(f"address {i} outside {memory}[0..{size})")
-        return cells[i]
+        return cells[i] & mask
     return load
 
 
@@ -268,14 +268,15 @@ def value_fn(kind: OpKind, types, result_ty: BitType | None):
     rewraps the chosen value into result_ty.
 
     For load and store, types[0] is the memory (its id, size and cell
-    type) and x its list of cell bits. The address y must lie in
-    [0, size), else OutOfBoundsAddress. load returns the cell; store
-    wraps z into the cell type, writes it, and returns it. Result types
-    are not checked here; kernel_ir.validate checks them.
+    type) and x its list of cells. The address y must lie in [0, size),
+    else OutOfBoundsAddress. A cell may hold a raw int of a memory
+    override, so load wraps the cell into the cell type and returns it;
+    store wraps z into the cell type, writes it, and returns it. Result
+    types are not checked here; kernel_ir.validate checks them.
     """
     if kind is OpKind.LOAD:
         mem = types[0]
-        return _load(mem.id, mem.size, sign_bit(types[1]))
+        return _load(mem.id, mem.size, sign_bit(types[1]), mem.cell.mask)
     if kind is OpKind.STORE:
         mem, data = types[0], types[2]
         s_data = sign_bit(data) if data.width < mem.cell.width else 0

@@ -3,7 +3,7 @@
 Exit codes: 0 success / no deny, 10 at least one security exception,
 1 usage error, 2 parse or validation failure, an input file that is
 missing, not a regular file or unreadable, a memory override longer than
-its memory, or an unwritable output path, 3 evaluation error (division
+its memory, or an unwritable output path or stdout, 3 evaluation error (division
 by zero, out-of-bounds address). 2 and 3 preempt 10.
 """
 
@@ -215,7 +215,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failed write shows here, not at exit
+        return code
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -227,6 +229,16 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_EVAL
     except DiftError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as e:
+        # Input and output paths report their own errors, so this is a
+        # failed write to stdout. Closing it drops what is still buffered,
+        # which exit would otherwise try, and fail, to write again.
+        try:
+            sys.stdout.close()
+        except OSError:
+            pass
+        print(f"error: stdout: cannot write ({e.strerror or e})", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, reduce
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 from . import taint
@@ -122,13 +122,15 @@ class Plan(NamedTuple):
     as bitvalue.pad_operands lays them out, and its taint.tag_fn under
     either rule. The checkpoints are Checkpoints columns, with each policy
     resolved by name, so a recording run can judge them all with a few
-    calls over whole columns.
+    calls over whole columns. Each memory's initial tags come with their
+    join, so a coarse run's boundary costs one OR per memory, not per cell.
     """
 
     steps: tuple[tuple, ...]
     constants: tuple[int, ...]  # bits of each constant
     checkpoints: Checkpoints
     outputs: tuple[tuple[str, int], ...]  # (output id, source slot)
+    memory_tags: tuple[tuple[tuple[int, ...], int], ...]  # (init_tags, their OR) per memory
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +567,7 @@ def lower(k: Kernel) -> Plan:
         constants=tuple([value.bits for _, value in k.constants]),
         checkpoints=Checkpoints(*(tuple(zip(*rows)) or ((),) * len(Checkpoints._fields))),
         outputs=tuple([(oid, slots[source]) for oid, source in k.outputs]),
+        memory_tags=tuple([(m.init_tags, reduce(or_, m.init_tags, 0)) for m in k.memories]),
     )
 
 

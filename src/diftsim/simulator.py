@@ -173,7 +173,9 @@ def inputs_to_json(inputs: RunInputs) -> str:
 def _values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None = None) -> list:
     """A value pass for _replay to walk: [slots, steps walked, located trap
     or None]. Its slots are built now: the canonical bits of every input
-    and constant, the cell list of every memory, and a place for every node."""
+    and constant, the cell list of every memory, and a place for every node.
+    A memory's cells are copies: its override as given (a load wraps each
+    cell it reads), then what the override leaves of init, then zeros."""
 
     def warn(loc: str, msg: str) -> None:
         if diags is not None:
@@ -203,20 +205,26 @@ def _values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None = None)
     for m in k.memories:
         override = inputs.memory.get(m.id)
         if override is None:
-            cells = list(m.init)
-        else:
-            if len(override) > m.size:  # bad input, not a trap: no node has run
-                raise DiftError(
-                    f"memory override for {m.id} has {len(override)} cells, size is {m.size}"
-                )
-            # One pass: the masked override, then what it leaves of init.
-            mask = m.cell.mask
-            cells = [raw & mask for raw in override]
-            cells += m.init[len(cells) :]
-        cells += [0] * (m.size - len(cells))
+            vals.append(_cells(m.size, m.init))
+            continue
+        if len(override) > m.size:  # bad input, not a trap: no node has run
+            raise DiftError(
+                f"memory override for {m.id} has {len(override)} cells, size is {m.size}"
+            )
+        cells = list(override)
+        cells += m.init[len(cells) :]
+        cells += itertools.repeat(0, m.size - len(cells))  # no temporary list of zeros
         vals.append(cells)
     vals += [0] * len(k.nodes)
     return [vals, 0, None]
+
+
+def _cells(size: int, head) -> list:
+    """A list of size cells: head, then zeros. Allocating the zeros first
+    and copying head over them is one allocation, not two and a copy."""
+    cells = [0] * size
+    cells[: len(head)] = head
+    return cells
 
 
 def _input_tags(k: Kernel, tags: dict, tag_in: int = 0) -> list:
@@ -234,27 +242,38 @@ def _input_tags(k: Kernel, tags: dict, tag_in: int = 0) -> list:
     return input_tags
 
 
-def _init_tags(k: Kernel, input_tags: list, memories) -> list:
+def _init_tags(k: Kernel, input_tags: list, memory_tags) -> list:
     """The tag slots of a fine run: the input tags, 0 for constants and
-    nodes, and the list of cell tags of each of memories, k's memory
-    declarations or copies with other init_tags: its initial tags, then 0."""
+    nodes, and the list of cell tags of each memory: its initial tags from
+    memory_tags, laid out as Plan.memory_tags (the join is not read), then 0."""
     tags = input_tags + [0] * len(k.constants)
-    tags += [list(m.init_tags) + [0] * (m.size - len(m.init_tags)) for m in memories]
+    tags += [_cells(m.size, init_tags) for m, (init_tags, _) in zip(k.memories, memory_tags)]
     tags += [0] * len(k.nodes)
     return tags
+
+
+def _steps(k: Kernel, start, stop) -> tuple:
+    """k.plan.steps from step start + 1 to step stop (None: the last),
+    sliced only for a part."""
+    steps = k.plan.steps
+    if start or stop is not None and stop < len(steps):
+        return steps[start:stop]
+    return steps
 
 
 def _execute(k: Kernel, vals: list, start=0, stop=None) -> tuple | None:
     """The one value walk over k.plan, from step start + 1 to step stop
     (None: the last): each step sets its slot by its value function. The
     walk stops at a trap and returns it as data, (type, message located at
-    its node and step, node id, step); else None."""
-    for step, (out, value_of, x, y, z, _, _) in enumerate(k.plan.steps[start:stop], start + 1):
-        try:
+    its node and step, node id, step); else None. Nodes hold the last
+    len(k.nodes) slots in declaration order, so a step is found from its slot."""
+    try:
+        for out, value_of, x, y, z, _, _ in _steps(k, start, stop):
             vals[out] = value_of(vals[x], vals[y], vals[z])
-        except EvalError as e:
-            node_id = k.nodes[step - 1].id
-            return type(e), f"{e.args[0]} (node {node_id}, step {step})", node_id, step
+    except EvalError as e:
+        step = out - len(vals) + len(k.nodes) + 1
+        node_id = k.nodes[step - 1].id
+        return type(e), f"{e.args[0]} (node {node_id}, step {step})", node_id, step
     return None
 
 
@@ -312,7 +331,7 @@ def run_dift(
         k,
         _values(k, inputs, diags),
         _input_tags(k, inputs.tags, monitor.tag_in),
-        k.memories,
+        k.plan.memory_tags,
         rule,
         cfg.on_exception == "halt",
     )
@@ -355,21 +374,22 @@ def _replay(k: Kernel, values: list, tags, precise, start=0, stop=None) -> tuple
     else:
         trap = None
     if tags is not None:
-        for out, _, x, y, z, union_of, precise_of in k.plan.steps[start:stop]:
+        for out, _, x, y, z, union_of, precise_of in _steps(k, start, stop):
             tag_of = precise_of if precise else union_of
             tags[out] = tag_of(vals[x], vals[y], vals[z], tags[x], tags[y], tags[z])
     return stop, trap
 
 
-def _track(k: Kernel, values: list, input_tags: list, memories, rule, halt: bool) -> tuple:
+def _track(k: Kernel, values: list, input_tags: list, memory_tags, rule, halt: bool) -> tuple:
     """The replay core: one tracked run of k as plain data. It replays
     tags over values, a value pass of k from _values, from the run's input
-    tags and its memories' initial tags, the init_tags of memories (k's
-    memory declarations, or copies with other init_tags), under rule
-    (None: coarse), cut at the first deny if halt. It holds no monitor and builds
-    no report: it returns (outputs, denials, checkpoint tags, steps
-    replayed, halted, trap or None), and a run that halts or traps has no
-    outputs.
+    tags and its memories' initial tags, memory_tags, laid out as
+    Plan.memory_tags (k.plan.memory_tags, or other tags with their joins),
+    under rule (None: coarse), cut at the first deny if halt. A coarse
+    boundary joins the input tags and one join per memory. It holds no
+    monitor and builds no report: it returns (outputs, denials, checkpoint
+    tags, steps replayed, halted, trap or None), and a run that halts or
+    traps has no outputs.
 
     A halting run is the recording run cut at its first deny, and its loop
     only finds that cut: it replays to each watched step in turn (a coarse
@@ -383,10 +403,12 @@ def _track(k: Kernel, values: list, input_tags: list, memories, rule, halt: bool
     tags = None
     if rule is None:
         boundary = 0
-        for t in itertools.chain(input_tags, *(m.init_tags for m in memories)):
+        for t in input_tags:
             boundary |= t
+        for _, join in memory_tags:
+            boundary |= join
     else:
-        tags = _init_tags(k, input_tags, memories)
+        tags = _init_tags(k, input_tags, memory_tags)
     precise = rule is PropagationRule.PRECISE
     steps, ids, args, slots, denied_bits, policy_names = k.plan.checkpoints
     done, ran = 0, None  # the steps replayed; the checkpoints that ran, if a deny cut the run
@@ -502,10 +524,10 @@ def check_configs(
         for (rule, halt), mismatches in zip(runs, found):
             add = mismatches.append
             outputs, denied, _, _, halted, trap = _track(
-                k, values, input_tags, k.memories, rule, halt
+                k, values, input_tags, k.plan.memory_tags, rule, halt
             )
             opt_outputs, opt_denied, _, _, opt_halted, opt_trap = _track(
-                opt, opt_values, input_tags, opt.memories, rule, halt
+                opt, opt_values, input_tags, opt.plan.memory_tags, rule, halt
             )
             dift_err, opt_err = [t and (t[0].__name__, t[2]) for t in (trap, opt_trap)]
             if base_err or dift_err:
@@ -618,7 +640,7 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
     rules = (PropagationRule.UNION, PropagationRule.PRECISE, None)
     modes = [("fine", "union"), ("fine", "precise"), ("coarse", None)]
     zero_inputs = [0] * len(k.inputs)
-    zero_memories = tuple(m._replace(init_tags=()) for m in k.memories)
+    zero_memories = (((), 0),) * len(k.memories)
     cexs: list[Counterexample] = []
 
     def with_tags(ri: RunInputs, tags: dict) -> RunInputs:
@@ -628,7 +650,7 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
         ri = sample_inputs(k, rng)
         input_tags = _input_tags(k, ri.tags)
         runs = [(zero_inputs, zero_memories, rule) for rule in rules]
-        runs += [(input_tags, k.memories, rule) for rule in rules]
+        runs += [(input_tags, k.plan.memory_tags, rule) for rule in rules]
         if k.inputs:
             # Drawn on every trial, so one trial's trap never shifts the next's
             # inputs; choosing an index draws as choosing from k.inputs would.
@@ -636,7 +658,7 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
             extra = rng.randrange(1 << tw)
             wide_tags = list(input_tags)
             wide_tags[widened] |= extra
-            runs.append((wide_tags, k.memories, PropagationRule.UNION))
+            runs.append((wide_tags, k.plan.memory_tags, PropagationRule.UNION))
 
         values = _values(k, ri)  # the runs differ only in tags
         results = [_track(k, values, *run, False) for run in runs]

@@ -325,6 +325,36 @@ def test_module_entry_point_subprocess(tmp_path):
     assert json.loads(report.read_text())["irq"] is True
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", FIR4, "--trials", "5"],
+        ["instrument", FIR4],
+        ["check", FIR4, "--samples", "5"],
+        ["run", OVERFLOW, OVERFLOW_TAINTED],
+    ],
+)
+def test_unwritable_stdout_exits_2_with_one_line(argv, unbuffered):
+    # Every write to /dev/full fails with ENOSPC: one error line, exit 2,
+    # and nothing left buffered for the interpreter to fail on at exit.
+    # A buffered stdout fails when flushed, an unbuffered one at its first write.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diftsim", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stdout: cannot write (No space left on device)\n"
+
+
 def test_determinism_across_runs(tmp_path):
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
     main(["run", DOT8, DOT8_INPUTS, "--rule", "precise", "--report", str(r1)])

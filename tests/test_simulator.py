@@ -847,18 +847,27 @@ def test_runs_build_no_values_tags_or_tagged_values(monkeypatch):
 
 
 def cells_kernel():
-    """A six-cell u4 memory with a two-cell init; every cell is loaded."""
+    """A six-cell u4 memory with a two-cell init; every cell is loaded,
+    then the u8 constant 0xAB is stored over cell 0 and cell 0 loaded again."""
     from diftsim import parse_kernel
 
     doc = {
         "name": "cells",
         "tag_width": 2,
         "memories": [{"id": "m", "size": 6, "width": 4, "init": [9, 10]}],
-        "constants": [{"id": f"a{i}", "width": 3, "value": i} for i in range(6)],
-        "nodes": [
-            {"id": f"ld{i}", "op": "load", "args": ["m", f"a{i}"], "width": 4} for i in range(6)
+        "constants": [
+            *({"id": f"a{i}", "width": 3, "value": i} for i in range(6)),
+            {"id": "wide", "width": 8, "value": 0xAB},
         ],
-        "outputs": [{"id": f"c{i}", "source": f"ld{i}"} for i in range(6)],
+        "nodes": [
+            *({"id": f"ld{i}", "op": "load", "args": ["m", f"a{i}"], "width": 4} for i in range(6)),
+            {"id": "st", "op": "store", "args": ["m", "a0", "wide"]},
+            {"id": "again", "op": "load", "args": ["m", "a0"], "width": 4},
+        ],
+        "outputs": [
+            *({"id": f"c{i}", "source": f"ld{i}"} for i in range(6)),
+            {"id": "stored", "source": "again"},
+        ],
     }
     kernel, diags = parse_kernel(json.dumps(doc))
     assert kernel is not None, diags
@@ -872,14 +881,20 @@ def cells_kernel():
         ([1], [1, 10, 0, 0, 0, 0]),  # shorter than init: the init tail, then zeros
         ([1, 2, 3], [1, 2, 3, 0, 0, 0]),  # longer than init
         ([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6]),  # exactly the memory's size
-        ([17, -1, 0x1F3], [1, 15, 3, 0, 0, 0]),  # wider than the cell: masked to u4
+        ([17, -1, 0x1F3], [1, 15, 3, 0, 0, 0]),  # wider than the cell: wrapped to u4
+        # Negative and wider than 64 bits: a load wraps the raw int it reads.
+        ([-1, -16, 2**64 + 7, -(2**70) + 3], [15, 0, 7, 3, 0, 0]),
+        ([-(2**65) - 1, 2**100 + 9, -6, -7, 2**64, -(2**64) + 12], [15, 9, 10, 9, 0, 12]),
     ],
 )
 def test_memory_set_up_in_every_mode(override, cells):
+    # Every output reads the cells a run set up; "stored" reads the
+    # store's wrapped data (0xAB -> 0xB) back from cell 0, an override cell
+    # when there is an override.
     kernel = cells_kernel()
     ri = RunInputs(memory={} if override is None else {"m": override})
     kept = None if override is None else list(override)
-    expected = {f"c{i}": v for i, v in enumerate(cells)}
+    expected = {f"c{i}": v for i, v in enumerate(cells)} | {"stored": 0xB}
     assert run_baseline(kernel, ri) == expected
     for on_exception in ("record", "halt"):
         for cfg in (
@@ -890,6 +905,41 @@ def test_memory_set_up_in_every_mode(override, cells):
             rep = run_dift(kernel, ri, cfg)
             assert {oid: v for oid, (v, _) in rep.outputs.items()} == expected
     assert ri.memory.get("m") == kept  # a run never writes the caller's override
+
+
+def last_cell_tag_kernel():
+    """A kernel whose only initial tag is 0b100 on a memory's last cell; its
+    one node, a + a, reads no memory, and a checkpoint watches it under a
+    policy that never denies that tag."""
+    from diftsim import parse_kernel
+
+    doc = {
+        "name": "last_cell_tag",
+        "tag_width": 3,
+        "inputs": [{"id": "a", "width": 4}],
+        "memories": [{"id": "m", "size": 8, "width": 4, "init_tags": [0] * 7 + [0b100]}],
+        "nodes": [{"id": "n", "op": "add", "args": ["a", "a"], "width": 4}],
+        "policies": [{"name": "p", "kind": "deny_if_mask", "mask": 0b1}],
+        "checkpoints": [{"id": "cp", "arg": "n", "policy": "p"}],
+        "outputs": [{"id": "o", "source": "n"}],
+    }
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    return kernel
+
+
+def test_coarse_boundary_joins_the_last_initial_memory_tag():
+    # The plan joins each memory's initial tags once; a coarse run's
+    # boundary is built from those joins, so the last cell's tag reaches
+    # every output and checkpoint, while the closure runs, replayed from no
+    # memory tags, stay untainted.
+    kernel = last_cell_tag_kernel()
+    for on_exception in ("record", "halt"):
+        rep = run_dift(kernel, RunInputs({"a": 3}), DiftConfig(3, CoarseBoundary(), on_exception))
+        assert rep.outputs == {"o": (6, 0b100)}
+        assert rep.checkpoint_tags == (("cp", 0b100),)
+        assert not rep.halted and rep.exceptions == ()
+    assert fuzz_properties(kernel, trials=20, seed=0).counterexamples == ()
 
 
 def test_fuzz_passes_trials_that_trap_alike(monkeypatch):
@@ -927,10 +977,10 @@ def test_fuzz_reports_runs_that_trap_differently(monkeypatch):
 
     track = simulator._track
 
-    def coarse_traps(k, values, input_tags, memories, rule, halt):
+    def coarse_traps(k, values, input_tags, memory_tags, rule, halt):
         if rule is None:
             return {}, (), (), 0, False, (DivisionByZero, "division by zero", None, None)
-        return track(k, values, input_tags, memories, rule, halt)
+        return track(k, values, input_tags, memory_tags, rule, halt)
 
     monkeypatch.setattr(simulator, "_track", coarse_traps)
     report = fuzz_properties(tiny_add_kernel(), trials=3, seed=1)
@@ -1006,7 +1056,9 @@ def fired_in_order(k, ri, cfg, monitor):
 
     vals = simulator._values(k, ri)[0]
     input_tags = simulator._input_tags(k, ri.tags, monitor.tag_in)
-    tags = None if cfg.rule is None else simulator._init_tags(k, input_tags, k.memories)
+    # The initial tags come from the declarations, not the plan's copy of them.
+    memory_tags = [(m.init_tags, None) for m in k.memories]
+    tags = None if cfg.rule is None else simulator._init_tags(k, input_tags, memory_tags)
     boundary = 0
     for t in [*input_tags, *(t for m in k.memories for t in m.init_tags)]:
         boundary |= t
@@ -1092,7 +1144,7 @@ def assert_fires_in_order(kernel, ri, preloaded=False, reverse=False):
                 kernel,
                 values,
                 simulator._input_tags(kernel, ri.tags, m.tag_in),
-                kernel.memories,
+                kernel.plan.memory_tags,
                 cfg.rule,
                 cfg.on_exception == "halt",
             )
