@@ -51,33 +51,23 @@ class OpKind(Enum):
     STORE = "store"
 
 
-COMPARE_OPS = frozenset(
-    {OpKind.EQ, OpKind.NE, OpKind.LT, OpKind.LE, OpKind.GT, OpKind.GE}
-)
-BINARY_OPS = (
-    frozenset(
-        {
-            OpKind.ADD,
-            OpKind.SUB,
-            OpKind.MUL,
-            OpKind.DIV,
-            OpKind.MOD,
-            OpKind.AND,
-            OpKind.OR,
-            OpKind.XOR,
-            OpKind.SHL,
-            OpKind.SHR,
-        }
-    )
-    | COMPARE_OPS
-)
-UNARY_OPS = frozenset({OpKind.NOT, OpKind.NEG})
-VALUE_OPS = BINARY_OPS | UNARY_OPS | {OpKind.MUX}
+# The members as module constants, read by the code that runs per node or
+# per lowered signature: on CPython 3.11 EnumType defines __getattr__, so a
+# read such as OpKind.STORE costs about ten reads of a module global.
+ADD, SUB, MUL, DIV, MOD = OpKind.ADD, OpKind.SUB, OpKind.MUL, OpKind.DIV, OpKind.MOD
+AND, OR, XOR, SHL, SHR = OpKind.AND, OpKind.OR, OpKind.XOR, OpKind.SHL, OpKind.SHR
+EQ, NE, LT, LE, GT, GE = OpKind.EQ, OpKind.NE, OpKind.LT, OpKind.LE, OpKind.GT, OpKind.GE
+NOT, NEG, MUX, LOAD, STORE = OpKind.NOT, OpKind.NEG, OpKind.MUX, OpKind.LOAD, OpKind.STORE
+
+COMPARE_OPS = frozenset({EQ, NE, LT, LE, GT, GE})
+BINARY_OPS = frozenset({ADD, SUB, MUL, DIV, MOD, AND, OR, XOR, SHL, SHR}) | COMPARE_OPS
+UNARY_OPS = frozenset({NOT, NEG})
+VALUE_OPS = BINARY_OPS | UNARY_OPS | {MUX}
 
 
 # Operand count of each operator: mux and store take three.
 OP_ARITY = {
-    kind: 1 if kind in UNARY_OPS else 2 if kind in BINARY_OPS or kind is OpKind.LOAD else 3
+    kind: 1 if kind in UNARY_OPS else 2 if kind in BINARY_OPS or kind is LOAD else 3
     for kind in OpKind
 }
 
@@ -148,38 +138,26 @@ def _mod(a: int, b: int) -> int:
 
 
 _ARITH = {
-    OpKind.ADD: operator.add,
-    OpKind.SUB: operator.sub,
-    OpKind.MUL: operator.mul,
-    OpKind.DIV: _div,
-    OpKind.MOD: _mod,
-    OpKind.AND: operator.and_,
-    OpKind.OR: operator.or_,
-    OpKind.XOR: operator.xor,
-    OpKind.SHL: operator.lshift,
-    OpKind.SHR: operator.rshift,
-    OpKind.EQ: operator.eq,
-    OpKind.NE: operator.ne,
-    OpKind.LT: operator.lt,
-    OpKind.LE: operator.le,
-    OpKind.GT: operator.gt,
-    OpKind.GE: operator.ge,
+    ADD: operator.add,
+    SUB: operator.sub,
+    MUL: operator.mul,
+    DIV: _div,
+    MOD: _mod,
+    AND: operator.and_,
+    OR: operator.or_,
+    XOR: operator.xor,
+    SHL: operator.lshift,
+    SHR: operator.rshift,
+    EQ: operator.eq,
+    NE: operator.ne,
+    LT: operator.lt,
+    LE: operator.le,
+    GT: operator.gt,
+    GE: operator.ge,
 }
 # Operators whose result bits modulo 2^w depend only on their operands'
 # bits modulo 2^w (mux on the selected operand's).
-_WRAPPING = frozenset(
-    {
-        OpKind.ADD,
-        OpKind.SUB,
-        OpKind.MUL,
-        OpKind.AND,
-        OpKind.OR,
-        OpKind.XOR,
-        OpKind.SHL,
-        OpKind.NEG,
-        OpKind.MUX,
-    }
-)
+_WRAPPING = frozenset({ADD, SUB, MUL, AND, OR, XOR, SHL, NEG, MUX})
 
 
 def pad_operands(seq):
@@ -274,10 +252,10 @@ def value_fn(kind: OpKind, types, result_ty: BitType | None):
     store wraps z into the cell type, writes it, and returns it. Result
     types are not checked here; kernel_ir.validate checks them.
     """
-    if kind is OpKind.LOAD:
+    if kind is LOAD:
         mem = types[0]
         return _load(mem.id, mem.size, sign_bit(types[1]), mem.cell.mask)
-    if kind is OpKind.STORE:
+    if kind is STORE:
         mem, data = types[0], types[2]
         s_data = sign_bit(data) if data.width < mem.cell.width else 0
         return _store(mem.id, mem.size, sign_bit(types[1]), s_data, mem.cell.mask)
@@ -288,13 +266,13 @@ def value_fn(kind: OpKind, types, result_ty: BitType | None):
         signs = [sign_bit(ty) if ty.width < result_ty.width else 0 for ty in types]
     else:
         signs = [sign_bit(ty) for ty in types]
-    if kind is OpKind.MUX:
+    if kind is MUX:
         return _mux(signs[1], signs[2], mask)
-    if kind is OpKind.NOT:
+    if kind is NOT:
         return _not(types[0].mask & mask)
-    if kind is OpKind.NEG:
+    if kind is NEG:
         return _neg(signs[0], mask)
-    if kind is OpKind.SHL or kind is OpKind.SHR:
+    if kind is SHL or kind is SHR:
         return _shift(_ARITH[kind], signs[0], result_ty.width, mask)
     op = _ARITH.get(kind)
     if op is None:

@@ -17,7 +17,9 @@ from typing import NamedTuple
 from . import taint
 from .bitvalue import (
     COMPARE_OPS,
+    LOAD,
     OP_ARITY,
+    STORE,
     BitType,
     BitValue,
     OpKind,
@@ -26,8 +28,8 @@ from .bitvalue import (
     value_fn,
 )
 from .errors import DivisionByZero, InvalidType
-from .policy_monitor import Policy, PolicyKind
-from .taint import MAX_TAG_WIDTH, DiftConfig, PropagationRule
+from .policy_monitor import DENY_IF_MASK, Policy, PolicyKind
+from .taint import MAX_TAG_WIDTH, PRECISE, UNION, DiftConfig
 
 # Larger memories are rejected: every run and every sample allocates all cells.
 MAX_MEMORY_CELLS = 1 << 20
@@ -222,6 +224,22 @@ def _check_section(doc: dict, key: str, diags: list[Diagnostic]) -> list[dict]:
     return items
 
 
+def load_json(text: str, where: str, diags: list[Diagnostic]):
+    """The JSON document in text. If json.loads rejects it, one error goes
+    to diags and the result is None: a syntax error located at its line,
+    and located at where, nesting too deep or an integer literal longer
+    than int's digit limit (4300 digits by default)."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        _err(diags, f"line {e.lineno}", f"invalid JSON: {e.msg}")
+    except RecursionError:
+        _err(diags, where, "JSON nested too deeply")
+    except ValueError:  # the only other error of json.loads on a str: the digit limit
+        _err(diags, where, "invalid JSON: integer literal has too many digits")
+    return None
+
+
 def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
     """Parse and validate a kernel document.
 
@@ -229,13 +247,8 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
     error-severity diagnostic was produced.
     """
     diags: list[Diagnostic] = []
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        _err(diags, f"line {e.lineno}", f"invalid JSON: {e.msg}")
-        return None, diags
-    except RecursionError:
-        _err(diags, "kernel", "JSON nested too deeply")
+    doc = load_json(text, "kernel", diags)
+    if diags:
         return None, diags
     if not isinstance(doc, dict):
         _err(diags, "kernel", "top-level document must be an object")
@@ -321,7 +334,7 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
         nid, op_raw, args = item.get("id"), item.get("op"), item.get("args")
         op = _OP_BY_NAME.get(op_raw) if type(op_raw) is str else None
         args_ok = type(args) is list and all(type(a) is str for a in args)
-        if op is OpKind.STORE:
+        if op is STORE:
             ty, typed = None, "width" not in item and "signed" not in item
         else:
             width, signed = item.get("width"), item.get("signed", False)
@@ -336,7 +349,7 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
                 _err(diags, loc, "args must be a list of ids")
                 continue
             if not typed:
-                if op is OpKind.STORE:
+                if op is STORE:
                     _err(diags, loc, "store nodes must not declare a result type")
                     continue
                 ty = _get_type(item, loc, diags, types)
@@ -454,7 +467,7 @@ def validate(k: Kernel) -> list[Diagnostic]:
         if p.name in policy_names:
             _err(diags, p.name, "duplicate policy name")
         policy_names.add(p.name)
-        if p.kind is PolicyKind.DENY_IF_MASK:
+        if p.kind is DENY_IF_MASK:
             if p.mask is None:
                 _err(diags, p.name, "deny_if_mask requires a mask")
             elif type(p.mask) is not int or not 0 <= p.mask < tag_limit:
@@ -470,7 +483,7 @@ def validate(k: Kernel) -> list[Diagnostic]:
         if len(args) != arity:
             _err(diags, nid, f"{op.value} takes {arity} args, got {len(args)}")
             continue
-        if op is OpKind.LOAD or op is OpKind.STORE:
+        if op is LOAD or op is STORE:
             mem = mems.get(args[0])
             if mem is None:
                 _err(diags, nid, f"{op.value} target {args[0]} is not a memory")
@@ -479,15 +492,15 @@ def validate(k: Kernel) -> list[Diagnostic]:
             if arg not in values:
                 what = "is a memory, not a value" if arg in mems else "is not defined yet"
                 _err(diags, nid, f"argument {arg} {what}")
-        if op is OpKind.STORE:
+        if op is STORE:
             if ty is not None:
                 _err(diags, nid, "store has no result type")
             continue
         if ty is None:
-            what = "load" if op is OpKind.LOAD else "node"
+            what = "load" if op is LOAD else "node"
             _err(diags, nid, f"{what} must declare a result type")
             continue
-        if op is OpKind.LOAD:
+        if op is LOAD:
             if mem is not None and ty != mem.cell:
                 _err(diags, nid, f"load result type {ty} does not match cell type {mem.cell}")
         elif op in COMPARE_OPS and (ty.width != 1 or ty.signed):
@@ -558,8 +571,8 @@ def lower(k: Kernel) -> Plan:
             arg_types = [types[slots[a]] for a in args]
             f = fns[signature] = (
                 value_fn(op, arg_types, ty),
-                tag_fn(PropagationRule.UNION, op, arg_types, ty),
-                tag_fn(PropagationRule.PRECISE, op, arg_types, ty),
+                tag_fn(UNION, op, arg_types, ty),
+                tag_fn(PRECISE, op, arg_types, ty),
             )
         steps.append((out, f[0], x, y, z, f[1], f[2]))
     return Plan(
@@ -588,7 +601,7 @@ def const_fold(k: Kernel, diags: list[Diagnostic] | None = None) -> Kernel:
     kept: list[Node] = []
     for node in k.nodes:
         nid, op, args, ty = node
-        if op is OpKind.LOAD or op is OpKind.STORE or not all(map(consts.__contains__, args)):
+        if op is LOAD or op is STORE or not all(map(consts.__contains__, args)):
             kept.append(node)
             continue
         operands = [consts[a] for a in args]
@@ -614,7 +627,7 @@ def dead_code_elim(k: Kernel) -> Kernel:
     kept_rev: list[Node] = []
     for node in reversed(k.nodes):
         nid, op, args, _ = node
-        if op is OpKind.STORE or nid in live:
+        if op is STORE or nid in live:
             kept_rev.append(node)
             live.update(args)
     return k._replace(nodes=tuple(reversed(kept_rev)))
@@ -689,7 +702,7 @@ def emit_dot(g: Kernel | InstrumentedGraph) -> str:
         i = esc[nid] = _esc(nid)
         tail = tails.get((op, ty))
         if tail is None:
-            store = op is OpKind.STORE
+            store = op is STORE
             tail = tails[op, ty] = ': store"];' if store else f' = {op.value} : {ty}"];'
         vnodes.append(f'  "v:{i}" [shape=box, style=rounded, label="{i}{tail}')
         if tags:
@@ -699,7 +712,7 @@ def emit_dot(g: Kernel | InstrumentedGraph) -> str:
             vedges.append(f'  "v:{a}" -> "v:{i}";')
             if tags:
                 tedges.append(f'  "t:{a}" -> "t:{i}"{_TAG_EDGE}')
-        if op is OpKind.STORE:
+        if op is STORE:
             a = esc.get(args[0]) or _esc(args[0])
             vedges.append(f'  "v:{i}" -> "v:{a}";')
             if tags:

@@ -33,6 +33,12 @@ class PolicyKind(Enum):
     ALLOW_ALL = "allow_all"
 
 
+# Read as module constants where it counts, as bitvalue's OpKind members are.
+DENY_IF_ANY, DENY_IF_MASK, ALLOW_ALL = (
+    PolicyKind.DENY_IF_ANY, PolicyKind.DENY_IF_MASK, PolicyKind.ALLOW_ALL
+)
+
+
 class Policy(namedtuple("Policy", "name kind mask", defaults=(None,))):
     """A named PolicyKind; mask, tag bits, is meaningful for deny_if_mask only."""
 
@@ -42,9 +48,9 @@ class Policy(namedtuple("Policy", "name kind mask", defaults=(None,))):
     def denied_bits(self) -> int:
         """The tag bits whose presence denies: none, any, or the mask's.
         A deny_if_mask policy must have a mask (kernel_ir.validate)."""
-        if self.kind is PolicyKind.ALLOW_ALL:
+        if self.kind is ALLOW_ALL:
             return 0
-        if self.kind is PolicyKind.DENY_IF_ANY:
+        if self.kind is DENY_IF_ANY:
             return -1
         return self.mask
 

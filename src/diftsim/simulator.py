@@ -50,9 +50,9 @@ from typing import NamedTuple
 
 from .bitvalue import COMPARE_OPS, OP_ARITY, BitType, OpKind, apply_op
 from .errors import ArityMismatch, DiftError, EvalError, WidthMismatch, WidthTooLarge
-from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim
+from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim, load_json
 from .policy_monitor import MonitorState, SecurityException, record
-from .taint import DiftConfig, PropagationRule
+from .taint import PRECISE, UNION, DiftConfig
 
 _ORACLE_MAX_WIDTH = 6
 
@@ -109,13 +109,8 @@ class SimulationReport(NamedTuple):
 def parse_inputs(text: str) -> tuple[RunInputs | None, list[Diagnostic]]:
     """Parse an inputs document: {"values": {...}, "tags": {...}, "memory": {...}}."""
     diags: list[Diagnostic] = []
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        diags.append(Diagnostic("error", f"line {e.lineno}", f"invalid JSON: {e.msg}"))
-        return None, diags
-    except RecursionError:
-        diags.append(Diagnostic("error", "inputs", "JSON nested too deeply"))
+    doc = load_json(text, "inputs", diags)
+    if diags:
         return None, diags
     if not isinstance(doc, dict):
         diags.append(Diagnostic("error", "inputs", "top-level document must be an object"))
@@ -409,7 +404,7 @@ def _track(k: Kernel, values: list, input_tags: list, memory_tags, rule, halt: b
             boundary |= join
     else:
         tags = _init_tags(k, input_tags, memory_tags)
-    precise = rule is PropagationRule.PRECISE
+    precise = rule is PRECISE
     steps, ids, args, slots, denied_bits, policy_names = k.plan.checkpoints
     done, ran = 0, None  # the steps replayed; the checkpoints that ran, if a deny cut the run
     if halt:
@@ -637,7 +632,7 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
     runs that disagree give a "trap" counterexample."""
     rng = random.Random(seed)
     tw = k.tag_width
-    rules = (PropagationRule.UNION, PropagationRule.PRECISE, None)
+    rules = (UNION, PRECISE, None)
     modes = [("fine", "union"), ("fine", "precise"), ("coarse", None)]
     zero_inputs = [0] * len(k.inputs)
     zero_memories = (((), 0),) * len(k.memories)
@@ -658,7 +653,7 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
             extra = rng.randrange(1 << tw)
             wide_tags = list(input_tags)
             wide_tags[widened] |= extra
-            runs.append((wide_tags, k.plan.memory_tags, PropagationRule.UNION))
+            runs.append((wide_tags, k.plan.memory_tags, UNION))
 
         values = _values(k, ri)  # the runs differ only in tags
         results = [_track(k, values, *run, False) for run in runs]

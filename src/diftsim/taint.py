@@ -19,7 +19,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .bitvalue import BitType, OpKind, pad_operands, sign_bit
+from .bitvalue import AND, LOAD, MUL, MUX, OR, STORE, BitType, OpKind, pad_operands, sign_bit
 from .errors import InvalidType
 
 MAX_TAG_WIDTH = 32
@@ -28,6 +28,10 @@ MAX_TAG_WIDTH = 32
 class PropagationRule(Enum):
     UNION = "union"
     PRECISE = "precise"
+
+
+# Read as module constants where it counts, as bitvalue's OpKind members are.
+UNION, PRECISE = PropagationRule.UNION, PropagationRule.PRECISE
 
 
 class FineGrained(NamedTuple):
@@ -138,16 +142,16 @@ def tag_fn(rule: PropagationRule, kind: OpKind, types: Sequence, result_ty: BitT
     and returns it. Store runs after the value function has checked the
     address.
     """
-    if kind is OpKind.LOAD:
+    if kind is LOAD:
         return _load(sign_bit(types[1]))
-    if kind is OpKind.STORE:
-        return _store(sign_bit(types[1]), rule is PropagationRule.PRECISE)
-    if rule is PropagationRule.PRECISE:
-        if kind is OpKind.MUX:
+    if kind is STORE:
+        return _store(sign_bit(types[1]), rule is PRECISE)
+    if rule is PRECISE:
+        if kind is MUX:
             return _mux_select
-        if kind is OpKind.MUL or kind is OpKind.AND:
+        if kind is MUL or kind is AND:
             return _zero_kill
-        if kind is OpKind.OR:
+        if kind is OR:
             return _ones_kill(
                 _all_ones_mask(types[0], result_ty), _all_ones_mask(types[1], result_ty)
             )

@@ -103,44 +103,44 @@ def test_c01_value_semantics_oracle():
 def test_c02_precise_soundness():
     """Whenever the precise rule reports tag 0 with a tainted operand, the
     independence oracle must confirm the result does not depend on it.
-    Operand and result widths range over 1..4 independently."""
+    Every value operator is swept with one operand tainted at a time, and
+    operand and result widths range over 1..4 independently (1..2 for
+    mux, whose third operand multiplies the cases)."""
     started = time.monotonic()
     kills = 0
     oracle_cache = {}
-    widths = range(1, 5)
-    for kind in sorted(BINARY_OPS, key=lambda k: k.value):
-        r_types = (
-            [BitType(1)]
-            if kind in COMPARE_OPS
-            else [BitType(w, s) for w in widths for s in (False, True)]
-        )
-        for wa, wb, sa, sb in itertools.product(widths, widths, (False, True), (False, True)):
-            types = [BitType(wa, sa), BitType(wb, sb)]
-            for tainted_pos in (0, 1):
-                fixed_pos = 1 - tainted_pos
-                for fixed_bits in range(1 << types[fixed_pos].width):
+    kinds = sorted(BINARY_OPS | UNARY_OPS, key=lambda k: k.value)
+    sweeps = [(kind, range(1, 5)) for kind in kinds] + [(OpKind.MUX, range(1, 3))]
+    for kind, widths in sweeps:
+        arity = 1 if kind in UNARY_OPS else (3 if kind is OpKind.MUX else 2)
+        all_types = [BitType(w, s) for w in widths for s in (False, True)]
+        r_types = [BitType(1)] if kind in COMPARE_OPS else all_types
+        for types in itertools.product(all_types, repeat=arity):
+            for tainted_pos in range(arity):
+                fixed_pos = [p for p in range(arity) if p != tainted_pos]
+                for fixed_bits in itertools.product(
+                    *(range(1 << types[p].width) for p in fixed_pos)
+                ):
+                    fixed = dict(zip(fixed_pos, fixed_bits))
                     for tainted_bits in range(1 << types[tainted_pos].width):
-                        operands = [None, None]
-                        fixed = BitValue(types[fixed_pos], fixed_bits)
-                        tainted = BitValue(types[tainted_pos], tainted_bits)
-                        operands[fixed_pos] = (fixed, Tag(4, 0))
-                        operands[tainted_pos] = (tainted, Tag(4, 0b1))
+                        operands = [
+                            (BitValue(ty, tainted_bits), Tag(4, 0b1))
+                            if p == tainted_pos
+                            else (BitValue(ty, fixed[p]), Tag(4, 0))
+                            for p, ty in enumerate(types)
+                        ]
                         for r_ty in r_types:
                             if propagate(PRECISE, kind, operands, r_ty).bits != 0:
                                 continue
                             kills += 1
-                            key = (kind, *types, r_ty, tainted_pos, fixed_bits)
+                            key = (kind, types, r_ty, tainted_pos, fixed_bits)
                             if key not in oracle_cache:
                                 oracle_cache[key] = independence_oracle(
-                                    kind,
-                                    types,
-                                    {tainted_pos},
-                                    {fixed_pos: fixed_bits},
-                                    result_ty=r_ty,
+                                    kind, list(types), {tainted_pos}, fixed, result_ty=r_ty
                                 )
                             assert oracle_cache[key], (
-                                f"unsound kill: {kind.value} {types[0]} {types[1]} -> {r_ty} "
-                                f"tainted={tainted_pos} fixed={fixed_bits}"
+                                f"unsound kill: {kind.value} {' '.join(map(str, types))} "
+                                f"-> {r_ty} tainted={tainted_pos} fixed={fixed}"
                             )
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"soundness sweep took {elapsed:.1f}s"

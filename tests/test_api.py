@@ -1,6 +1,7 @@
 """The package's public surface, and where the checked tagged layer lives."""
 
 import ast
+import dis
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import diftsim
+from diftsim import bitvalue, kernel_ir, policy_monitor, simulator, taint
 
 PACKAGE = Path(diftsim.__file__).resolve().parent
 BENCHMARKS = PACKAGE.parent.parent / "benchmarks"
@@ -151,3 +153,37 @@ def test_the_benchmark_tracer_leaves_no_shim_in_the_package():
         print(json.dumps([unshimmed, left]))
     """)
     assert unshimmed == [] and left == []
+
+
+# The code that runs per node, per lowered signature or per run. On
+# CPython 3.11 a read such as OpKind.STORE goes through EnumType's
+# __getattr__ hook, about ten times the cost of a global read, so these
+# compare against the members that bitvalue, taint and policy_monitor
+# bind as module constants.
+PER_NODE = [
+    kernel_ir.parse_kernel, kernel_ir.validate, kernel_ir.const_fold, kernel_ir.dead_code_elim,
+    kernel_ir.emit_dot, kernel_ir.lower, bitvalue.value_fn, taint.tag_fn, simulator._track,
+    simulator.fuzz_properties, policy_monitor.Policy.denied_bits.func,
+]
+ENUMS = {"OpKind", "PropagationRule", "PolicyKind"}
+
+
+def _enum_member_reads(code: types.CodeType) -> list[str]:
+    """Each global enum class in ENUMS that code, or code nested in it,
+    loads and then reads an attribute of."""
+    found = []
+    instructions = list(dis.get_instructions(code))
+    for load, read in zip(instructions, instructions[1:]):
+        if load.opname == "LOAD_GLOBAL" and load.argval in ENUMS and read.opname in (
+            "LOAD_ATTR", "LOAD_METHOD"
+        ):
+            found.append(f"{code.co_name}: {load.argval}.{read.argval}")
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            found += _enum_member_reads(const)
+    return found
+
+
+def test_the_per_node_code_reads_no_enum_member_through_its_class():
+    reads = [read for fn in PER_NODE for read in _enum_member_reads(fn.__code__)]
+    assert reads == []

@@ -28,6 +28,7 @@ OVERFLOW = str(fixture_path("overflow_demo.json"))
 OVERFLOW_TAINTED = str(fixture_path("overflow_tainted.json"))
 OVERFLOW_CLEAN = str(fixture_path("overflow_clean.json"))
 DOT8_INPUTS = str(fixture_path("dot8_inputs.json"))
+FIR4_INPUTS = str(fixture_path("fir4_inputs.json"))
 
 
 def test_run_tainted_overflow_exits_10(tmp_path, capsys):
@@ -102,6 +103,32 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
     assert main(["run", OVERFLOW, str(deep)]) == 2
     err = capsys.readouterr().err
     assert err.count("nested too deeply") == 2
+
+
+@pytest.mark.parametrize("which", ["kernel", "inputs"])
+def test_an_overlong_integer_literal_exits_2(tmp_path, which):
+    # json.loads refuses an integer of more than 4300 digits (int's default
+    # digit limit) with a plain ValueError, not a JSONDecodeError.
+    kernel, inputs = (json.loads(pathlib.Path(p).read_text()) for p in (FIR4, FIR4_INPUTS))
+    if which == "kernel":
+        kernel["constants"][0]["value"] = "LONG"
+    else:
+        inputs["values"]["x0"] = "LONG"
+    paths = []
+    for name, doc in (("kernel.json", kernel), ("inputs.json", inputs)):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc).replace('"LONG"', "7" * 5000))
+        paths.append(str(path))
+    argvs = [["run", *paths]] + ([["instrument", paths[0]]] if which == "kernel" else [])
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diftsim", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(
+            f"error: {which}: invalid JSON: integer literal has too many digits\n"
+        )
 
 
 def test_oversized_memory_exits_2(tmp_path, capsys):
