@@ -48,8 +48,8 @@ from collections import namedtuple
 from operator import and_
 from typing import NamedTuple
 
-from .bitvalue import COMPARE_OPS, OP_ARITY, BitType, OpKind, apply_op
-from .errors import ArityMismatch, DiftError, EvalError, WidthMismatch, WidthTooLarge
+from .bitvalue import COMPARE_OPS, MUX, OP_ARITY, BitType, OpKind, apply_op
+from .errors import ArityMismatch, DiftError, EvalError, TypeMismatch, WidthMismatch, WidthTooLarge
 from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim, load_json
 from .policy_monitor import MonitorState, SecurityException, record
 from .taint import PRECISE, UNION, DiftConfig
@@ -570,7 +570,9 @@ def independence_oracle(
 ) -> bool:
     """True iff the op's value result is constant while the tainted
     positions range over all their possible values. Ground truth for
-    taint-kill soundness; widths are capped so enumeration stays exact."""
+    taint-kill soundness; widths are capped so enumeration stays exact.
+    result_ty defaults to u1 for a comparison and to the first operand's
+    type otherwise; mux, whose first operand is its selector, needs it."""
     arity = OP_ARITY[kind]
     if len(operand_types) != arity:
         raise ArityMismatch(f"{kind.value} takes {arity} operand types")
@@ -579,6 +581,8 @@ def independence_oracle(
     if set(untainted_values) | set(tainted_positions) != set(range(arity)):
         raise ArityMismatch("tainted positions and untainted values must cover all operands")
     if result_ty is None:
+        if kind is MUX:
+            raise TypeMismatch("mux needs a result_ty: its first operand is the selector")
         result_ty = BitType(1) if kind in COMPARE_OPS else operand_types[0]
     order = sorted(tainted_positions)
     bits = [untainted_values.get(p, 0) & operand_types[p].mask for p in range(arity)]

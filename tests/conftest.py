@@ -1,4 +1,6 @@
+import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,9 +8,18 @@ import pytest
 import diftsim.simulator
 from diftsim import OpKind, const_fold, fixture_path, parse_inputs, parse_kernel
 
+_ROOT = Path(__file__).resolve().parent.parent
 # `python -m diftsim` subprocesses find the package in a source checkout too.
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_SRC = str(_ROOT / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+# The benchmark's kernel generators and reference evaluator, appended so
+# that no module of theirs shadows a test's.
+sys.path.append(str(_ROOT / "benchmarks"))
+
+
+def load_doc(name):
+    """A shipped fixture as the JSON document it is."""
+    return json.loads(fixture_path(name).read_text())
 
 
 def load_kernel(name):

@@ -187,3 +187,70 @@ def _enum_member_reads(code: types.CodeType) -> list[str]:
 def test_the_per_node_code_reads_no_enum_member_through_its_class():
     reads = [read for fn in PER_NODE for read in _enum_member_reads(fn.__code__)]
     assert reads == []
+
+
+# Tests compare runs with the reference model through the public API. A
+# test may read a private simulator name only to observe or inject what no
+# public result shows, and only the name it is listed with here.
+PRIVATE_READS = {
+    ("test_simulator", "test_halting_runs_walk_no_value_past_their_deny"): {"_execute"},
+    ("test_simulator", "test_fuzz_passes_trials_that_trap_alike"): {"_values"},
+    ("test_simulator", "test_fuzz_reports_runs_that_trap_differently"): {"_track"},
+    ("test_api", "PER_NODE"): {"_track"},
+}
+
+
+def private_simulator_reads(module: str, source: str) -> list[tuple[str, str, str]]:
+    """(module, place, name) for each _-prefixed name of diftsim.simulator
+    that source reads: as an attribute of the module, by a from-import, or
+    as a string beside the module in a call (getattr, monkeypatch.setattr).
+    The place is the top-level function, class or assigned name it is in."""
+    tree = ast.parse(source)
+    aliases = set()  # the names source binds to the simulator module
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module_name = getattr(node, "module", None)
+            for alias in node.names:
+                if (module_name, alias.name) == ("diftsim", "simulator") or (
+                    alias.name == "diftsim.simulator" and alias.asname
+                ):
+                    aliases.add(alias.asname or alias.name)
+
+    def is_simulator(node) -> bool:
+        return isinstance(node, ast.Name) and node.id in aliases or (
+            ast.unparse(node) == "diftsim.simulator"
+        )
+
+    found = []
+    for top in tree.body:
+        place = getattr(top, "name", None) or ast.unparse(getattr(top, "targets", [top])[0])
+        for node in ast.walk(top):
+            names = []
+            if isinstance(node, ast.Attribute) and is_simulator(node.value):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "diftsim.simulator":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call) and any(map(is_simulator, node.args)):
+                names = [a.value for a in node.args if isinstance(a, ast.Constant)]
+            found += [
+                (module, place, name) for name in names
+                if isinstance(name, str) and name.startswith("_") and not name.startswith("__")
+            ]
+    return found
+
+
+def test_no_test_reads_a_private_simulator_name_outside_its_allowance():
+    found = [
+        read
+        for path in sorted(Path(__file__).parent.glob("*.py"))
+        for read in private_simulator_reads(path.stem, path.read_text(encoding="utf-8"))
+    ]
+    assert found, "the scan finds the allowed reads"
+    assert [read for read in found if read[2] not in PRIVATE_READS.get(read[:2], ())] == []
+    # A walker that replays the simulator's own value pass is refused.
+    walker = textwrap.dedent("""
+        def fired_in_order(k, ri):
+            from diftsim import simulator
+            return simulator._values(k, ri)[0]
+    """)
+    assert private_simulator_reads("t", walker) == [("t", "fired_in_order", "_values")]

@@ -16,69 +16,13 @@ from diftsim import (
     to_int,
 )
 from diftsim.bitvalue import apply_op
+from reference_model import value as ref_value
 
 U1 = BitType(1)
 U4 = BitType(4)
 S4 = BitType(4, signed=True)
 U8 = BitType(8)
 S8 = BitType(8, signed=True)
-
-
-# Independent reference semantics, written from the documented contract and
-# kept free of the implementation's helpers.
-
-
-def ref_to_int(bits, width, signed):
-    if signed and bits >= (1 << (width - 1)):
-        return bits - (1 << width)
-    return bits
-
-
-def ref_wrap(x, width):
-    return x % (1 << width)
-
-
-def ref_binop(kind, a_bits, a_ty, b_bits, b_ty, r_ty):
-    ia = ref_to_int(a_bits, a_ty.width, a_ty.signed)
-    ib = ref_to_int(b_bits, b_ty.width, b_ty.signed)
-    cmps = {
-        OpKind.EQ: ia == ib,
-        OpKind.NE: ia != ib,
-        OpKind.LT: ia < ib,
-        OpKind.LE: ia <= ib,
-        OpKind.GT: ia > ib,
-        OpKind.GE: ia >= ib,
-    }
-    if kind in cmps:
-        return int(cmps[kind])
-    if kind is OpKind.ADD:
-        r = ia + ib
-    elif kind is OpKind.SUB:
-        r = ia - ib
-    elif kind is OpKind.MUL:
-        r = ia * ib
-    elif kind is OpKind.DIV:
-        if ib == 0:
-            raise ZeroDivisionError
-        r = int(ia / ib)  # trunc toward zero
-    elif kind is OpKind.MOD:
-        if ib == 0:
-            raise ZeroDivisionError
-        r = ia - ib * int(ia / ib)
-    elif kind is OpKind.AND:
-        r = ia & ib
-    elif kind is OpKind.OR:
-        r = ia | ib
-    elif kind is OpKind.XOR:
-        r = ia ^ ib
-    elif kind is OpKind.SHL:
-        r = ia * (1 << (b_bits % r_ty.width))
-    elif kind is OpKind.SHR:
-        s = b_bits % r_ty.width
-        r = ia >> s  # floor shift == arithmetic; ia >= 0 when unsigned
-    else:
-        raise AssertionError(kind)
-    return ref_wrap(r, r_ty.width)
 
 
 def test_apply_op_wraps_into_result_type():
@@ -187,7 +131,7 @@ def test_binop_exhaustive_width_4_against_reference():
                     for b_bits in range(1 << wb):
                         a, b = BitValue(a_ty, a_bits), BitValue(b_ty, b_bits)
                         try:
-                            expected = ref_binop(kind, a_bits, a_ty, b_bits, b_ty, r_ty)
+                            expected = ref_value(kind.value, (a_bits, b_bits), (a_ty, b_ty), r_ty)
                         except ZeroDivisionError:
                             with pytest.raises(DivisionByZero):
                                 eval_binop(kind, a, b, r_ty)

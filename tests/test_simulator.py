@@ -6,7 +6,9 @@ import random
 import pytest
 
 import diftsim.taint
-from conftest import drop_dead_traps, fold_watched_nodes, load_inputs, load_kernel
+import gen
+import reference_model as model
+from conftest import drop_dead_traps, fold_watched_nodes, load_doc, load_inputs, load_kernel
 from diftsim import (
     BINARY_OPS,
     ArityMismatch,
@@ -23,6 +25,7 @@ from diftsim import (
     MonitorState,
     OpKind,
     OutOfBoundsAddress,
+    TypeMismatch,
     PropagationRule,
     REG_TAG_IN,
     RunInputs,
@@ -33,6 +36,7 @@ from diftsim import (
     fuzz_properties,
     independence_oracle,
     parse_inputs,
+    parse_kernel,
     propagate,
     reg_read,
     reg_write,
@@ -40,11 +44,10 @@ from diftsim import (
     run_dift,
     sample_inputs,
 )
-from test_bitvalue import ref_binop, ref_to_int, ref_wrap
+from diftsim.simulator import check_configs
+from test_kernel_ir import ALL_OPS_DOC, DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC
 
 U4 = BitType(4)
-S4 = BitType(4, signed=True)
-U8 = BitType(8)
 
 UNION = PropagationRule.UNION
 PRECISE = PropagationRule.PRECISE
@@ -58,9 +61,55 @@ def coarse(tag_width):
     return DiftConfig(tag_width, CoarseBoundary())
 
 
-def tiny_add_kernel():
-    from diftsim import parse_kernel
+def parsed(doc):
+    kernel, diags = parse_kernel(json.dumps(doc))
+    assert kernel is not None, diags
+    return kernel
 
+
+def five_configs(tag_width):
+    """Union, precise and coarse in record mode; union and coarse in halt mode."""
+    return [
+        fine(tag_width, UNION),
+        fine(tag_width, PRECISE),
+        coarse(tag_width),
+        fine(tag_width, UNION, "halt"),
+        DiftConfig(tag_width, CoarseBoundary(), "halt"),
+    ]
+
+
+# The reference model (tests/reference_model.py) is the oracle of run
+# semantics: these helpers put a simulator run and the model's side by side.
+
+
+def inputs_doc(ri):
+    return {"values": ri.values, "tags": ri.tags, "memory": ri.memory}
+
+
+def model_run(doc, ri, cfg, tag_in=0):
+    """The model's run of the kernel document doc on ri under cfg."""
+    mode = "coarse" if cfg.rule is None else cfg.rule.value
+    return model.evaluate(doc, inputs_doc(ri), mode, cfg.on_exception == "halt", tag_in)
+
+
+def outcome(run):
+    """What run returns, or the trap it raises as (kind, node, step)."""
+    try:
+        return run()
+    except EvalError as e:
+        return (type(e).__name__, e.node_id, e.step)
+
+
+def model_outcome(doc, ri, cfg=None):
+    """The model's run_dift outputs under cfg, or with no cfg its
+    run_baseline outputs, the values alone; or its trap."""
+    run = model_run(doc, ri, cfg or fine(doc["tag_width"]))
+    if run["trap"] is not None:
+        return run["trap"]
+    return run["outputs"] if cfg else {oid: value for oid, (value, _) in run["outputs"].items()}
+
+
+def tiny_add_kernel():
     doc = {
         "name": "tiny",
         "tag_width": 2,
@@ -71,14 +120,10 @@ def tiny_add_kernel():
         "nodes": [{"id": "sum", "op": "add", "args": ["a", "b"], "width": 4, "signed": False}],
         "outputs": [{"id": "out", "source": "sum"}],
     }
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
-    return kernel
+    return parsed(doc)
 
 
 def mem_kernel(addr_tagged_load=False, size=4):
-    from diftsim import parse_kernel
-
     doc = {
         "name": "memdemo",
         "tag_width": 2,
@@ -100,15 +145,11 @@ def mem_kernel(addr_tagged_load=False, size=4):
         ],
         "outputs": [{"id": "out", "source": "ld"}],
     }
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
-    return kernel
+    return parsed(doc)
 
 
 def op_kernel(op, operand_types, result_ty, tag_width=4):
     """One node applying op to inputs x0, x1, ... of the given types."""
-    from diftsim import parse_kernel
-
     args = [f"x{i}" for i in range(len(operand_types))]
     doc = {
         "name": op,
@@ -127,51 +168,7 @@ def op_kernel(op, operand_types, result_ty, tag_width=4):
         ],
         "outputs": [{"id": "out", "source": "n"}],
     }
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
-    return kernel
-
-
-def test_mux_and_unary_result_widths_against_reference():
-    # Independent reference: decode by the operand's own signedness, then
-    # wrap into the result width; not complements within the operand width.
-    def signed_value(bits, ty):
-        return bits - (1 << ty.width) if ty.signed and bits >> (ty.width - 1) else bits
-
-    types = [BitType(w, s) for w in range(1, 4) for s in (False, True)]
-    for a_ty, r_ty in itertools.product(types, types):
-        if a_ty.width == r_ty.width:
-            continue
-        wrap = (1 << r_ty.width) - 1
-        for op, ref in (
-            ("not", lambda a: ~a & ((1 << a_ty.width) - 1)),
-            ("neg", lambda a: -signed_value(a, a_ty)),
-        ):
-            kernel = op_kernel(op, [a_ty], r_ty)
-            for a in range(1 << a_ty.width):
-                got = run_baseline(kernel, RunInputs(values={"x0": a}))
-                assert got == {"out": ref(a) & wrap}, (op, a, a_ty, r_ty)
-        kernel = op_kernel("mux", [BitType(1), a_ty, a_ty], r_ty)
-        for sel, t, f in itertools.product((0, 1), range(1 << a_ty.width), range(1 << a_ty.width)):
-            got = run_baseline(kernel, RunInputs(values={"x0": sel, "x1": t, "x2": f}))
-            assert got == {"out": signed_value(t if sel else f, a_ty) & wrap}
-    # The selected s4 value -6 sign-extends into u8.
-    kernel = op_kernel("mux", [BitType(1), S4, S4], U8)
-    assert run_baseline(kernel, RunInputs(values={"x0": 1, "x1": 10, "x2": 0})) == {"out": 250}
-
-
-def test_unary_tag_passthrough():
-    for op, a_ty, r_ty, value, expected in (
-        ("not", U4, U4, 0b0101, 0b1010),
-        ("neg", S4, S4, 3, 13),
-        ("not", U4, U8, 0b0101, 0b1010),
-        ("neg", S4, U8, 3, 253),
-    ):
-        kernel = op_kernel(op, [a_ty], r_ty)
-        for rule in (UNION, PRECISE):
-            for tag in (0, 0b10):
-                ri = RunInputs(values={"x0": value}, tags={"x0": tag})
-                assert run_dift(kernel, ri, fine(4, rule)).outputs == {"out": (expected, tag)}
+    return parsed(doc)
 
 
 def test_mux_tag_rules():
@@ -187,8 +184,6 @@ def test_mux_tag_rules():
 def test_precise_or_kill_judged_at_result_type():
     # A u4 constant 15 is all ones in u4 but not in the u8 result: OR with a
     # tainted u8 keeps the taint, since the result still depends on it.
-    from diftsim import parse_kernel
-
     doc = {
         "name": "or_widths",
         "tag_width": 2,
@@ -197,12 +192,12 @@ def test_precise_or_kill_judged_at_result_type():
         "nodes": [{"id": "n", "op": "or", "args": ["c", "x"], "width": 8, "signed": False}],
         "outputs": [{"id": "out", "source": "n"}],
     }
-    kernel, _ = parse_kernel(json.dumps(doc))
+    kernel = parsed(doc)
     ri = RunInputs(values={"x": 0x30}, tags={"x": 0b1})
     assert run_dift(kernel, ri, fine(2, PRECISE)).outputs == {"out": (63, 0b1)}
     # The same constant as s4 is -1, all ones in every width: the kill holds.
     doc["constants"][0]["signed"] = True
-    kernel, _ = parse_kernel(json.dumps(doc))
+    kernel = parsed(doc)
     assert run_dift(kernel, ri, fine(2, PRECISE)).outputs == {"out": (255, 0)}
     u2, u4 = BitType(2), BitType(4)
     assert independence_oracle(OpKind.OR, [u2, u4], {1}, {0: 3}, result_ty=u4) is False
@@ -218,8 +213,9 @@ def test_run_baseline_add():
 
 def test_run_baseline_fir4_committed_vector(fir4):
     inputs = load_inputs("fir4_inputs.json")
-    # 10*2 + (-5)*(-3) + 3*4 + 7*1 = 54, by hand
+    # 10*2 + (-5)*(-3) + 3*4 + 7*1 = 54, by hand; the model must agree too.
     assert run_baseline(fir4, inputs) == {"y_out": 54}
+    assert model.evaluate(load_doc("fir4.json"), inputs_doc(inputs))["outputs"]["y_out"][0] == 54
 
 
 def test_missing_input_defaults_to_zero_with_warning():
@@ -253,14 +249,6 @@ def test_memory_override_too_long_rejected():
     assert run_baseline(kernel, full) == {"out": 7}
 
 
-def test_run_dift_union_tag_flows():
-    kernel = tiny_add_kernel()
-    rep = run_dift(kernel, RunInputs(values={"a": 9, "b": 12}, tags={"a": 0b1}), fine(2))
-    assert rep.outputs == {"out": (5, 0b1)}
-    assert rep.exceptions == ()
-    assert rep.irq is False
-
-
 def test_store_load_tag_rules():
     # Tainted address, untainted value: union keeps the address taint in the
     # cell, precise stores only the value tag; the load then joins the
@@ -278,26 +266,22 @@ def test_store_load_tag_rules():
         assert rep.outputs["out"][1] & 0b1
 
 
-@pytest.mark.parametrize("addr_tagged_load", [False, True])
-def test_a_load_after_a_tainted_store_carries_its_tag(addr_tagged_load):
-    kernel = mem_kernel(addr_tagged_load)
-    ri = RunInputs(values={"addr": 2, "v": 9}, tags={"v": 0b01, "addr": 0b10})
-    # The loaded cell carries the store's union tag: value | address.
-    assert run_dift(kernel, ri, fine(2, UNION)).outputs["out"] == (9, 0b11)
-
-
 def test_overflow_demo_hand_trace(overflow_demo):
+    # The hand-traced run, by the simulator and by the model.
+    doc = load_doc("overflow_demo.json")
     tainted = load_inputs("overflow_tainted.json")
     rep = run_dift(overflow_demo, tainted, fine(2))
-    assert rep.outputs == {"stored": (93, 0), "slot": (4, 1)}
-    assert len(rep.exceptions) == 1
-    exc = rep.exceptions[0]
-    assert (exc.checkpoint_id, exc.node_id, exc.tag_bits, exc.step) == ("cp_addr", "off", 1, 1)
+    want = model.evaluate(doc, inputs_doc(tainted))
+    assert rep.outputs == want["outputs"] == {"stored": (93, 0), "slot": (4, 1)}
+    assert [e[:4] for e in rep.exceptions] == [e[:4] for e in want["exceptions"]] == [
+        ("cp_addr", "off", 1, 1)
+    ]
     assert rep.irq is True
 
     clean = load_inputs("overflow_clean.json")
     rep = run_dift(overflow_demo, clean, fine(2))
     assert rep.exceptions == () and rep.irq is False
+    assert model.evaluate(doc, inputs_doc(clean))["exceptions"] == []
 
 
 def test_dot8_rule_difference(dot8):
@@ -307,49 +291,11 @@ def test_dot8_rule_difference(dot8):
     # vb[3] is 0 and untainted, so the precise rule kills va[3]'s taint.
     assert union_rep.outputs == {"out": (137, 1)}
     assert precise_rep.outputs == {"out": (137, 0)}
+    for mode, tag in (("union", 1), ("precise", 0)):
+        run = model.evaluate(load_doc("dot8.json"), inputs_doc(inputs), mode)
+        assert run["outputs"] == {"out": (137, tag)}
     assert len(union_rep.exceptions) == 1
     assert precise_rep.exceptions == ()
-
-
-def test_coarse_mode_boundary_tags(fir4):
-    inputs = load_inputs("fir4_inputs.json")
-    rep = run_dift(fir4, inputs, coarse(4))
-    expected = 0
-    for inp in fir4.inputs:
-        expected |= inputs.tags.get(inp.id, inp.default_tag)
-    for m in fir4.memories:
-        for t in m.init_tags:
-            expected |= t
-    assert expected != 0
-    assert rep.outputs["y_out"] == (54, expected)
-    assert rep.mode == "coarse" and rep.rule is None
-    assert rep.checkpoint_tags == (("cp_y", expected),)
-
-
-def test_step_zero_checkpoint_on_input():
-    from diftsim import parse_kernel
-
-    doc = {
-        "name": "watch_input",
-        "tag_width": 2,
-        "inputs": [{"id": "a", "width": 4, "signed": False}],
-        "policies": [{"name": "any", "kind": "deny_if_any"}],
-        "checkpoints": [{"id": "cp_a", "arg": "a", "policy": "any"}],
-        "outputs": [{"id": "out", "source": "a"}],
-    }
-    kernel, _ = parse_kernel(json.dumps(doc))
-    rep = run_dift(kernel, RunInputs(values={"a": 1}, tags={"a": 1}), fine(2))
-    assert [(e.checkpoint_id, e.step) for e in rep.exceptions] == [("cp_a", 0)]
-
-
-def test_reg_tag_in_overrides_default_tags(fir4):
-    inputs = load_inputs("fir4_inputs.json")
-    monitor = MonitorState()
-    reg_write(monitor, REG_TAG_IN, 0b0100)
-    rep = run_dift(fir4, inputs, fine(4), monitor=monitor)
-    # every input tag becomes 0b0100; the masked policy (mask 0b0010) allows
-    assert rep.outputs["y_out"][1] == 0b0100
-    assert rep.exceptions == ()
 
 
 def test_report_json_schema(overflow_demo):
@@ -400,6 +346,11 @@ def test_independence_oracle():
         independence_oracle(OpKind.ADD, [u4], {0}, {})
     with pytest.raises(ArityMismatch, match="must cover all operands"):
         independence_oracle(OpKind.ADD, [u4, u4], {0}, {})
+    # The branches 2 and 0 differ as u4 results but agree in the u1
+    # selector's bit, so mux gets no default result type.
+    assert independence_oracle(OpKind.MUX, [BitType(1), u4, u4], {0}, {1: 2, 2: 0}, u4) is False
+    with pytest.raises(TypeMismatch, match="mux needs a result_ty"):
+        independence_oracle(OpKind.MUX, [BitType(1), u4, u4], {0}, {1: 2, 2: 0})
 
 
 def test_fuzz_properties_pass_on_fixtures(fir4, dot8, overflow_demo):
@@ -437,13 +388,11 @@ def test_halted_run_reports_no_outputs(overflow_demo):
 SWEEP_TYPES = [BitType(w, s) for w in range(1, 4) for s in (False, True)]
 
 
-def sweep_kernel(op, operand_types, result_types):
+def sweep_doc(op, operand_types, result_types):
     """Inputs x0, x1, ... of the operand types and one node rj = op(x0, ...)
     per result type, each read by its output oj."""
-    from diftsim import parse_kernel
-
     args = [f"x{i}" for i in range(len(operand_types))]
-    doc = {
+    return {
         "name": f"sweep_{op}",
         "tag_width": 4,
         "inputs": [
@@ -455,38 +404,35 @@ def sweep_kernel(op, operand_types, result_types):
         ],
         "outputs": [{"id": f"o{j}", "source": f"r{j}"} for j in range(len(result_types))],
     }
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
-    return kernel
 
 
-def sweep_through_walk(kind, operand_types, ref):
-    """Every operand value: run_baseline against ref(values, result type);
-    union tags the OR of the operand tags; every precise kill confirmed by
-    independence_oracle. Returns the number of kills seen."""
+def sweep_through_walk(kind, operand_types):
+    """Every operand value, against the model: run_baseline, run_dift's
+    union tags with each operand tagged by its own bit, and its precise
+    tags with one operand tainted at a time. Every precise kill is also
+    confirmed by independence_oracle. Returns the number of kills seen."""
     result_types = [BitType(1)] if kind in COMPARE_OPS else SWEEP_TYPES
-    kernel = sweep_kernel(kind.value, operand_types, result_types)
+    doc = sweep_doc(kind.value, operand_types, result_types)
+    kernel = parsed(doc)
     args = [f"x{i}" for i in range(len(operand_types))]
-    all_tags = (1 << len(args)) - 1
+    union, precise = fine(4, UNION), fine(4, PRECISE)
     kills = 0
     for values in itertools.product(*(range(1 << t.width) for t in operand_types)):
         vals = dict(zip(args, values))
-        try:
-            want = {f"o{j}": ref(values, r) for j, r in enumerate(result_types)}
-        except ZeroDivisionError:
-            with pytest.raises(DivisionByZero):
-                run_baseline(kernel, RunInputs(values=vals))
+        ri = RunInputs(vals, {a: 1 << i for i, a in enumerate(args)})
+        want = model_run(doc, ri, union)
+        if want["trap"] is not None:  # the same in every mode
+            assert outcome(lambda: run_baseline(kernel, ri)) == want["trap"]
             continue
-        assert run_baseline(kernel, RunInputs(values=vals)) == want, (kind, operand_types, values)
-        tags = {a: 1 << i for i, a in enumerate(args)}
-        rep = run_dift(kernel, RunInputs(vals, tags), fine(4, UNION))
-        assert rep.outputs == {r: (v, all_tags) for r, v in want.items()}
+        want = want["outputs"]
+        assert run_baseline(kernel, ri) == {o: v for o, (v, _) in want.items()}, (kind, values)
+        assert run_dift(kernel, ri, union).outputs == want
         for pos, a in enumerate(args):
-            rep = run_dift(kernel, RunInputs(vals, {a: 1}), fine(4, PRECISE))
+            ri = RunInputs(vals, {a: 1})
+            got = run_dift(kernel, ri, precise).outputs
+            assert got == model_outcome(doc, ri, precise), (kind, operand_types, values)
             for j, r_ty in enumerate(result_types):
-                value, tag = rep.outputs[f"o{j}"]
-                assert value == want[f"o{j}"] and tag in (0, 1)
-                if tag == 0:
+                if got[f"o{j}"][1] == 0:
                     kills += 1
                     fixed = {p: v for p, v in enumerate(values) if p != pos}
                     assert independence_oracle(kind, operand_types, {pos}, fixed, r_ty), (
@@ -498,41 +444,22 @@ def sweep_through_walk(kind, operand_types, ref):
 def test_every_value_opcode_through_the_walk():
     # One kernel per opcode and operand types, with one node per result
     # type: the specialised value and tag functions of every signature run
-    # through run_baseline and run_dift, against the test-local references.
+    # through run_baseline and run_dift, against the model.
     kills = 0
     for kind in sorted(BINARY_OPS, key=lambda k: k.value):
         for a_ty, b_ty in itertools.product(SWEEP_TYPES, SWEEP_TYPES):
-
-            def ref(values, r_ty, kind=kind, a_ty=a_ty, b_ty=b_ty):
-                return ref_binop(kind, values[0], a_ty, values[1], b_ty, r_ty)
-
-            kills += sweep_through_walk(kind, [a_ty, b_ty], ref)
+            kills += sweep_through_walk(kind, [a_ty, b_ty])
     for a_ty in SWEEP_TYPES:
-        kills += sweep_through_walk(
-            OpKind.NOT, [a_ty], lambda v, r, a_ty=a_ty: ref_wrap(~v[0] & a_ty.mask, r.width)
-        )
-        kills += sweep_through_walk(
-            OpKind.NEG,
-            [a_ty],
-            lambda v, r, a_ty=a_ty: ref_wrap(-ref_to_int(v[0], a_ty.width, a_ty.signed), r.width),
-        )
+        kills += sweep_through_walk(OpKind.NOT, [a_ty]) + sweep_through_walk(OpKind.NEG, [a_ty])
     for t_ty, f_ty in itertools.product(SWEEP_TYPES, SWEEP_TYPES):
-
-        def mux_ref(v, r, t_ty=t_ty, f_ty=f_ty):
-            bits, ty = (v[1], t_ty) if v[0] else (v[2], f_ty)
-            return ref_wrap(ref_to_int(bits, ty.width, ty.signed), r.width)
-
-        kills += sweep_through_walk(OpKind.MUX, [BitType(1), t_ty, f_ty], mux_ref)
+        kills += sweep_through_walk(OpKind.MUX, [BitType(1), t_ty, f_ty])
     assert kills > 0
 
 
 def test_memory_opcodes_through_the_walk():
-    # load and store for every address and data type of widths 1..3,
-    # against a local reference: the address decodes by its own signedness
-    # and must lie in [0, 3); a store wraps the data into the u2 cell.
-    from diftsim import parse_kernel
-
-    init, init_tags = [1, 2, 3], [4, 0, 8]
+    # load and store for every address and data type of widths 1..3, against
+    # the model: values, union and precise tags, and traps where the address
+    # falls outside the three cells.
     for a_ty, d_ty in itertools.product(SWEEP_TYPES, SWEEP_TYPES):
         doc = {
             "name": "memsweep",
@@ -542,9 +469,7 @@ def test_memory_opcodes_through_the_walk():
                 {"id": "d", "width": d_ty.width, "signed": d_ty.signed},
             ],
             "constants": [{"id": "zero", "width": 1, "value": 0}],
-            "memories": [
-                {"id": "m", "size": 3, "width": 2, "init": init, "init_tags": init_tags}
-            ],
+            "memories": [{"id": "m", "size": 3, "width": 2, "init": [1, 2, 3], "init_tags": [4, 0, 8]}],
             "nodes": [
                 {"id": "ld", "op": "load", "args": ["m", "a"], "width": 2},
                 {"id": "st", "op": "store", "args": ["m", "a", "d"]},
@@ -552,62 +477,41 @@ def test_memory_opcodes_through_the_walk():
             ],
             "outputs": [{"id": "before", "source": "ld"}, {"id": "cell0", "source": "ld0"}],
         }
-        kernel, diags = parse_kernel(json.dumps(doc))
-        assert kernel is not None, diags
+        kernel = parsed(doc)
         for a, d in itertools.product(range(1 << a_ty.width), range(1 << d_ty.width)):
             ri = RunInputs({"a": a, "d": d}, {"a": 1, "d": 2})
-            i = ref_to_int(a, a_ty.width, a_ty.signed)
-            if not 0 <= i < 3:
-                for run in (
-                    lambda: run_baseline(kernel, ri),
-                    lambda: run_dift(kernel, ri, fine(4, UNION)),
-                    lambda: run_dift(kernel, ri, fine(4, PRECISE)),
-                ):
-                    with pytest.raises(OutOfBoundsAddress) as e:
-                        run()
-                    assert (e.value.node_id, e.value.step) == ("ld", 1)
-                    assert str(e.value) == f"address {i} outside m[0..3) (node ld, step 1)"
-                continue
-            stored = ref_wrap(ref_to_int(d, d_ty.width, d_ty.signed), 2)
-            cell0 = stored if i == 0 else init[0]
-            assert run_baseline(kernel, ri) == {"before": init[i], "cell0": cell0}
-            union = run_dift(kernel, ri, fine(4, UNION)).outputs
-            precise = run_dift(kernel, ri, fine(4, PRECISE)).outputs
-            # load: address tag | cell tag; store: the cell's tag becomes
-            # address | data under union, data alone under precise.
-            assert union["before"] == precise["before"] == (init[i], 1 | init_tags[i])
-            assert union["cell0"] == (cell0, 0b11 if i == 0 else init_tags[0])
-            assert precise["cell0"] == (cell0, 0b10 if i == 0 else init_tags[0])
+            assert outcome(lambda: run_baseline(kernel, ri)) == model_outcome(doc, ri)
+            for cfg in (fine(4, UNION), fine(4, PRECISE)):
+                got = outcome(lambda: run_dift(kernel, ri, cfg).outputs)
+                assert got == model_outcome(doc, ri, cfg), (a_ty, d_ty, a, d, cfg)
+
+
+# load (step 1), div (2), mod (3), store (4); inputs pick which traps.
+TRAP_DOC = {
+    "name": "traps",
+    "tag_width": 2,
+    "inputs": [
+        {"id": "la", "width": 4},
+        {"id": "a", "width": 4},
+        {"id": "b", "width": 4},
+        {"id": "c", "width": 4},
+        {"id": "sa", "width": 4, "signed": True},
+    ],
+    "memories": [{"id": "m", "size": 4, "width": 8}],
+    "policies": [{"name": "any", "kind": "deny_if_any"}],
+    "nodes": [
+        {"id": "ld", "op": "load", "args": ["m", "la"], "width": 8},
+        {"id": "q", "op": "div", "args": ["a", "b"], "width": 4},
+        {"id": "r", "op": "mod", "args": ["a", "c"], "width": 4},
+        {"id": "st", "op": "store", "args": ["m", "sa", "ld"]},
+    ],
+    "checkpoints": [{"id": "cp_q", "arg": "q", "policy": "any"}],
+    "outputs": [{"id": "out", "source": "r"}],
+}
 
 
 def trap_kernel():
-    """load (step 1), div (2), mod (3), store (4); inputs pick which traps."""
-    from diftsim import parse_kernel
-
-    doc = {
-        "name": "traps",
-        "tag_width": 2,
-        "inputs": [
-            {"id": "la", "width": 4},
-            {"id": "a", "width": 4},
-            {"id": "b", "width": 4},
-            {"id": "c", "width": 4},
-            {"id": "sa", "width": 4, "signed": True},
-        ],
-        "memories": [{"id": "m", "size": 4, "width": 8}],
-        "policies": [{"name": "any", "kind": "deny_if_any"}],
-        "nodes": [
-            {"id": "ld", "op": "load", "args": ["m", "la"], "width": 8},
-            {"id": "q", "op": "div", "args": ["a", "b"], "width": 4},
-            {"id": "r", "op": "mod", "args": ["a", "c"], "width": 4},
-            {"id": "st", "op": "store", "args": ["m", "sa", "ld"]},
-        ],
-        "checkpoints": [{"id": "cp_q", "arg": "q", "policy": "any"}],
-        "outputs": [{"id": "out", "source": "r"}],
-    }
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
-    return kernel
+    return parsed(TRAP_DOC)
 
 
 @pytest.mark.parametrize(
@@ -703,8 +607,6 @@ def test_a_caught_trap_holds_no_run_state():
     # run, its tag lists alive for as long as the caller holds it.
     import tracemalloc
 
-    from diftsim import parse_kernel
-
     doc = {
         "name": "big_load",
         "tag_width": 2,
@@ -713,8 +615,7 @@ def test_a_caught_trap_holds_no_run_state():
         "nodes": [{"id": "ld", "op": "load", "args": ["m", "a"], "width": 8}],
         "outputs": [{"id": "out", "source": "ld"}],
     }
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
+    kernel = parsed(doc)
     ri = RunInputs(values={"a": 1 << 20}, tags={"a": 1})
     runs = [lambda: run_baseline(kernel, ri)]
     runs += [lambda cfg=cfg: run_dift(kernel, ri, cfg) for cfg in five_configs(2)]
@@ -742,8 +643,6 @@ def test_a_caught_trap_holds_no_run_state():
 def twin_memory_kernel():
     """Two memories of one size and cell type: each store and each load has
     the same operand and result types as its twin on the other memory."""
-    from diftsim import parse_kernel
-
     doc = {
         "name": "twins",
         "tag_width": 2,
@@ -759,9 +658,7 @@ def twin_memory_kernel():
         ],
         "outputs": [{"id": "o1", "source": "l1"}, {"id": "o2", "source": "l2"}],
     }
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
-    return kernel
+    return parsed(doc)
 
 
 def test_twin_memories_keep_their_own_cells_and_names():
@@ -849,8 +746,6 @@ def test_runs_build_no_values_tags_or_tagged_values(monkeypatch):
 def cells_kernel():
     """A six-cell u4 memory with a two-cell init; every cell is loaded,
     then the u8 constant 0xAB is stored over cell 0 and cell 0 loaded again."""
-    from diftsim import parse_kernel
-
     doc = {
         "name": "cells",
         "tag_width": 2,
@@ -869,9 +764,7 @@ def cells_kernel():
             {"id": "stored", "source": "again"},
         ],
     }
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
-    return kernel
+    return parsed(doc)
 
 
 @pytest.mark.parametrize(
@@ -911,8 +804,6 @@ def last_cell_tag_kernel():
     """A kernel whose only initial tag is 0b100 on a memory's last cell; its
     one node, a + a, reads no memory, and a checkpoint watches it under a
     policy that never denies that tag."""
-    from diftsim import parse_kernel
-
     doc = {
         "name": "last_cell_tag",
         "tag_width": 3,
@@ -923,9 +814,7 @@ def last_cell_tag_kernel():
         "checkpoints": [{"id": "cp", "arg": "n", "policy": "p"}],
         "outputs": [{"id": "o", "source": "n"}],
     }
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
-    return kernel
+    return parsed(doc)
 
 
 def test_coarse_boundary_joins_the_last_initial_memory_tag():
@@ -992,31 +881,10 @@ def test_fuzz_reports_runs_that_trap_differently(monkeypatch):
     )
 
 
-def five_configs(tag_width):
-    """Union, precise and coarse in record mode; union and coarse in halt mode."""
-    return [
-        fine(tag_width, UNION),
-        fine(tag_width, PRECISE),
-        coarse(tag_width),
-        fine(tag_width, UNION, "halt"),
-        DiftConfig(tag_width, CoarseBoundary(), "halt"),
-    ]
-
-
-def report_or_trap(run):
-    """A run's SimulationReport, or its trap as (type, node, step, message)."""
-    try:
-        return run()
-    except EvalError as e:
-        return (type(e), e.node_id, e.step, str(e))
-
-
 def test_check_accepts_a_halt_before_the_baseline_trap():
     # n1 = a + a is watched and n2 = a / d is the output. With a tainted and
     # d zero, a halting run stops at step 1, before the baseline's trap at
     # n2: consistent, not an "error" mismatch.
-    from diftsim import parse_kernel
-
     doc = {
         "name": "halt_first",
         "tag_width": 2,
@@ -1029,8 +897,7 @@ def test_check_accepts_a_halt_before_the_baseline_trap():
         "checkpoints": [{"id": "cp", "arg": "n1", "policy": "p"}],
         "outputs": [{"id": "o", "source": "n2"}],
     }
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
+    kernel = parsed(doc)
     ri = RunInputs(values={"a": 3, "d": 0}, tags={"a": 1})
     with pytest.raises(DivisionByZero):
         run_baseline(kernel, ri)
@@ -1043,66 +910,9 @@ def test_check_accepts_a_halt_before_the_baseline_trap():
 
 
 # A run judges its checkpoints apart from its replay: a recording run in
-# one pass after it, a halting run at each watched step. It must report and
-# leave the monitor exactly as a walk that computes each tag beside its
-# value and submits each observation through checkpoint right after its
-# step, whether its value pass is its own or one other runs already walked.
-
-
-def fired_in_order(k, ri, cfg, monitor):
-    """run_dift as a walk that fires each checkpoint after its step: the
-    report, or the trap as report_or_trap gives it."""
-    from diftsim import checkpoint, simulator
-
-    vals = simulator._values(k, ri)[0]
-    input_tags = simulator._input_tags(k, ri.tags, monitor.tag_in)
-    # The initial tags come from the declarations, not the plan's copy of them.
-    memory_tags = [(m.init_tags, None) for m in k.memories]
-    tags = None if cfg.rule is None else simulator._init_tags(k, input_tags, memory_tags)
-    boundary = 0
-    for t in [*input_tags, *(t for m in k.memories for t in m.init_tags)]:
-        boundary |= t
-    slots = {d.id: slot for slot, d in enumerate([*k.inputs, *k.constants, *k.memories, *k.nodes])}
-    step_of = {n.id: step for step, n in enumerate(k.nodes, start=1)}
-    policies = {p.name: p for p in k.policies}
-    observations = []
-
-    def fire(step):  # True: halt
-        for cp in k.checkpoints:
-            if step_of.get(cp.arg, 0) == step:
-                tag = boundary if tags is None else tags[slots[cp.arg]]
-                observations.append((cp.id, tag))
-                policy = policies[cp.policy]
-                if checkpoint(monitor, cp.id, cp.arg, policy, tag, step) and cfg.on_exception == "halt":
-                    return True
-        return False
-
-    steps, halted = 0, fire(0)
-    for step, (out, value_of, x, y, z, union_of, precise_of) in enumerate(k.plan.steps, start=1):
-        if halted:
-            break
-        try:
-            vals[out] = value_of(vals[x], vals[y], vals[z])
-            if tags is not None:
-                tag_of = precise_of if cfg.rule is PRECISE else union_of
-                tags[out] = tag_of(vals[x], vals[y], vals[z], tags[x], tags[y], tags[z])
-        except EvalError as e:
-            node = k.nodes[step - 1].id
-            return (type(e), node, step, f"{e} (node {node}, step {step})")
-        steps, halted = step, fire(step)
-    outputs = {} if halted else {
-        oid: (vals[slot], boundary if tags is None else tags[slot]) for oid, slot in k.plan.outputs
-    }
-    return SimulationReport(
-        outputs,
-        tuple(monitor.exceptions),
-        monitor.irq,
-        steps,
-        "coarse" if cfg.rule is None else "fine",
-        None if cfg.rule is None else cfg.rule.value,
-        tuple(observations),
-        halted,
-    )
+# one pass after it, a halting run at each watched step. It must report,
+# and leave the caller's monitor, as the model does, which observes each
+# checkpoint right after its step.
 
 
 def preloaded_monitor():
@@ -1115,149 +925,60 @@ def preloaded_monitor():
     return monitor
 
 
-def monitor_words(monitor):
-    """The queue and the four register words, as software reads them."""
-    return monitor.exceptions, [reg_read(monitor, addr) for addr in range(4)]
-
-
-def assert_fires_in_order(kernel, ri, preloaded=False, reverse=False):
-    """run_dift, and replays of one value pass that five_configs share in
-    their order or reversed (halting configs first, so recording replays
-    extend a pass a halting replay left part-walked), equal fired_in_order
-    under every config, in report or trap and in the caller's monitor;
-    returns the outcomes in five_configs' order. A replay's plain data
-    goes to the monitor and into a report as run_dift puts it."""
-    from diftsim import simulator
-    from diftsim.policy_monitor import record
-
-    new_monitor = preloaded_monitor if preloaded else MonitorState
-    values = simulator._values(kernel, ri)
-    cfgs = five_configs(kernel.tag_width)
-    outcomes = [None] * len(cfgs)
-    for i in sorted(range(len(cfgs)), reverse=reverse):
-        cfg = cfgs[i]
-        want_monitor = new_monitor()
-        want = fired_in_order(kernel, ri, cfg, want_monitor)
-
-        def replay(m):
-            outputs, denied, seen, steps, halted, trap = simulator._track(
-                kernel,
-                values,
-                simulator._input_tags(kernel, ri.tags, m.tag_in),
-                kernel.plan.memory_tags,
-                cfg.rule,
-                cfg.on_exception == "halt",
-            )
-            record(m, denied)
-            if trap is not None:
-                error, message, node, step = trap
-                return (error, node, step, message)
-            mode, rule = ("coarse", None) if cfg.rule is None else ("fine", cfg.rule.value)
-            return SimulationReport(
-                outputs, tuple(m.exceptions), m.irq, steps, mode, rule, seen, halted
-            )
-
-        for run in (lambda m: report_or_trap(lambda: run_dift(kernel, ri, cfg, m)), replay):
-            monitor = new_monitor()
-            got = run(monitor)
-            assert type(got) is type(want) and got == want, cfg
-            assert monitor_words(monitor) == monitor_words(want_monitor), cfg
-        outcomes[i] = want
-    return outcomes
-
-
-def deny_style_kernel(seed, nodes=40):
-    """A seeded checkpoint-dense kernel over one 16-cell memory, in the
-    style of the benchmark's deny-storm kernels: loads and stores at
-    tainted computed addresses, one or two checkpoints on most values
-    under all three policy kinds, and divisions and addresses that can
-    trap."""
-    from diftsim import parse_kernel
-
-    rng = random.Random(seed)
-    doc = {
-        "name": f"deny_style_{seed}",
-        "tag_width": 3,
-        "inputs": [
-            {"id": f"in{i}", "width": w, "default_tag": rng.randrange(8)}
-            for i, w in enumerate((1, 4, 4, 8))
-        ],
-        "constants": [{"id": "k", "width": 4, "value": 3}],
-        "memories": [
-            {"id": "m", "size": 16, "width": 8, "init_tags": [rng.randrange(8) for _ in range(6)]}
-        ],
-        "policies": [
-            {"name": "any", "kind": "deny_if_any"},
-            {"name": "mask", "kind": "deny_if_mask", "mask": 0b010},
-            {"name": "allow", "kind": "allow_all"},
-        ],
-        "nodes": [],
-        "checkpoints": [{"id": "cp_in3", "arg": "in3", "policy": "mask"}],
-        "outputs": [],
-    }
-    pool = [("in0", 1), ("in1", 4), ("in2", 4), ("in3", 8), ("k", 4)]
-    ops = ("add", "sub", "mul", "div", "mod", "and", "or", "xor", "shl", "shr", "lt", "eq",
-           "not", "neg", "mux", "load", "load", "store", "store")
-
-    def pick():
-        return rng.choice(pool)[0]
-
-    for i in range(nodes):
-        op, nid = rng.choice(ops), f"n{i}"
-        if op in ("load", "store"):
-            # A value of at most 4 bits addresses a cell; one in ten may not.
-            addr = rng.choice([v for v, w in pool if w <= 4]) if rng.random() < 0.9 else pick()
-            if op == "store":
-                doc["nodes"].append({"id": nid, "op": op, "args": ["m", addr, pick()]})
-                continue
-            args, width = ["m", addr], 8
-        else:
-            args = [pick() for _ in range(3 if op == "mux" else 1 if op in ("not", "neg") else 2)]
-            width = 1 if op in ("lt", "eq") else rng.choice((4, 8))
-        doc["nodes"].append({"id": nid, "op": op, "args": args, "width": width})
-        pool.append((nid, width))
-        for j in range(rng.choice((0, 1, 1, 1, 2))):
-            policy = rng.choice(("any", "mask", "allow"))
-            doc["checkpoints"].append({"id": f"cp_{nid}_{j}", "arg": nid, "policy": policy})
-    doc["outputs"] = [{"id": f"o{j}", "source": v} for j, (v, _) in enumerate(pool[-3:])]
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
-    return kernel
+def assert_runs_match_model(kernel, doc, ri, preloaded=False):
+    """run_dift of kernel, parsed from doc, under each of five_configs equals
+    the model in report or trap, and leaves the caller's monitor, new or
+    preloaded, with the model's denials queued and all four register words
+    as they imply. Returns the model's runs in five_configs' order."""
+    runs = []
+    for cfg in five_configs(kernel.tag_width):
+        monitor = preloaded_monitor() if preloaded else MonitorState()
+        queue, tag_in, tag_out = list(monitor.exceptions), monitor.tag_in, monitor.tag_out
+        run = model_run(doc, ri, cfg, tag_in)
+        queue += run["exceptions"]
+        if run["exceptions"]:
+            tag_out = run["exceptions"][-1][2]
+        mode, rule = ("coarse", None) if cfg.rule is None else ("fine", cfg.rule.value)
+        want = run["trap"] or SimulationReport(
+            run["outputs"], tuple(queue), bool(queue), run["steps"], mode, rule,
+            tuple(run["observations"]), run["halted"],
+        )
+        assert outcome(lambda: run_dift(kernel, ri, cfg, monitor)) == want, cfg
+        assert monitor.exceptions == queue, cfg
+        words = [int(bool(queue)), len(queue), tag_in, tag_out]
+        assert [reg_read(monitor, addr) for addr in range(4)] == words, cfg
+        runs.append(run)
+    return runs
 
 
 @pytest.mark.parametrize("preloaded", [False, True])
 def test_runs_fire_in_order_on_fixtures(preloaded):
     for name in ("fir4.json", "dot8.json", "overflow_demo.json"):
-        kernel = load_kernel(name)
+        doc = load_doc(name)
+        kernel = parsed(doc)
         rng = random.Random(5)
         for i in range(25):
-            assert_fires_in_order(kernel, sample_inputs(kernel, rng), preloaded, reverse=i % 2 == 1)
+            ri = sample_inputs(kernel, rng)
+            if i % 4 == 0:
+                ri.tags.clear()  # default tags, or REG_TAG_IN's word
+            assert_runs_match_model(kernel, doc, ri, preloaded)
 
 
 def test_runs_fire_in_order_on_every_opcode():
     # Two checkpoints watch mux_as, and two watch an input and a constant.
-    from diftsim import parse_kernel
-    from test_kernel_ir import ALL_OPS_DOC
-
-    kernel, diags = parse_kernel(json.dumps(ALL_OPS_DOC))
-    assert kernel is not None, diags
+    kernel = parsed(ALL_OPS_DOC)
     rng = random.Random(29)
     for i in range(60):
         ri = sample_inputs(kernel, rng)
         if i % 2:  # an address in range runs every node
             ri.values["s"] = 1 + i % 3
-        assert_fires_in_order(kernel, ri, preloaded=i % 3 == 0, reverse=i % 4 >= 2)
+        assert_runs_match_model(kernel, ALL_OPS_DOC, ri, preloaded=i % 3 == 0)
 
 
-@pytest.mark.parametrize("table", ["empty", "step_zero", "trapping"])
-def test_runs_fire_in_order_on_edge_tables(table):
-    # A recording run judges the prefix of its checkpoint columns that ran
-    # with a few calls over whole columns. The tables: none, one that fires
-    # entirely at step 0, and one whose watched div8 (step 4) traps when s
-    # is 0, so its checkpoints and every later one go unobserved while
-    # those before, mul8's at step 3 too, deny.
-    from diftsim import parse_kernel
-    from test_kernel_ir import ALL_OPS_DOC
+def edge_table_doc(table):
+    """ALL_OPS_DOC under one of three checkpoint tables: none, one that
+    fires entirely at step 0, and one whose watched div8 (step 4) traps when
+    s is 0, with two checkpoints on div8 and mul8's at step 3 before it."""
 
     def cp(cp_id, arg, policy):
         return {"id": cp_id, "arg": arg, "policy": policy}
@@ -1271,39 +992,62 @@ def test_runs_fire_in_order_on_edge_tables(table):
                      cp("cp_mod", "mod8", "one"), cp("cp_mux", "mux_as", "any")],
     }[table]
     policies = [*ALL_OPS_DOC["policies"], {"name": "allow", "kind": "allow_all"}]
-    doc = dict(ALL_OPS_DOC, policies=policies, checkpoints=checkpoints)
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
+    return dict(ALL_OPS_DOC, policies=policies, checkpoints=checkpoints)
+
+
+@pytest.mark.parametrize("table", ["empty", "step_zero", "trapping"])
+def test_runs_fire_in_order_on_edge_tables(table):
+    # A recording run judges the prefix of its checkpoint columns that ran
+    # with a few calls over whole columns. When div8 traps, its checkpoints
+    # and every later one go unobserved while those before it deny.
+    doc = edge_table_doc(table)
+    kernel = parsed(doc)
     rng = random.Random(41)
     traps = 0
     for i in range(30):
         ri = sample_inputs(kernel, rng)
         ri.values["s"] = i % 3  # in range of both memories; 0 traps at div8
-        outcomes = assert_fires_in_order(kernel, ri, preloaded=i % 2 == 1, reverse=i % 4 >= 2)
-        traps += sum(not isinstance(o, SimulationReport) for o in outcomes)
+        runs = assert_runs_match_model(kernel, doc, ri, preloaded=i % 2 == 1)
+        traps += sum(run["trap"] is not None for run in runs)
     assert traps >= 30  # each record config on each of the ten samples with s 0
 
 
 def test_runs_fire_in_order_on_deny_style_kernels():
-    traps = halts = shared = 0
+    # The benchmark's deny-storm kernels: checkpoints on most values under
+    # all three policy kinds, loads and stores at tainted computed
+    # addresses, and divisions and addresses that can trap.
+    traps = halts = 0
     for seed in range(12):
-        kernel = deny_style_kernel(seed)
-        per_node = [cp.arg for cp in kernel.checkpoints]
-        shared += len(per_node) - len(set(per_node))
+        doc = gen.deny(seed, 120)
+        kernel = parsed(doc)
         rng = random.Random(seed)
         for i in range(6):
             ri = sample_inputs(kernel, rng)
             if i % 3 == 0:
                 ri.tags.clear()  # default tags, or REG_TAG_IN's word
-            outcomes = assert_fires_in_order(kernel, ri, preloaded=i % 2 == 0, reverse=i % 4 >= 2)
-            traps += any(not isinstance(o, SimulationReport) for o in outcomes)
-            halts += any(isinstance(o, SimulationReport) and o.halted for o in outcomes)
-    assert traps and halts and shared  # each case the kernels are drawn for occurs
+            runs = assert_runs_match_model(kernel, doc, ri, preloaded=i % 2 == 0)
+            traps += any(run["trap"] for run in runs)
+            halts += any(run["halted"] for run in runs)
+    assert traps and halts  # each case the kernels are drawn for occurs
+
+
+def test_check_configs_replays_one_value_pass_as_each_check_alone():
+    # check_configs replays every configuration over one value pass per
+    # sample. In five_configs' order recording replays walk it first;
+    # reversed, halting replays leave it part-walked and the recording
+    # replays after them extend it. Either way each report equals the one
+    # check_consistency makes under that configuration alone.
+    docs = [load_doc(name) for name in ("fir4.json", "dot8.json", "overflow_demo.json")]
+    docs += [TRAP_DOC, edge_table_doc("trapping"), *(gen.deny(seed, 120) for seed in range(4))]
+    for doc in docs:
+        kernel = parsed(doc)
+        cfgs = five_configs(kernel.tag_width)
+        alone = [check_consistency(kernel, cfg, 20, 7) for cfg in cfgs]
+        assert check_configs(kernel, cfgs, 20, 7) == alone, doc["name"]
+        assert check_configs(kernel, cfgs[::-1], 20, 7) == alone[::-1], doc["name"]
 
 
 def test_halt_on_a_step_zero_checkpoint_runs_no_step():
-    from diftsim import parse_kernel
-
     doc = {
         "name": "watch_input_first",
         "tag_width": 2,
@@ -1316,25 +1060,51 @@ def test_halt_on_a_step_zero_checkpoint_runs_no_step():
         ],
         "outputs": [{"id": "out", "source": "q"}],
     }
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
     # b is tainted and 0: a halting run stops before q divides by zero.
     ri = RunInputs(values={"a": 3, "b": 0}, tags={"a": 0, "b": 1})
-    for preloaded, reverse in itertools.product((False, True), repeat=2):
-        outcomes = assert_fires_in_order(kernel, ri, preloaded, reverse)
-        union_halt, coarse_halt = outcomes[3:]
-        for rep in (union_halt, coarse_halt):
-            assert rep.halted and rep.steps_executed == 0 and rep.outputs == {}
-            assert rep.exceptions[-1][:2] == ("cp_b", "b") and rep.checkpoint_tags == (("cp_b", 1),)
-        assert all(outcome[0] is DivisionByZero for outcome in outcomes[:3])
+    for preloaded in (False, True):
+        runs = assert_runs_match_model(parsed(doc), doc, ri, preloaded)
+        for run in runs[3:]:
+            assert run["halted"] and run["steps"] == 0 and run["outputs"] == {}
+            assert run["exceptions"][-1][:2] == ("cp_b", "b") and run["observations"] == [("cp_b", 1)]
+        assert [run["trap"][0] for run in runs[:3]] == ["DivisionByZero"] * 3
 
 
 def test_halt_mode_traps_before_the_first_watched_step():
     # ld traps at step 1; cp_q watches step 2 and never fires.
     ri = RunInputs(values={"la": 5, "a": 7, "b": 2, "c": 3, "sa": 2}, tags={"a": 1})
-    for preloaded, reverse in itertools.product((False, True), repeat=2):
-        outcomes = assert_fires_in_order(trap_kernel(), ri, preloaded, reverse)
-        assert [o[:3] for o in outcomes] == [(OutOfBoundsAddress, "ld", 1)] * 5
+    for preloaded in (False, True):
+        runs = assert_runs_match_model(trap_kernel(), TRAP_DOC, ri, preloaded)
+        assert [run["trap"] for run in runs] == [("OutOfBoundsAddress", "ld", 1)] * 5
+
+
+def test_the_model_agrees_with_the_benchmark_reference():
+    # benchmarks/reference.py is a second plain-int evaluator, with union
+    # tags only, that the benchmark checks its runs against. Until the two
+    # are one, any drift between them fails here.
+    import reference as bench
+
+    traps = 0
+    for seed in range(3):
+        for doc in (gen.fir(24, seed), gen.dot(16, seed), gen.deny(seed, 60)):
+            rng = random.Random(seed)
+            for i in range(6):
+                inputs = gen.inputs(doc, rng, memory=i % 2 == 1)
+                for mode, halt in (("union", False), ("coarse", False), ("union", True)):
+                    ours = model.evaluate(doc, inputs, mode, halt)
+                    theirs = bench.evaluate(doc, inputs, mode, halt)
+                    where = (doc["name"], seed, i, mode, halt)
+                    trap = ours["trap"] and ours["trap"][:2]
+                    assert (trap, ours["steps"], len(ours["observations"])) == (
+                        theirs.get("trap"), theirs["steps"], theirs["observed"]
+                    ), where
+                    if trap:
+                        traps += 1
+                        continue
+                    assert (ours["outputs"], ours["exceptions"], ours["halted"]) == (
+                        theirs["outputs"], theirs["exceptions"], theirs["halted"]
+                    ), where
+    assert traps
 
 
 def reference_check(k, cfg, samples, seed):
@@ -1419,11 +1189,8 @@ def test_check_consistency_compares_baseline_values(monkeypatch):
 
 
 def test_check_consistency_matches_a_run_by_run_reference(defective_passes):
-    from diftsim import parse_kernel
-    from test_kernel_ir import DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC
-
     kernels = [load_kernel(n) for n in ("fir4.json", "dot8.json", "overflow_demo.json")]
-    kernels += [parse_kernel(json.dumps(d))[0] for d in (DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC)]
+    kernels += [parsed(d) for d in (DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC)]
     kinds = set()
     for kernel in kernels:
         for cfg in five_configs(kernel.tag_width):
@@ -1459,12 +1226,12 @@ def reference_fuzz(k, trials, seed):
             extra = rng.randrange(1 << tw)
             wide_ri = fresh({**ri.tags, picked: ri.tags[picked] | extra})
             runs.append((k, fresh(dict(wide_ri.tags)), cfgs[0]))
-        outcomes = [report_or_trap(lambda: run_dift(*run)) for run in runs]
+        outcomes = [outcome(lambda: run_dift(*run)) for run in runs]
         traps = [o for o in outcomes if not isinstance(o, SimulationReport)]
         if traps:
             if len(traps) < len(outcomes) or len(set(traps)) > 1:
                 detail = ", ".join(
-                    "ok" if isinstance(o, SimulationReport) else f"{o[0].__name__} at {o[1]}"
+                    "ok" if isinstance(o, SimulationReport) else f"{o[0]} at {o[1]}"
                     for o in outcomes
                 )
                 cexs.append(Counterexample("trap", trial, ri, f"runs disagree: {detail}"))
@@ -1498,11 +1265,8 @@ def reference_fuzz(k, trials, seed):
 
 
 def test_fuzz_matches_a_run_by_run_reference(monkeypatch):
-    from diftsim import parse_kernel
-    from test_kernel_ir import DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC
-
     kernels = [load_kernel(n) for n in ("fir4.json", "dot8.json", "overflow_demo.json")]
-    kernels += [parse_kernel(json.dumps(d))[0] for d in (DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC)]
+    kernels += [parsed(d) for d in (DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC)]
     kernels.append(trap_kernel())
     for kernel in kernels:
         assert fuzz_properties(kernel, 60, seed=3) == reference_fuzz(kernel, 60, 3), kernel.name
@@ -1524,8 +1288,6 @@ def test_a_store_at_a_tainted_address_is_noninterfering():
     # store m[a] = 1, then load m[0]: whether the load reads 1 depends on
     # the tainted a. A run whose output tag lacks a's label bit must give
     # the same output value for both values of a.
-    from diftsim import parse_kernel
-
     doc = {
         "name": "tainted_store_address",
         "tag_width": 1,
@@ -1540,8 +1302,7 @@ def test_a_store_at_a_tainted_address_is_noninterfering():
         "checkpoints": [{"id": "cp", "arg": "ld", "policy": "any"}],
         "outputs": [{"id": "out", "source": "ld"}],
     }
-    kernel, diags = parse_kernel(json.dumps(doc))
-    assert kernel is not None, diags
+    kernel = parsed(doc)
     leaks = []
     for rule in (UNION, PRECISE):
         outs = {a: run_dift(kernel, RunInputs(values={"a": a}), fine(1, rule)).outputs["out"]
