@@ -14,16 +14,7 @@ test_a_store_at_a_tainted_address_is_noninterfering in
 tests/test_simulator.py the third; this note goes when each is fixed.
 """
 
-from .bitvalue import (
-    BINARY_OPS,
-    COMPARE_OPS,
-    UNARY_OPS,
-    VALUE_OPS,
-    BitType,
-    BitValue,
-    OpKind,
-    to_int,
-)
+from .bitvalue import BitType, BitValue, OpKind
 from .errors import (
     ArityMismatch,
     BadAddress,
@@ -41,7 +32,6 @@ from .kernel_ir import (
     ConstDecl,
     Diagnostic,
     InputDecl,
-    InstrumentedGraph,
     Kernel,
     MemoryDecl,
     Node,
@@ -49,7 +39,6 @@ from .kernel_ir import (
     const_fold,
     dead_code_elim,
     emit_dot,
-    has_errors,
     instrument,
     parse_kernel,
     validate,
@@ -63,7 +52,6 @@ from .policy_monitor import (
     Policy,
     PolicyKind,
     SecurityException,
-    checkpoint,
     drain_exceptions,
     reg_read,
     reg_write,
@@ -76,10 +64,9 @@ __version__ = "0.1.0"
 # on first access by __getattr__, so instrument and --help never import
 # the simulator and no command imports tainted.
 _SIMULATOR = frozenset({
-    "simulator", "ConsistencyReport", "Counterexample", "Mismatch", "PropertyReport",
-    "RunInputs", "SimulationReport", "check_consistency", "fuzz_properties",
-    "independence_oracle", "inputs_to_json", "parse_inputs", "run_baseline", "run_dift",
-    "sample_inputs",
+    "simulator", "ConsistencyReport", "PropertyReport", "RunInputs", "SimulationReport",
+    "check_consistency", "fuzz_properties", "independence_oracle", "inputs_to_json",
+    "parse_inputs", "run_baseline", "run_dift", "sample_inputs",
 })
 _TAINTED = frozenset({"tainted", "DiftValue", "Tag", "apply_binop", "eval_binop", "propagate"})
 
@@ -89,9 +76,9 @@ def __getattr__(name: str):
     # asks the package for the module first, which would call back here.
     if name in _SIMULATOR:
         from .simulator import (
-            ConsistencyReport, Counterexample, Mismatch, PropertyReport, RunInputs,
-            SimulationReport, check_consistency, fuzz_properties, independence_oracle,
-            inputs_to_json, parse_inputs, run_baseline, run_dift, sample_inputs,
+            ConsistencyReport, PropertyReport, RunInputs, SimulationReport, check_consistency,
+            fuzz_properties, independence_oracle, inputs_to_json, parse_inputs, run_baseline,
+            run_dift, sample_inputs,
         )
     elif name in _TAINTED:
         from .tainted import DiftValue, Tag, apply_binop, eval_binop, propagate

@@ -103,7 +103,7 @@ class BitValue(namedtuple("BitValue", "ty bits")):
         return tuple.__new__(cls, (ty, bits))
 
     def __str__(self) -> str:
-        return f"{to_int(self)}:{self.ty}"
+        return f"{decode(self.bits, self.ty)}:{self.ty}"
 
 
 def sign_bit(ty: BitType) -> int:
@@ -116,11 +116,6 @@ def decode(bits: int, ty: BitType) -> int:
     """Numeric value of canonical bits of ty, two's-complement decoded when signed."""
     s = sign_bit(ty)
     return (bits ^ s) - s
-
-
-def to_int(v: BitValue) -> int:
-    """Numeric value: the raw bits, two's-complement decoded for signed types."""
-    return decode(v.bits, v.ty)
 
 
 def _div(a: int, b: int) -> int:

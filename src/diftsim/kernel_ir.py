@@ -24,7 +24,7 @@ from .bitvalue import (
     BitValue,
     OpKind,
     apply_op,
-    to_int,
+    decode,
     value_fn,
 )
 from .errors import DivisionByZero, InvalidType
@@ -533,9 +533,10 @@ def validate(k: Kernel) -> list[Diagnostic]:
 
 def lower(k: Kernel) -> Plan:
     """The Plan of a valid kernel. Each distinct node signature (op, result
-    type, padded operand types) is specialised once per call. Tag functions
-    are looked up on the taint module at lowering time, so a test can
-    substitute the rule."""
+    type, padded operand types, a memory operand by which memory it is) is
+    specialised once per call, and its nodes share the functions. Tag
+    functions are looked up on the taint module at lowering time, so a test
+    can substitute the rule."""
     decls = (*k.inputs, *k.constants, *k.memories, *k.nodes)
     slots = {decl[0]: slot for slot, decl in enumerate(decls)}
     types = [ty for _, ty, _ in k.inputs]  # per slot; a memory's is its MemoryDecl
@@ -686,9 +687,9 @@ def emit_dot(g: Kernel | InstrumentedGraph) -> str:
         vnodes.append(f'  "v:{i}" [shape=ellipse, label="{i} : {ty}"];')
         if tags:
             tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tag = {default_tag}"];')
-    for cid, value in k.constants:
+    for cid, (ty, bits) in k.constants:
         i = esc[cid] = _esc(cid)
-        vnodes.append(f'  "v:{i}" [shape=box, label="{i} = {to_int(value)} : {value.ty}"];')
+        vnodes.append(f'  "v:{i}" [shape=box, label="{i} = {decode(bits, ty)} : {ty}"];')
         if tags:
             tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tag = 0"];')
     for mid, size, cell, _, _ in k.memories:

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import BadAddress
+from .errors import BadAddress, InvalidType
 
 REG_STATUS = 0  # bit 0 = irq pending; writing bit 0 clears irq and the queue
 REG_EXC_COUNT = 1  # read-only: exception queue length
@@ -109,18 +109,25 @@ def record(state: MonitorState, exceptions) -> None:
         state.tag_out = exceptions[-1].tag_bits & _WORD_MASK
 
 
+def _check_address(addr) -> None:
+    """Addresses are the ints 0..3; anything else, a bool or 2.0 too, is BadAddress."""
+    if isinstance(addr, bool) or not isinstance(addr, int) or addr not in _ADDRESSES:
+        raise BadAddress(f"no register at address {addr!r}")
+
+
 def reg_read(state: MonitorState, addr: int) -> int:
-    if addr not in _ADDRESSES:
-        raise BadAddress(f"no register at address {addr}")
+    _check_address(addr)
     queue = state.exceptions
     return (int(bool(queue)), len(queue), state.tag_in, state.tag_out)[addr]
 
 
 def reg_write(state: MonitorState, addr: int, word: int) -> None:
     """Write a register. REG_STATUS with bit 0 set clears irq and empties
-    the queue; REG_TAG_IN stores the word; the other two are read-only."""
-    if addr not in _ADDRESSES:
-        raise BadAddress(f"no register at address {addr}")
+    the queue; REG_TAG_IN stores the word; the other two are read-only.
+    A word that is not an int, or is a bool, is InvalidType."""
+    _check_address(addr)
+    if isinstance(word, bool) or not isinstance(word, int):
+        raise InvalidType(f"register word must be an int, got {word!r}")
     word &= _WORD_MASK
     if addr == REG_STATUS:
         if word & 1:

@@ -12,9 +12,6 @@ import pytest
 
 from conftest import load_inputs
 from diftsim import (
-    BINARY_OPS,
-    COMPARE_OPS,
-    UNARY_OPS,
     BitType,
     BitValue,
     CoarseBoundary,
@@ -30,7 +27,6 @@ from diftsim import (
     REG_STATUS,
     Tag,
     check_consistency,
-    checkpoint,
     drain_exceptions,
     eval_binop,
     fixture_path,
@@ -41,7 +37,9 @@ from diftsim import (
     run_dift,
     sample_inputs,
 )
+from diftsim.bitvalue import BINARY_OPS, COMPARE_OPS, UNARY_OPS
 from diftsim.cli import main
+from diftsim.policy_monitor import checkpoint
 from reference_model import value as ref_value
 
 UNION = PropagationRule.UNION

@@ -2,6 +2,7 @@
 
 import ast
 import dis
+import importlib
 import json
 import subprocess
 import sys
@@ -18,20 +19,25 @@ PACKAGE = Path(diftsim.__file__).resolve().parent
 BENCHMARKS = PACKAGE.parent.parent / "benchmarks"
 
 PUBLIC_NAMES = [
-    "ArityMismatch", "BINARY_OPS", "BadAddress", "BitType", "BitValue", "COMPARE_OPS",
-    "CheckpointDecl", "CoarseBoundary", "ConsistencyReport", "ConstDecl", "Counterexample",
-    "Diagnostic", "DiftConfig", "DiftError", "DiftValue", "DivisionByZero", "EvalError",
-    "FineGrained", "InputDecl", "InstrumentedGraph", "InvalidType", "Kernel", "MemoryDecl",
-    "Mismatch", "MonitorState", "Node", "OpKind", "OutOfBoundsAddress", "OutputDecl", "Policy",
+    "ArityMismatch", "BadAddress", "BitType", "BitValue", "CheckpointDecl", "CoarseBoundary",
+    "ConsistencyReport", "ConstDecl", "Diagnostic", "DiftConfig", "DiftError", "DiftValue",
+    "DivisionByZero", "EvalError", "FineGrained", "InputDecl", "InvalidType", "Kernel",
+    "MemoryDecl", "MonitorState", "Node", "OpKind", "OutOfBoundsAddress", "OutputDecl", "Policy",
     "PolicyKind", "PropagationRule", "PropertyReport", "REG_EXC_COUNT", "REG_STATUS",
     "REG_TAG_IN", "REG_TAG_OUT", "RunInputs", "SecurityException", "SimulationReport", "Tag",
-    "TypeMismatch", "UNARY_OPS", "VALUE_OPS", "WidthMismatch", "WidthTooLarge", "apply_binop",
-    "check_consistency", "checkpoint", "const_fold", "dead_code_elim", "drain_exceptions",
-    "emit_dot", "eval_binop", "fixture_path", "fuzz_properties", "has_errors",
-    "independence_oracle", "inputs_to_json", "instrument", "parse_inputs", "parse_kernel",
-    "propagate", "reg_read", "reg_write", "run_baseline", "run_dift", "sample_inputs", "to_int",
-    "validate",
+    "TypeMismatch", "WidthMismatch", "WidthTooLarge", "apply_binop", "check_consistency",
+    "const_fold", "dead_code_elim", "drain_exceptions", "emit_dot", "eval_binop", "fixture_path",
+    "fuzz_properties", "independence_oracle", "inputs_to_json", "instrument", "parse_inputs",
+    "parse_kernel", "propagate", "reg_read", "reg_write", "run_baseline", "run_dift",
+    "sample_inputs", "validate",
 ]
+# Names no caller reads from the package, each still at home in its module.
+UNEXPORTED = {
+    "bitvalue": ["BINARY_OPS", "COMPARE_OPS", "UNARY_OPS", "VALUE_OPS"],
+    "kernel_ir": ["InstrumentedGraph", "has_errors"],
+    "policy_monitor": ["checkpoint"],
+    "simulator": ["Counterexample", "Mismatch"],
+}
 
 
 def test_public_names_are_pinned():
@@ -39,8 +45,52 @@ def test_public_names_are_pinned():
         n for n in dir(diftsim)
         if not n.startswith("_") and not isinstance(getattr(diftsim, n), types.ModuleType)
     ]
-    assert len(PUBLIC_NAMES) == 70
+    assert len(PUBLIC_NAMES) == 60
     assert names == sorted(PUBLIC_NAMES)
+    for home, unexported in UNEXPORTED.items():
+        module = importlib.import_module(f"diftsim.{home}")
+        assert all(hasattr(module, n) and not hasattr(diftsim, n) for n in unexported)
+    assert not hasattr(diftsim, "to_int") and not hasattr(bitvalue, "to_int")
+
+
+def benchmark_reads() -> tuple[set[str], set[tuple[str, str]]]:
+    """What benchmarks/*.py reads of the package: the names it takes from
+    diftsim (as ds.<name>, self.ds.<name> or by "from diftsim import"),
+    and the (home module, name) pairs of spans.TRACED."""
+    names, traced = set(), set()
+    for path in sorted(BENCHMARKS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and (
+                isinstance(node.value, ast.Name) and node.value.id == "ds"
+                or isinstance(node.value, ast.Attribute) and node.value.attr == "ds"
+            ):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "diftsim":
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED":
+                traced.update(ast.literal_eval(node.value))
+    return names, traced
+
+
+# What the benchmark still reads that item 3 of ROADMAP.md would delete or
+# fold: the checked tagged layer, the two mode types and the single-
+# observation checkpoint. Benchmark v2 (item 2) unpins them.
+PINNED_FOR_ITEM_3 = {
+    "Tag", "DiftValue", "eval_binop", "propagate", "apply_binop", "FineGrained", "CoarseBoundary",
+}
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    importlib.import_module("diftsim.cli")  # as the benchmark's import_diftsim does
+    names, traced = benchmark_reads()
+    assert {"run_dift", "simulator", "RunInputs"} <= names and len(traced) == 12
+    assert [n for n in sorted(names) if not hasattr(diftsim, n)] == []
+    missing = [
+        (home, n) for home, n in sorted(traced)
+        if not hasattr(importlib.import_module(f"diftsim.{home}"), n)
+    ]
+    assert missing == []
+    assert PINNED_FOR_ITEM_3 <= names and ("policy_monitor", "checkpoint") in traced
 
 
 def _modules():
@@ -141,18 +191,24 @@ def test_the_benchmark_tracer_leaves_no_shim_in_the_package():
     # The traced benchmark run shims the package's names too: one the
     # package resolves lazily must get its original back when the tracer
     # leaves, as an eager one does.
-    unshimmed, left = fresh(f"""
+    exported, unshimmed, left, in_package = fresh(f"""
         sys.path.insert(0, {str(BENCHMARKS)!r})
         from spans import TRACED, Tracer
         import diftsim, diftsim.cli, diftsim.simulator
-        originals = {{n: getattr(sys.modules["diftsim." + home], n) for home, n in TRACED}}
+        homes = {{n: sys.modules["diftsim." + home] for home, n in TRACED}}
+        originals = {{n: getattr(homes[n], n) for n in homes}}
+        exported = {{n: fn for n, fn in originals.items() if n in dir(diftsim)}}
         with Tracer().installed(0):
-            unshimmed = [n for n, fn in originals.items() if getattr(diftsim, n) is fn]
-        left = [n for n, fn in originals.items() if vars(diftsim).get(n, fn) is not fn]
-        left += [n for n, fn in originals.items() if getattr(diftsim, n) is not fn]
-        print(json.dumps([unshimmed, left]))
+            unshimmed = [n for n, fn in originals.items() if getattr(homes[n], n) is fn]
+            unshimmed += [n for n, fn in exported.items() if getattr(diftsim, n) is fn]
+        left = [n for n, fn in exported.items() if vars(diftsim).get(n, fn) is not fn]
+        left += [n for n, fn in exported.items() if getattr(diftsim, n) is not fn]
+        left += [n for n, fn in originals.items() if getattr(homes[n], n) is not fn]
+        print(json.dumps([sorted(exported), unshimmed, left, hasattr(diftsim, "checkpoint")]))
     """)
-    assert unshimmed == [] and left == []
+    # checkpoint is traced on its home module only: the package does not export it.
+    assert "checkpoint" not in exported and len(exported) == len(benchmark_reads()[1]) - 1
+    assert unshimmed == [] and left == [] and not in_package
 
 
 # The code that runs per node, per lowered signature or per run. On

@@ -4,8 +4,6 @@ import random
 import pytest
 
 from diftsim import (
-    BINARY_OPS,
-    COMPARE_OPS,
     BitType,
     BitValue,
     DivisionByZero,
@@ -13,9 +11,8 @@ from diftsim import (
     OpKind,
     TypeMismatch,
     eval_binop,
-    to_int,
 )
-from diftsim.bitvalue import apply_op
+from diftsim.bitvalue import BINARY_OPS, COMPARE_OPS, apply_op, decode
 from reference_model import value as ref_value
 
 U1 = BitType(1)
@@ -32,10 +29,11 @@ def test_apply_op_wraps_into_result_type():
     assert apply_op(OpKind.SUB, (0, 1), (U1, U1), U1) == 1
 
 
-def test_to_int_round_trips():
-    assert to_int(BitValue(S4, 10)) == -6
-    assert to_int(BitValue(U4, 10)) == 10
-    assert to_int(BitValue(S8, 0)) == 0
+def test_decode_round_trips():
+    assert decode(10, S4) == -6
+    assert decode(10, U4) == 10
+    assert decode(0, S8) == 0
+    assert str(BitValue(S4, 10)) == "-6:s4"
 
 
 def test_round_trip_exhaustive_small_widths():
@@ -44,7 +42,7 @@ def test_round_trip_exhaustive_small_widths():
             ty = BitType(width, signed)
             low = -(1 << (width - 1)) if signed else 0
             for bits in range(1 << width):
-                n = to_int(BitValue(ty, bits))
+                n = decode(bits, ty)
                 assert low <= n < low + (1 << width) and n & ty.mask == bits
 
 
@@ -72,8 +70,8 @@ def test_div_mod_truncate_toward_zero():
     cases = [(7, 3, 2, 1), (-7, 3, -2, -1), (7, -3, -2, 1), (-7, -3, 2, -1)]
     for ia, ib, q, r in cases:
         a, b = BitValue(S8, ia & S8.mask), BitValue(S8, ib & S8.mask)
-        assert to_int(eval_binop(OpKind.DIV, a, b, S8)) == q
-        assert to_int(eval_binop(OpKind.MOD, a, b, S8)) == r
+        assert decode(eval_binop(OpKind.DIV, a, b, S8).bits, S8) == q
+        assert decode(eval_binop(OpKind.MOD, a, b, S8).bits, S8) == r
 
 
 def test_division_by_zero():

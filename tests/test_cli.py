@@ -13,13 +13,12 @@ from diftsim import (
     PropagationRule,
     fixture_path,
     fuzz_properties,
-    has_errors,
     inputs_to_json,
     parse_kernel,
     run_dift,
 )
 from diftsim.cli import main
-from diftsim.kernel_ir import MAX_MEMORY_CELLS
+from diftsim.kernel_ir import MAX_MEMORY_CELLS, has_errors
 from conftest import load_kernel
 
 FIR4 = str(fixture_path("fir4.json"))

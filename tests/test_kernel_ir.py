@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from diftsim import kernel_ir, taint
-from diftsim.bitvalue import pad_operands, value_fn
 from diftsim import (
     BitType,
     CheckpointDecl,
@@ -13,7 +12,6 @@ from diftsim import (
     DiftConfig,
     FineGrained,
     InputDecl,
-    InstrumentedGraph,
     Kernel,
     Node,
     OpKind,
@@ -600,7 +598,7 @@ def test_instrument_records_kernel_and_rule(fir4):
         (CoarseBoundary(), "boundary"),
     ):
         cfg = DiftConfig(fir4.tag_width, mode)
-        assert instrument(fir4, cfg) == InstrumentedGraph(fir4, rule)
+        assert instrument(fir4, cfg) == kernel_ir.InstrumentedGraph(fir4, rule)
 
 
 def test_instrument_structure_counts(fir4):
@@ -850,83 +848,6 @@ ALL_OPS_DOC = {
     ],
     "outputs": [{"id": "o1", "source": "add9"}, {"id": "o2", "source": "a"}],
 }
-
-
-def _fn_key(f):
-    """A specialised function by what it computes: its code and closure
-    values. Its factory's cache may have made an equal copy since."""
-    return f.__code__, tuple(cell.cell_contents for cell in f.__closure__ or ())
-
-
-def _per_node_lowering(k):
-    """k's plan, lowered node by node with no memo, functions by _fn_key."""
-    decls = [
-        *[(i.id, i.ty) for i in k.inputs],
-        *[(c.id, c.value.ty) for c in k.constants],
-        *[(m.id, m) for m in k.memories],
-        *[(n.id, n.ty) for n in k.nodes],
-    ]
-    slots = {decl_id: slot for slot, (decl_id, _) in enumerate(decls)}
-    policies = {p.name: p for p in k.policies}
-    steps = []
-    for n in k.nodes:
-        arg_slots = [slots[a] for a in n.args]
-        arg_types = [decls[slot][1] for slot in arg_slots]
-        steps.append((
-            slots[n.id],
-            _fn_key(value_fn(n.op, arg_types, n.ty)),
-            *pad_operands(arg_slots),
-            _fn_key(taint.tag_fn(UNION, n.op, arg_types, n.ty)),
-            _fn_key(taint.tag_fn(PropagationRule.PRECISE, n.op, arg_types, n.ty)),
-        ))
-    # Inputs and constants observe at step 0, a node's checkpoints after its
-    # step; within a step, in declaration order.
-    step_of = {n.id: step for step, n in enumerate(k.nodes, start=1)}
-    rows = [
-        (
-            step_of.get(cp.arg, 0),
-            cp.id,
-            cp.arg,
-            slots[cp.arg],
-            policies[cp.policy].denied_bits,
-            cp.policy,
-        )
-        for step in range(len(k.nodes) + 1)
-        for cp in k.checkpoints
-        if step_of.get(cp.arg, 0) == step
-    ]
-    columns = [[row[i] for row in rows] for i in range(6)]  # one list per field
-    return (
-        steps,
-        tuple(c.value.bits for c in k.constants),
-        kernel_ir.Checkpoints(*map(tuple, columns)),
-        tuple((o.id, slots[o.source]) for o in k.outputs),
-    )
-
-
-def test_lower_matches_a_per_node_lowering(fir4, dot8, overflow_demo):
-    all_ops, diags = parse(ALL_OPS_DOC)
-    assert all_ops is not None, diags
-    assert {n.op for n in all_ops.nodes} == set(OpKind)
-    # The same kernel with cp_ld, on a later node, declared first.
-    cps = ALL_OPS_DOC["checkpoints"]
-    rotated, diags = parse(dict(ALL_OPS_DOC, checkpoints=cps[3:] + cps[:3]))
-    assert rotated is not None, diags
-    unwatched, diags = parse(dict(ALL_OPS_DOC, checkpoints=[]))
-    assert unwatched is not None, diags
-    assert unwatched.plan.checkpoints == kernel_ir.Checkpoints(*[()] * 6)
-    for kernel in (fir4, dot8, overflow_demo, all_ops, rotated, unwatched):
-        plan = kernel.plan
-        steps = [
-            (out, _fn_key(vf), x, y, z, _fn_key(uf), _fn_key(pf))
-            for out, vf, x, y, z, uf, pf in plan.steps
-        ]
-        assert (steps, plan.constants, plan.checkpoints, plan.outputs) == _per_node_lowering(kernel)
-    # Firing order: by step, then in declaration order.
-    firing = [(0, "cp_a"), (0, "cp_k"), (31, "cp_mux"), (31, "cp_mux2"), (33, "cp_ld")]
-    assert list(zip(all_ops.plan.checkpoints.steps, all_ops.plan.checkpoints.ids)) == firing
-    firing[2:4] = firing[3], firing[2]  # rotated declares cp_mux2 before cp_mux
-    assert list(zip(rotated.plan.checkpoints.steps, rotated.plan.checkpoints.ids)) == firing
 
 
 def test_pass_composition_preserves_runs(fir4, dot8, overflow_demo):

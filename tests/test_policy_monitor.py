@@ -12,18 +12,18 @@ from diftsim import (
     CoarseBoundary,
     DiftConfig,
     FineGrained,
+    InvalidType,
     MonitorState,
     Policy,
     PolicyKind,
     PropagationRule,
     RunInputs,
-    checkpoint,
     drain_exceptions,
     reg_read,
     reg_write,
     run_dift,
 )
-from diftsim.policy_monitor import SecurityException, record
+from diftsim.policy_monitor import SecurityException, checkpoint, record
 from conftest import load_inputs
 
 UNION_CFG = lambda tw: DiftConfig(tw, FineGrained(PropagationRule.UNION))
@@ -165,6 +165,19 @@ def test_bad_register_address():
         reg_read(state, 4)
     with pytest.raises(BadAddress):
         reg_write(state, -1, 0)
+    # Only an int other than a bool is an address: True is not REG_EXC_COUNT,
+    # nor 2.0 REG_TAG_IN, and 1.0 is no tuple index.
+    for addr in (True, False, 1.0, 2.0, "2", None):
+        with pytest.raises(BadAddress):
+            reg_read(state, addr)
+        with pytest.raises(BadAddress):
+            reg_write(state, addr, 5)
+    for word in (1.5, 5.0, True, "5", None):
+        with pytest.raises(InvalidType):
+            reg_write(state, REG_TAG_IN, word)
+    with pytest.raises(InvalidType):
+        reg_write(state, REG_STATUS, 1.5)
+    assert (state.tag_in, state.exceptions) == (0, [])
 
 
 def test_drain_exceptions_order():

@@ -10,9 +10,7 @@ import gen
 import reference_model as model
 from conftest import drop_dead_traps, fold_watched_nodes, load_doc, load_inputs, load_kernel
 from diftsim import (
-    BINARY_OPS,
     ArityMismatch,
-    COMPARE_OPS,
     BitType,
     BitValue,
     CoarseBoundary,
@@ -44,6 +42,7 @@ from diftsim import (
     run_dift,
     sample_inputs,
 )
+from diftsim.bitvalue import BINARY_OPS, COMPARE_OPS
 from diftsim.simulator import check_configs
 from test_kernel_ir import ALL_OPS_DOC, DEAD_DIVISION_DOC, FOLDED_CHECKPOINT_DOC
 
@@ -966,13 +965,20 @@ def test_runs_fire_in_order_on_fixtures(preloaded):
 
 def test_runs_fire_in_order_on_every_opcode():
     # Two checkpoints watch mux_as, and two watch an input and a constant.
-    kernel = parsed(ALL_OPS_DOC)
-    rng = random.Random(29)
-    for i in range(60):
-        ri = sample_inputs(kernel, rng)
-        if i % 2:  # an address in range runs every node
-            ri.values["s"] = 1 + i % 3
-        assert_runs_match_model(kernel, ALL_OPS_DOC, ri, preloaded=i % 3 == 0)
+    # Rotated declares cp_ld, on a later node, first, and cp_mux2 before
+    # cp_mux; unwatched has no checkpoint.
+    cps = ALL_OPS_DOC["checkpoints"]
+    rotated = dict(ALL_OPS_DOC, checkpoints=cps[3:] + cps[:3])
+    unwatched = dict(ALL_OPS_DOC, checkpoints=[])
+    for doc in (ALL_OPS_DOC, rotated, unwatched):
+        kernel = parsed(doc)
+        assert {n.op for n in kernel.nodes} == set(OpKind)
+        rng = random.Random(29)
+        for i in range(60):
+            ri = sample_inputs(kernel, rng)
+            if i % 2:  # an address in range runs every node
+                ri.values["s"] = 1 + i % 3
+            assert_runs_match_model(kernel, doc, ri, preloaded=i % 3 == 0)
 
 
 def edge_table_doc(table):
@@ -1111,7 +1117,7 @@ def reference_check(k, cfg, samples, seed):
     """check_consistency's mismatches, computed run by run: per sample,
     run_baseline, then run_dift on k and on k optimized by the defective
     passes."""
-    from diftsim import Mismatch
+    from diftsim.simulator import Mismatch
 
     def sig(e):
         return (type(e).__name__, e.node_id)
@@ -1205,7 +1211,7 @@ def reference_fuzz(k, trials, seed):
     """fuzz_properties' report, computed run by run: per trial, run_dift on
     fresh RunInputs for each run, the closure runs on a copy of k without
     initial memory tags."""
-    from diftsim import Counterexample, PropertyReport
+    from diftsim.simulator import Counterexample, PropertyReport
 
     rng = random.Random(seed)
     tw = k.tag_width

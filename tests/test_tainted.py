@@ -3,8 +3,6 @@ import random
 import pytest
 
 from diftsim import (
-    BINARY_OPS,
-    COMPARE_OPS,
     BitType,
     BitValue,
     DiftConfig,
@@ -18,6 +16,7 @@ from diftsim import (
     apply_binop,
     eval_binop,
 )
+from diftsim.bitvalue import BINARY_OPS, COMPARE_OPS
 
 U4 = BitType(4)
 U8 = BitType(8)
