@@ -25,7 +25,6 @@ from .errors import (
     OutOfBoundsAddress,
     TypeMismatch,
     WidthMismatch,
-    WidthTooLarge,
 )
 from .kernel_ir import (
     CheckpointDecl,
@@ -65,8 +64,8 @@ __version__ = "0.1.0"
 # the simulator and no command imports tainted.
 _SIMULATOR = frozenset({
     "simulator", "ConsistencyReport", "PropertyReport", "RunInputs", "SimulationReport",
-    "check_consistency", "fuzz_properties", "independence_oracle", "inputs_to_json",
-    "parse_inputs", "run_baseline", "run_dift", "sample_inputs",
+    "check_consistency", "fuzz_properties", "inputs_to_json", "parse_inputs", "run_baseline",
+    "run_dift", "sample_inputs",
 })
 _TAINTED = frozenset({"tainted", "DiftValue", "Tag", "apply_binop", "eval_binop", "propagate"})
 
@@ -77,8 +76,7 @@ def __getattr__(name: str):
     if name in _SIMULATOR:
         from .simulator import (
             ConsistencyReport, PropertyReport, RunInputs, SimulationReport, check_consistency,
-            fuzz_properties, independence_oracle, inputs_to_json, parse_inputs, run_baseline,
-            run_dift, sample_inputs,
+            fuzz_properties, inputs_to_json, parse_inputs, run_baseline, run_dift, sample_inputs,
         )
     elif name in _TAINTED:
         from .tainted import DiftValue, Tag, apply_binop, eval_binop, propagate

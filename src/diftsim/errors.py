@@ -27,10 +27,6 @@ class BadAddress(DiftError):
     """Register access outside the monitor register file."""
 
 
-class WidthTooLarge(DiftError):
-    """Exhaustive enumeration requested above the supported width cap."""
-
-
 class EvalError(DiftError):
     """Runtime failure while executing a kernel; names the failing node."""
 

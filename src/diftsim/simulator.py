@@ -1,5 +1,5 @@
-"""Kernel execution, differential consistency checking, the brute-force
-independence oracle, and the property fuzzer.
+"""Kernel execution, differential consistency checking, and the property
+fuzzer.
 
 Execution is split as the paper's hardware splits it: a datapath, and
 shadow logic that reads its values and never writes them. _execute is
@@ -48,13 +48,10 @@ from collections import namedtuple
 from operator import and_
 from typing import NamedTuple
 
-from .bitvalue import COMPARE_OPS, MUX, OP_ARITY, BitType, OpKind, apply_op
-from .errors import ArityMismatch, DiftError, EvalError, TypeMismatch, WidthMismatch, WidthTooLarge
+from .errors import DiftError, EvalError, WidthMismatch
 from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim, load_json
 from .policy_monitor import MonitorState, SecurityException, record
 from .taint import PRECISE, UNION, DiftConfig
-
-_ORACLE_MAX_WIDTH = 6
 
 
 class RunInputs(namedtuple("RunInputs", "values tags memory")):
@@ -557,47 +554,8 @@ def check_configs(
 
 
 # ---------------------------------------------------------------------------
-# Oracles and property fuzzing
+# Property fuzzing
 # ---------------------------------------------------------------------------
-
-
-def independence_oracle(
-    kind: OpKind,
-    operand_types: list[BitType],
-    tainted_positions: set[int],
-    untainted_values: dict[int, int],
-    result_ty: BitType | None = None,
-) -> bool:
-    """True iff the op's value result is constant while the tainted
-    positions range over all their possible values. Ground truth for
-    taint-kill soundness; widths are capped so enumeration stays exact.
-    result_ty defaults to u1 for a comparison and to the first operand's
-    type otherwise; mux, whose first operand is its selector, needs it."""
-    arity = OP_ARITY[kind]
-    if len(operand_types) != arity:
-        raise ArityMismatch(f"{kind.value} takes {arity} operand types")
-    if any(t.width > _ORACLE_MAX_WIDTH for t in operand_types):
-        raise WidthTooLarge(f"operand widths must be <= {_ORACLE_MAX_WIDTH}")
-    if set(untainted_values) | set(tainted_positions) != set(range(arity)):
-        raise ArityMismatch("tainted positions and untainted values must cover all operands")
-    if result_ty is None:
-        if kind is MUX:
-            raise TypeMismatch("mux needs a result_ty: its first operand is the selector")
-        result_ty = BitType(1) if kind in COMPARE_OPS else operand_types[0]
-    order = sorted(tainted_positions)
-    bits = [untainted_values.get(p, 0) & operand_types[p].mask for p in range(arity)]
-    outcomes: set = set()
-    for combo in itertools.product(*(range(1 << operand_types[p].width) for p in order)):
-        for p, b in zip(order, combo):
-            bits[p] = b
-        try:
-            result = apply_op(kind, bits, operand_types, result_ty)
-        except EvalError as e:
-            result = ("error", type(e).__name__)
-        outcomes.add(result)
-        if len(outcomes) > 1:
-            return False
-    return True
 
 
 class Counterexample(NamedTuple):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import diftsim.simulator
+import diftsim.taint
 from diftsim import OpKind, const_fold, fixture_path, parse_inputs, parse_kernel
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -76,3 +77,15 @@ def defective_passes(monkeypatch):
     fold_watched_nodes and drop_dead_traps."""
     monkeypatch.setattr(diftsim.simulator, "const_fold", fold_watched_nodes)
     monkeypatch.setattr(diftsim.simulator, "dead_code_elim", drop_dead_traps)
+
+
+def tainting_tag_fn(broken_rule, bit):
+    """taint.tag_fn with bit joined into every tag its functions return
+    under broken_rule, for tests that need fuzz to find counterexamples."""
+    tag_fn = diftsim.taint.tag_fn
+
+    def broken(rule, kind, types, result_ty):
+        f = tag_fn(rule, kind, types, result_ty)
+        return f if rule is not broken_rule else lambda *operands: f(*operands) | bit
+
+    return broken

@@ -1,5 +1,5 @@
 """A plain-int reference model of diftsim runs: the tests' one oracle of
-run semantics.
+run semantics, operator values and tags, and kill independence.
 
 It evaluates kernel documents (the JSON that parse_kernel reads) on
 inputs documents, written from the README's semantics and importing
@@ -23,10 +23,14 @@ store, a memory) is made here once, and every comparison follows it.
   first deny and has no outputs.
 - A trap (division by zero, an address outside the memory) stops the
   run; the denials before it stand.
+- A precise kill is sound when independent holds: the result does not
+  change, nor trap on some values only, as the tainted operands range
+  over every value of their types.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 _ARITH = {
@@ -70,6 +74,22 @@ def value(op: str, bits, types, result) -> int:
             q = -q
         return (q if op == "div" else a - b * q) & mask
     return int(_ARITH[op](a, b)) & mask
+
+
+def independent(op: str, types, tainted, fixed: dict, result) -> bool:
+    """True iff op's result at result is the same for every value of the
+    operand positions in tainted, the others fixed at their bits in
+    fixed; a zero divisor counts as one more outcome, the trap."""
+    bits = [fixed.get(p, 0) for p in range(len(types))]
+    outcomes = set()
+    for combo in itertools.product(*(range(1 << types[p][0]) for p in tainted)):
+        for p, b in zip(tainted, combo):
+            bits[p] = b
+        try:
+            outcomes.add(value(op, bits, types, result))
+        except ZeroDivisionError:
+            outcomes.add("trap")
+    return len(outcomes) == 1
 
 
 def tag(op: str, precise: bool, bits, types, result, tags) -> int:

@@ -30,7 +30,6 @@ from diftsim import (
     drain_exceptions,
     eval_binop,
     fixture_path,
-    independence_oracle,
     propagate,
     reg_read,
     reg_write,
@@ -40,7 +39,7 @@ from diftsim import (
 from diftsim.bitvalue import BINARY_OPS, COMPARE_OPS, UNARY_OPS
 from diftsim.cli import main
 from diftsim.policy_monitor import checkpoint
-from reference_model import value as ref_value
+from reference_model import independent, value as ref_value
 
 UNION = PropagationRule.UNION
 PRECISE = PropagationRule.PRECISE
@@ -100,7 +99,7 @@ def test_c01_value_semantics_oracle():
 
 def test_c02_precise_soundness():
     """Whenever the precise rule reports tag 0 with a tainted operand, the
-    independence oracle must confirm the result does not depend on it.
+    model's independent must confirm the result does not depend on it.
     Every value operator is swept with one operand tainted at a time, and
     operand and result widths range over 1..4 independently (1..2 for
     mux, whose third operand multiplies the cases)."""
@@ -133,8 +132,8 @@ def test_c02_precise_soundness():
                             kills += 1
                             key = (kind, types, r_ty, tainted_pos, fixed_bits)
                             if key not in oracle_cache:
-                                oracle_cache[key] = independence_oracle(
-                                    kind, list(types), {tainted_pos}, fixed, result_ty=r_ty
+                                oracle_cache[key] = independent(
+                                    kind.value, types, [tainted_pos], fixed, r_ty
                                 )
                             assert oracle_cache[key], (
                                 f"unsound kill: {kind.value} {' '.join(map(str, types))} "

@@ -19,7 +19,7 @@ from diftsim import (
 )
 from diftsim.cli import main
 from diftsim.kernel_ir import MAX_MEMORY_CELLS, has_errors
-from conftest import load_kernel
+from conftest import load_kernel, tainting_tag_fn
 
 FIR4 = str(fixture_path("fir4.json"))
 DOT8 = str(fixture_path("dot8.json"))
@@ -148,6 +148,19 @@ def test_oversized_memory_exits_2(tmp_path, capsys):
     doc["memories"][0]["size"] = MAX_MEMORY_CELLS
     kernel, diags = parse_kernel(json.dumps(doc))
     assert kernel is not None and not has_errors(diags)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "inputs: top-level document must be an object"),
+    ('{"memory": [1]}', "memory: memory must map ids to lists"),
+    ('{"memory": {"a": [1, true]}}', "memory: a must be a list of integers"),
+    ('{"memory": {"a": 5}}', "memory: a must be a list of integers"),
+])
+def test_bad_inputs_document_exits_2(tmp_path, capsys, text, message):
+    inputs = tmp_path / "i.json"
+    inputs.write_text(text)
+    assert main(["run", OVERFLOW, str(inputs)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\nerror: {inputs}: inputs file is invalid\n"
 
 
 def test_usage_error_exits_1(capsys):
@@ -302,6 +315,20 @@ def test_fuzz_passes_trials_that_trap_alike(tmp_path, capsys):
     assert captured.err == ""
     assert main(["check", str(kernel), "--samples", "50", "--seed", "0"]) == 0
     assert "check divzero: total mismatches=0" in capsys.readouterr().out
+
+
+def test_fuzz_prints_a_counterexample_with_its_memory(monkeypatch, capsys):
+    # A union rule that taints every result breaks closure on dot8's first
+    # trial; the counterexample's inputs hold both of dot8's memories.
+    monkeypatch.setattr(diftsim.taint, "tag_fn", tainting_tag_fn(PropagationRule.UNION, 1))
+    assert main(["fuzz", DOT8, "--trials", "1", "--seed", "0"]) == 2
+    inputs = {"values": {"scale": 197}, "tags": {"scale": 0}, "memory": {
+        "va": [20, 132, 248, 207, 155, 244, 183, 111], "vb": [71, 144, 71, 48, 128, 75, 158, 50],
+    }}
+    assert capsys.readouterr().out == (
+        "counterexample 1: property=closure trial=0 mode=fine rule=union tainted outputs=['out'] "
+        f"exceptions=1\n{json.dumps(inputs, indent=2)}\nfuzz dot8: trials=1 counterexamples=1\n"
+    )
 
 
 def test_fuzz_counterexample_round_trips_through_run(tmp_path, capsys, monkeypatch):

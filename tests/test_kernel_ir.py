@@ -104,63 +104,6 @@ def test_malformed_json_reports_line():
     assert diags[0].location.startswith("line ")
 
 
-def test_validator_rules():
-    bad_policy = minimal_doc(checkpoints=[{"id": "cp", "arg": "a", "policy": "nope"}])
-    kernel, diags = parse(bad_policy)
-    assert kernel is None and any("nope" in d.message for d in diags)
-
-    dup = minimal_doc(constants=[{"id": "a", "width": 4, "signed": False, "value": 1}])
-    kernel, diags = parse(dup)
-    assert kernel is None and any("duplicate" in d.message for d in diags)
-
-    bad_cmp = minimal_doc(
-        nodes=[{"id": "c", "op": "lt", "args": ["a", "a"], "width": 4, "signed": False}]
-    )
-    kernel, diags = parse(bad_cmp)
-    assert kernel is None and any("u1" in d.message for d in diags)
-
-    bad_store = minimal_doc(
-        memories=[{"id": "m", "size": 4, "width": 8, "signed": False}],
-        nodes=[{"id": "s", "op": "store", "args": ["m", "a", "a"], "width": 8}],
-    )
-    kernel, diags = parse(bad_store)
-    assert kernel is None and any("store" in d.message for d in diags)
-
-    bad_arity = minimal_doc(
-        nodes=[{"id": "n", "op": "add", "args": ["a"], "width": 8, "signed": False}]
-    )
-    kernel, diags = parse(bad_arity)
-    assert kernel is None and any("takes 2 args" in d.message for d in diags)
-
-    bad_op = minimal_doc(nodes=[{"id": "n", "op": "frob", "args": [], "width": 8}])
-    kernel, diags = parse(bad_op)
-    assert kernel is None and any("unknown op" in d.message for d in diags)
-
-    bad_load_ty = minimal_doc(
-        memories=[{"id": "m", "size": 4, "width": 8, "signed": False}],
-        nodes=[{"id": "l", "op": "load", "args": ["m", "a"], "width": 4, "signed": False}],
-    )
-    kernel, diags = parse(bad_load_ty)
-    assert kernel is None and any("cell type" in d.message for d in diags)
-
-    bad_tag = minimal_doc()
-    bad_tag["inputs"][0]["default_tag"] = 4  # tag_width 2 allows 0..3
-    kernel, diags = parse(bad_tag)
-    assert kernel is None and any("default_tag" in d.message for d in diags)
-
-    bad_mask = minimal_doc(policies=[{"name": "p", "kind": "deny_if_mask"}])
-    kernel, diags = parse(bad_mask)
-    assert kernel is None and any("mask" in d.message for d in diags)
-
-    store_as_source = minimal_doc(
-        memories=[{"id": "m", "size": 4, "width": 8, "signed": False}],
-        nodes=[{"id": "s", "op": "store", "args": ["m", "a", "a"]}],
-        outputs=[{"id": "out", "source": "s"}],
-    )
-    kernel, diags = parse(store_as_source)
-    assert kernel is None and any("not a value id" in d.message for d in diags)
-
-
 def test_validate_rejects_mask_of_other_width_than_tags():
     # parse_kernel keeps every mask within the kernel's tag width; a kernel
     # built by hand can hold a wider one, or no int, and validate must
@@ -357,6 +300,14 @@ DIAGNOSTIC_CASES = {
         "checkpoint c: arg must be a non-empty string",
         "checkpoint c: policy must be a non-empty string",
         "checkpoint c2: policy must be a non-empty string")),
+    "duplicate-ids": (
+        minimal_doc(
+            constants=[{"id": "a", **W8, "value": 1}],
+            memories=[MEM, {**MEM, "size": 2}],
+            outputs=[{"id": "out", "source": "a"}, {"id": "out", "source": "a"}],
+        ),
+        bad("a: duplicate id (constant)", "m: duplicate id (memory)", "out: duplicate id (output)"),
+    ),
     "output-source-missing": (minimal_doc(outputs=[{"id": "out"}]), bad(
         "output out: source must be a non-empty string")),
     "validate-declarations": (

@@ -8,9 +8,10 @@ import pytest
 import diftsim.taint
 import gen
 import reference_model as model
-from conftest import drop_dead_traps, fold_watched_nodes, load_doc, load_inputs, load_kernel
+from conftest import (
+    drop_dead_traps, fold_watched_nodes, load_doc, load_inputs, load_kernel, tainting_tag_fn,
+)
 from diftsim import (
-    ArityMismatch,
     BitType,
     BitValue,
     CoarseBoundary,
@@ -23,19 +24,16 @@ from diftsim import (
     MonitorState,
     OpKind,
     OutOfBoundsAddress,
-    TypeMismatch,
     PropagationRule,
     REG_TAG_IN,
     RunInputs,
     SimulationReport,
     Tag,
-    WidthTooLarge,
+    WidthMismatch,
     check_consistency,
     fuzz_properties,
-    independence_oracle,
     parse_inputs,
     parse_kernel,
-    propagate,
     reg_read,
     reg_write,
     run_baseline,
@@ -170,46 +168,6 @@ def op_kernel(op, operand_types, result_ty, tag_width=4):
     return parsed(doc)
 
 
-def test_mux_tag_rules():
-    kernel = op_kernel("mux", [BitType(1), U4, U4], U4)
-    ri = RunInputs(values={"x0": 1, "x1": 7, "x2": 2}, tags={"x0": 0b1, "x1": 0, "x2": 0b10})
-    # precise: selector and the chosen branch only; union: all three
-    assert run_dift(kernel, ri, fine(4, PRECISE)).outputs == {"out": (7, 0b1)}
-    assert run_dift(kernel, ri, fine(4, UNION)).outputs == {"out": (7, 0b11)}
-    quiet = RunInputs(values={"x0": 0, "x1": 7, "x2": 2}, tags={"x1": 0b10})
-    assert run_dift(kernel, quiet, fine(4, PRECISE)).outputs == {"out": (2, 0)}
-
-
-def test_precise_or_kill_judged_at_result_type():
-    # A u4 constant 15 is all ones in u4 but not in the u8 result: OR with a
-    # tainted u8 keeps the taint, since the result still depends on it.
-    doc = {
-        "name": "or_widths",
-        "tag_width": 2,
-        "inputs": [{"id": "x", "width": 8, "signed": False}],
-        "constants": [{"id": "c", "width": 4, "signed": False, "value": 15}],
-        "nodes": [{"id": "n", "op": "or", "args": ["c", "x"], "width": 8, "signed": False}],
-        "outputs": [{"id": "out", "source": "n"}],
-    }
-    kernel = parsed(doc)
-    ri = RunInputs(values={"x": 0x30}, tags={"x": 0b1})
-    assert run_dift(kernel, ri, fine(2, PRECISE)).outputs == {"out": (63, 0b1)}
-    # The same constant as s4 is -1, all ones in every width: the kill holds.
-    doc["constants"][0]["signed"] = True
-    kernel = parsed(doc)
-    assert run_dift(kernel, ri, fine(2, PRECISE)).outputs == {"out": (255, 0)}
-    u2, u4 = BitType(2), BitType(4)
-    assert independence_oracle(OpKind.OR, [u2, u4], {1}, {0: 3}, result_ty=u4) is False
-    ops = [(BitValue(u2, 3), Tag(2, 0)), (BitValue(u4, 9), Tag(2, 0b1))]
-    assert propagate(PRECISE, OpKind.OR, ops, u4) == Tag(2, 0b1)
-
-
-def test_run_baseline_add():
-    kernel = tiny_add_kernel()
-    got = run_baseline(kernel, RunInputs(values={"a": 9, "b": 12}))
-    assert got == {"out": 5}
-
-
 def test_run_baseline_fir4_committed_vector(fir4):
     inputs = load_inputs("fir4_inputs.json")
     # 10*2 + (-5)*(-3) + 3*4 + 7*1 = 54, by hand; the model must agree too.
@@ -334,22 +292,20 @@ def test_check_consistency_deterministic(fir4):
 
 
 def test_independence_oracle():
-    u4 = BitType(4)
-    assert independence_oracle(OpKind.AND, [u4, u4], {0}, {1: 0}) is True
-    assert independence_oracle(OpKind.ADD, [u4, u4], {0}, {1: 3}) is False
-    assert independence_oracle(OpKind.OR, [u4, u4], {0}, {1: 15}) is True
-    assert independence_oracle(OpKind.MUL, [u4, u4], {1}, {0: 0}) is True
-    with pytest.raises(WidthTooLarge):
-        independence_oracle(OpKind.ADD, [BitType(7), BitType(7)], {0}, {1: 3})
-    with pytest.raises(ArityMismatch, match="add takes 2 operand types"):
-        independence_oracle(OpKind.ADD, [u4], {0}, {})
-    with pytest.raises(ArityMismatch, match="must cover all operands"):
-        independence_oracle(OpKind.ADD, [u4, u4], {0}, {})
+    # The model's independent, the oracle of every precise kill.
+    u2, u4 = (2, False), (4, False)
+    assert model.independent("and", [u4, u4], {0}, {1: 0}, u4)
+    assert model.independent("mul", [u4, u4], {1}, {0: 0}, u4)
+    assert model.independent("or", [u4, u4], {0}, {1: 15}, u4)
+    assert not model.independent("add", [u4, u4], {0}, {1: 3}, u4)
+    # 3 is all ones as a u2, not in the u4 result.
+    assert not model.independent("or", [u2, u4], {1}, {0: 3}, u4)
     # The branches 2 and 0 differ as u4 results but agree in the u1
-    # selector's bit, so mux gets no default result type.
-    assert independence_oracle(OpKind.MUX, [BitType(1), u4, u4], {0}, {1: 2, 2: 0}, u4) is False
-    with pytest.raises(TypeMismatch, match="mux needs a result_ty"):
-        independence_oracle(OpKind.MUX, [BitType(1), u4, u4], {0}, {1: 2, 2: 0})
+    # selector's bit.
+    assert not model.independent("mux", [(1, False), u4, u4], {0}, {1: 2, 2: 0}, u4)
+    # 0 div t is 0, or a trap when t is 0: a trap is one more outcome.
+    assert not model.independent("div", [u2, u2], {1}, {0: 0}, u2)
+    assert model.independent("div", [u2, u2], {0}, {1: 0}, u2)  # it always traps
 
 
 def test_fuzz_properties_pass_on_fixtures(fir4, dot8, overflow_demo):
@@ -373,6 +329,25 @@ def test_mutant_rule_caught_by_monotonicity(monkeypatch):
     fir4 = load_kernel("fir4.json")
     report = fuzz_properties(fir4, trials=200, seed=5)
     assert any(c.property == "monotonicity" for c in report.counterexamples)
+
+
+@pytest.mark.parametrize("prop, rule, bit, detail", [
+    ("closure", UNION, 1, "mode=fine rule=union tainted outputs=['out'] exceptions=1"),
+    ("precise_subset", PRECISE, 2, "output out: precise 0x3 not within union 0x1"),
+    ("coarse_subset", PRECISE, 2, "output out: fine(precise) 0x3 not within boundary 0x1"),
+])
+def test_mutant_rules_caught_by_closure_and_subsets(monkeypatch, prop, rule, bit, detail):
+    # A rule that taints every value node's result breaks closure; a precise
+    # one that adds a bit no union tag holds breaks both subset properties.
+    monkeypatch.setattr(diftsim.taint, "tag_fn", tainting_tag_fn(rule, bit))
+    report = fuzz_properties(load_kernel("dot8.json"), trials=20, seed=0)
+    assert next(c.detail for c in report.counterexamples if c.property == prop) == detail
+
+
+def test_a_config_of_another_tag_width_is_refused(dot8):
+    with pytest.raises(WidthMismatch) as e:
+        run_dift(dot8, RunInputs(), DiftConfig(3, CoarseBoundary()))
+    assert str(e.value) == "config tag width 3 does not match kernel 2"
 
 
 def test_halted_run_reports_no_outputs(overflow_demo):
@@ -409,7 +384,7 @@ def sweep_through_walk(kind, operand_types):
     """Every operand value, against the model: run_baseline, run_dift's
     union tags with each operand tagged by its own bit, and its precise
     tags with one operand tainted at a time. Every precise kill is also
-    confirmed by independence_oracle. Returns the number of kills seen."""
+    confirmed by the model's independent. Returns the number of kills seen."""
     result_types = [BitType(1)] if kind in COMPARE_OPS else SWEEP_TYPES
     doc = sweep_doc(kind.value, operand_types, result_types)
     kernel = parsed(doc)
@@ -434,7 +409,7 @@ def sweep_through_walk(kind, operand_types):
                 if got[f"o{j}"][1] == 0:
                     kills += 1
                     fixed = {p: v for p, v in enumerate(values) if p != pos}
-                    assert independence_oracle(kind, operand_types, {pos}, fixed, r_ty), (
+                    assert model.independent(kind.value, operand_types, {pos}, fixed, r_ty), (
                         kind, operand_types, r_ty, pos, values
                     )
     return kills
