@@ -8,9 +8,10 @@ file format is a single JSON document; unknown keys are rejected.
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import namedtuple
-from functools import cached_property, reduce
+from functools import cached_property, reduce, wraps
 from operator import itemgetter, or_
 from typing import NamedTuple
 
@@ -160,6 +161,8 @@ _ITEM_KEYS = {
     "outputs": {"id", "source"},
 }
 _OP_BY_NAME = {kind.value: kind for kind in OpKind}
+_STR, _INT = frozenset({str}), frozenset({int})
+_new = tuple.__new__  # builds a record from fields already checked, skipping its constructor
 
 
 def _err(diags: list[Diagnostic], loc: str, msg: str) -> None:
@@ -240,6 +243,22 @@ def load_json(text: str, where: str, diags: list[Diagnostic]):
     return None
 
 
+def _collector_paused(fn):
+    """fn run with the cyclic garbage collector off, then as it was: parse_kernel
+    builds tens of thousands of acyclic objects, which collections would walk."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
+
+
+@_collector_paused
 def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
     """Parse and validate a kernel document.
 
@@ -296,7 +315,7 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
             default_tag = _get_int(item, "default_tag", loc, diags, default=0)
             if iid is None or ty is None or default_tag is None:
                 continue
-        inputs.append(InputDecl(iid, ty, default_tag))
+        inputs.append(_new(InputDecl, (iid, ty, default_tag)))
 
     constants = []
     for item in _check_section(doc, "constants", diags):
@@ -309,7 +328,7 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
             value = _get_int(item, "value", loc, diags)
             if cid is None or ty is None or value is None:
                 continue
-        constants.append(ConstDecl(cid, BitValue(ty, value & ty.mask)))
+        constants.append(_new(ConstDecl, (cid, _new(BitValue, (ty, value & ty.mask)))))
 
     memories = []
     for item in _check_section(doc, "memories", diags):
@@ -318,12 +337,11 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
         ty = _get_type(item, loc, diags, types)
         if mid is None or size is None or ty is None:
             continue
-        init_raw = item.get("init", [])
-        tags_raw = item.get("init_tags", [])
-        if type(init_raw) is not list or not all(type(x) is int for x in init_raw):
+        init_raw, tags_raw = item.get("init", []), item.get("init_tags", [])
+        if type(init_raw) is not list or not _INT.issuperset(map(type, init_raw)):
             _err(diags, loc, "init must be a list of integers")
             continue
-        if type(tags_raw) is not list or not all(type(x) is int for x in tags_raw):
+        if type(tags_raw) is not list or not _INT.issuperset(map(type, tags_raw)):
             _err(diags, loc, "init_tags must be a list of integers")
             continue
         init = tuple([x & ty.mask for x in init_raw])
@@ -333,7 +351,7 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
     for item in _check_section(doc, "nodes", diags):
         nid, op_raw, args = item.get("id"), item.get("op"), item.get("args")
         op = _OP_BY_NAME.get(op_raw) if type(op_raw) is str else None
-        args_ok = type(args) is list and all(type(a) is str for a in args)
+        args_ok = type(args) is list and _STR.issuperset(map(type, args))
         if op is STORE:
             ty, typed = None, "width" not in item and "signed" not in item
         else:
@@ -357,7 +375,7 @@ def parse_kernel(text: str) -> tuple[Kernel | None, list[Diagnostic]]:
                     continue
             if nid is None:
                 continue
-        nodes.append(Node(nid, op, tuple(args), ty))
+        nodes.append(_new(Node, (nid, op, tuple(args), ty)))
 
     policies = []
     for item in _check_section(doc, "policies", diags):
@@ -613,8 +631,8 @@ def const_fold(k: Kernel, diags: list[Diagnostic] | None = None) -> Kernel:
                 diags.append(Diagnostic("warning", nid, "division by zero; node not folded"))
             kept.append(node)
             continue
-        value = consts[nid] = BitValue(ty, bits)
-        new_consts.append(ConstDecl(nid, value))
+        value = consts[nid] = _new(BitValue, (ty, bits))
+        new_consts.append(_new(ConstDecl, (nid, value)))
     return k._replace(constants=tuple(new_consts), nodes=tuple(kept))
 
 
@@ -681,15 +699,17 @@ def emit_dot(g: Kernel | InstrumentedGraph) -> str:
     tnodes: list[str] = []
     vedges: list[str] = []
     tedges: list[str] = []
-    esc: dict[str, str] = {}  # declaration id -> escaped id
+    esc, names = {}, {}  # declaration id -> escaped id; type -> str(type), formatted once
     for iid, ty, default_tag in k.inputs:
         i = esc[iid] = _esc(iid)
-        vnodes.append(f'  "v:{i}" [shape=ellipse, label="{i} : {ty}"];')
+        t = names.get(ty) or names.setdefault(ty, str(ty))
+        vnodes.append(f'  "v:{i}" [shape=ellipse, label="{i} : {t}"];')
         if tags:
             tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tag = {default_tag}"];')
     for cid, (ty, bits) in k.constants:
         i = esc[cid] = _esc(cid)
-        vnodes.append(f'  "v:{i}" [shape=box, label="{i} = {decode(bits, ty)} : {ty}"];')
+        t = names.get(ty) or names.setdefault(ty, str(ty))
+        vnodes.append(f'  "v:{i}" [shape=box, label="{i} = {decode(bits, ty)} : {t}"];')
         if tags:
             tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tag = 0"];')
     for mid, size, cell, _, _ in k.memories:

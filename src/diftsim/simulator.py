@@ -639,7 +639,7 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
                         trial,
                         zero_ri,
                         f"mode={mode} rule={rule} tainted outputs={bad} "
-                        f"exceptions={len(denied)}",
+                        f"exceptions={len(denied)} (input and initial memory tags zero)",
                     )
                 )
 

@@ -3,6 +3,7 @@
 import ast
 import dis
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -240,7 +241,8 @@ def _enum_member_reads(code: types.CodeType) -> list[str]:
 
 
 def test_the_per_node_code_reads_no_enum_member_through_its_class():
-    reads = [read for fn in PER_NODE for read in _enum_member_reads(fn.__code__)]
+    # A wrapped function (parse_kernel, lower) is read through its wrapper.
+    reads = [read for fn in PER_NODE for read in _enum_member_reads(inspect.unwrap(fn).__code__)]
     assert reads == []
 
 

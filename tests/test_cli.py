@@ -327,7 +327,8 @@ def test_fuzz_prints_a_counterexample_with_its_memory(monkeypatch, capsys):
     }}
     assert capsys.readouterr().out == (
         "counterexample 1: property=closure trial=0 mode=fine rule=union tainted outputs=['out'] "
-        f"exceptions=1\n{json.dumps(inputs, indent=2)}\nfuzz dot8: trials=1 counterexamples=1\n"
+        f"exceptions=1 (input and initial memory tags zero)\n{json.dumps(inputs, indent=2)}\n"
+        "fuzz dot8: trials=1 counterexamples=1\n"
     )
 
 

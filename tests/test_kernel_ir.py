@@ -1,12 +1,17 @@
+import gc
 import json
 import random
+from itertools import product
 from pathlib import Path
 
+import gen
 import pytest
 
+from conftest import load_doc
 from diftsim import kernel_ir, taint
 from diftsim import (
     BitType,
+    BitValue,
     CheckpointDecl,
     CoarseBoundary,
     DiftConfig,
@@ -29,6 +34,8 @@ from diftsim import (
     sample_inputs,
     validate,
 )
+from diftsim.bitvalue import pad_operands, value_fn
+from diftsim.kernel_ir import ConstDecl, MemoryDecl
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -799,6 +806,162 @@ ALL_OPS_DOC = {
     ],
     "outputs": [{"id": "o1", "source": "add9"}, {"id": "o2", "source": "a"}],
 }
+
+
+# Every op over the types below at every result type validate allows, and
+# load and store on two memories of different cell types: nodes whose
+# semantics differ in any way the lowering memo could wrongly share.
+MEMO_TYPES = {"u1": (1, False), "u2": (2, False), "s2": (2, True), "u3": (3, False), "s3": (3, True)}
+MEMORY_CELLS = [0, 7, -1, 2]  # raw ints, as a memory override may leave them
+MEMORY_TAGS = [0, 1, 1, 0]
+
+
+def typed(name):
+    width, signed = MEMO_TYPES[name]
+    return {"width": width, "signed": signed}
+
+
+def memo_doc():
+    nodes = []
+
+    def add(op, args, result=None):
+        nodes.append(node(f"n{len(nodes)}", op, list(args), **(typed(result) if result else {})))
+
+    names = list(MEMO_TYPES)
+    for op in _VALUE_OPS:
+        for result, x, y in product(names, repeat=3):
+            add(op, (x, y), result)
+    for op in ["eq", "ne", "lt", "le", "gt", "ge"]:
+        for x, y in product(names, repeat=2):
+            add(op, (x, y), "u1")
+    for op, result, x in product(["not", "neg"], names, names):
+        add(op, (x,), result)
+    for result, sel, y, z in product(names, ["u1", "s2"], names, names):
+        add("mux", (sel, y, z), result)
+    for memory, cell in (("mu2", "u2"), ("ms3", "s3")):
+        for addr in names:
+            add("load", (memory, addr), cell)
+        for addr, data in product(names, names):
+            add("store", (memory, addr, data))
+    return minimal_doc(
+        tag_width=1,
+        inputs=[{"id": n, **typed(n)} for n in names],
+        constants=[{"id": f"k{n}", "value": -1, **typed(n)} for n in names],
+        memories=[{"id": "mu2", "size": 4, **typed("u2")}, {"id": "ms3", "size": 4, **typed("s3")}],
+        nodes=nodes,
+        outputs=[{"id": "out", "source": "u1"}],
+    )
+
+
+def outcome(fn, *operands):
+    """fn's result on operands, given fresh copies of any list, with the
+    lists after the call; or the error it raises, by type and message."""
+    operands = [list(x) if type(x) is list else x for x in operands]
+    try:
+        return fn(*operands), operands
+    except Exception as e:  # a trap is part of the semantics compared
+        return type(e), str(e)
+
+
+def test_each_lowered_step_computes_its_own_nodes_semantics():
+    kernel, diags = parse(memo_doc())
+    assert kernel is not None, diags
+    types = {i.id: i.ty for i in kernel.inputs} | {m.id: m for m in kernel.memories}
+    plan = kernel_ir.lower(kernel)
+    assert len(plan.steps) == len(kernel.nodes) > 1500
+    for (_, op, args, ty), (_, value, _, _, _, union, precise) in zip(kernel.nodes, plan.steps):
+        arg_types = [types[a] for a in args]
+        want = [
+            value_fn(op, arg_types, ty),
+            taint.tag_fn(UNION, op, arg_types, ty),
+            taint.tag_fn(PropagationRule.PRECISE, op, arg_types, ty),
+        ]
+        if [value, union, precise] == want:  # the very functions: they agree everywhere
+            continue
+        domains = [[MEMORY_CELLS] if type(t) is MemoryDecl else range(1 << t.width) for t in arg_types]
+        tag_domains = [[MEMORY_TAGS] if type(t) is MemoryDecl else (0, 1) for t in arg_types]
+        for bits in product(*domains):
+            x = pad_operands(bits)
+            assert outcome(value, *x) == outcome(want[0], *x), (op, arg_types, ty, bits)
+            for tags in product(*tag_domains):
+                t = pad_operands(tags)
+                for got, expected in zip((union, precise), want[1:]):
+                    assert outcome(got, *x, *t) == outcome(expected, *x, *t), (op, arg_types, ty, bits, tags)
+
+
+def test_emit_dot_labels_each_input_and_constant_with_its_own_type():
+    kernel, diags = parse(memo_doc())
+    assert kernel is not None, diags
+    dot = emit_dot(kernel)
+    for iid, ty, _ in kernel.inputs:
+        assert f'  "v:{iid}" [shape=ellipse, label="{iid} : {ty}"];' in dot
+    for cid, (ty, bits) in kernel.constants:  # each holds -1, wrapped to its type
+        value = -1 if ty.signed else bits
+        assert f'  "v:{cid}" [shape=box, label="{cid} = {value} : {ty}"];' in dot
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_kernel_pauses_the_collector_and_leaves_it_as_found(monkeypatch, enabled):
+    # parse_kernel builds thousands of records with the cyclic collector
+    # off, so what it builds and drops must be acyclic: reference counting
+    # alone frees it. The collector is left as it was, also on an error.
+    seen = []
+    load_json = kernel_ir.load_json
+
+    def observed(*args):
+        seen.append(gc.isenabled())
+        if args[0] == "raise":
+            raise RuntimeError("raise")
+        return load_json(*args)
+
+    monkeypatch.setattr(kernel_ir, "load_json", observed)
+    docs = (gen.fir(64, 0), gen.dot(64, 0), ESCAPED_DOC, minimal_doc(nodes=[node()]))
+    texts = [json.dumps(doc) for doc in docs] + ["[1, 2", "[]"]
+    gc.collect()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        parsed = [parse_kernel(text) for text in texts]
+        assert gc.isenabled() is enabled
+        assert [k is not None for k, _ in parsed] == [True, True, True, False, False, False]
+        del parsed
+        assert gc.collect() == 0
+        with pytest.raises(RuntimeError):
+            parse_kernel("raise")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False] * (len(texts) + 1)
+
+
+FAST_PATH_DOCS = {
+    **{name: load_doc(f"{name}.json") for name in ("fir4", "dot8", "overflow_demo")},
+    **{f"fir{seed}": gen.fir(8, seed) for seed in range(3)},
+    **{f"dot{seed}": gen.dot(8, seed) for seed in range(3)},
+    **{f"deny{seed}": gen.deny(seed, 40) for seed in range(3)},
+    "memo": memo_doc(),
+}
+
+
+@pytest.mark.parametrize("name", FAST_PATH_DOCS)
+def test_parsed_and_folded_records_are_what_the_public_constructors_build(name):
+    # parse_kernel and const_fold build their records without running the
+    # records' constructors; each must still be the validated record.
+    kernel, diags = parse(FAST_PATH_DOCS[name])
+    assert kernel is not None, diags
+    for k in (kernel, const_fold(kernel)):
+        rebuilt = (
+            [InputDecl(i, BitType(*ty), tag) for i, ty, tag in k.inputs],
+            [ConstDecl(c, BitValue(BitType(*ty), bits)) for c, (ty, bits) in k.constants],
+            [Node(n, OpKind(op.value), tuple(args), ty and BitType(*ty)) for n, op, args, ty in k.nodes],
+        )
+        for records, expected in zip((k.inputs, k.constants, k.nodes), rebuilt):
+            assert list(records) == expected
+            assert [type(r) for r in records] == [type(r) for r in expected]
+        assert {type(value) for _, value in k.constants} <= {BitValue}
+    doc_constants = FAST_PATH_DOCS[name].get("constants", [])
+    assert [bits for _, (_, bits) in kernel.constants] == [
+        c["value"] & ((1 << c["width"]) - 1) for c in doc_constants
+    ]
 
 
 def test_pass_composition_preserves_runs(fir4, dot8, overflow_demo):

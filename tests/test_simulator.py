@@ -332,7 +332,8 @@ def test_mutant_rule_caught_by_monotonicity(monkeypatch):
 
 
 @pytest.mark.parametrize("prop, rule, bit, detail", [
-    ("closure", UNION, 1, "mode=fine rule=union tainted outputs=['out'] exceptions=1"),
+    ("closure", UNION, 1,
+     "mode=fine rule=union tainted outputs=['out'] exceptions=1 (input and initial memory tags zero)"),
     ("precise_subset", PRECISE, 2, "output out: precise 0x3 not within union 0x1"),
     ("coarse_subset", PRECISE, 2, "output out: fine(precise) 0x3 not within boundary 0x1"),
 ])

@@ -34,7 +34,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BITVALUE, TAINT, TAINTED = (f"src/diftsim/{m}.py" for m in ("bitvalue", "taint", "tainted"))
+BITVALUE, TAINT, TAINTED, KERNEL_IR = (
+    f"src/diftsim/{m}.py" for m in ("bitvalue", "taint", "tainted", "kernel_ir")
+)
 MODEL = "tests/reference_model.py"
 
 MUTANTS = [
@@ -82,6 +84,15 @@ MUTANTS = [
     ("M19", TAINT, "MAX_TAG_WIDTH = 32", "MAX_TAG_WIDTH = 16", "tags are up to 32 bits wide"),
     ("M20", BITVALUE, "    s = sign_bit(ty)\n    return (bits ^ s) - s", "    return bits",
      "decode reads signed bits as two's complement"),
+    # The front end.
+    ("M21", KERNEL_IR, "signature = (op, keys[out], keys[x]", "signature = (op, keys[x]",
+     "lower shares functions only between nodes of one result type"),
+    ("M22", KERNEL_IR, "_new(BitValue, (ty, value & ty.mask))", "_new(BitValue, (ty, value))",
+     "a parsed constant's bits are its value wrapped to its type"),
+    ("M23", KERNEL_IR,
+     "i = esc[iid] = _esc(iid)\n        t = names.get(ty) or names.setdefault(ty, str(ty))",
+     "i = esc[iid] = _esc(iid)\n        t = names.get(ty.width) or names.setdefault(ty.width, str(ty))",
+     "emit_dot labels an input with its own type"),
 ]
 # Tier-1 but for tests/test_mutants.py, whose check of the old texts every
 # mutant fails.
