@@ -4,14 +4,14 @@ The toolkit pairs bit-accurate values with taint tags, propagates tags
 through every operator under a selectable rule, watches declared
 checkpoints with a policy monitor, and ships a simulator plus compiler
 passes that provably preserve values, tags, and the exception sequence.
-Three known defects, open in ROADMAP.md, are the exceptions until they
-are fixed: dead_code_elim drops a dead node that traps, const_fold can
-reorder coarse-mode exceptions, and a store at a tainted address leaks
-under both rules (it leaves the other cells' tags unchanged, and the
-precise store drops the address tag, a kill no test validates). Strict
-xfail tests in tests/test_kernel_ir.py pin the first two, and
+Two known defects, open in ROADMAP.md, are the exceptions until they
+are fixed: dead_code_elim drops a dead node that traps, and a store at a
+tainted address leaks under both rules (it leaves the other cells' tags
+unchanged, and the precise store drops the address tag, a kill no test
+validates). The strict xfail test_dce_keeps_dead_division_that_traps in
+tests/test_kernel_ir.py pins the first, and
 test_a_store_at_a_tainted_address_is_noninterfering in
-tests/test_simulator.py the third; this note goes when each is fixed.
+tests/test_simulator.py the second; this note goes when each is fixed.
 """
 
 from .bitvalue import BitType, BitValue, OpKind

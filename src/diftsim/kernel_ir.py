@@ -611,16 +611,18 @@ def lower(k: Kernel) -> Plan:
 def const_fold(k: Kernel, diags: list[Diagnostic] | None = None) -> Kernel:
     """Replace nodes whose arguments are all constants with new constants.
 
-    The folded constant keeps the node's id, so checkpoint arguments and
-    output sources keep resolving. Division by zero is reported as a
-    warning and the node left unfolded.
+    The folded constant keeps the node's id, so output sources keep
+    resolving. A node a checkpoint watches is never folded: that would
+    move its checkpoint to step 0 and reorder coarse-mode exceptions.
+    Division by zero is reported as a warning and the node left unfolded.
     """
     consts: dict[str, BitValue] = dict(k.constants)
     new_consts = list(k.constants)
     kept: list[Node] = []
+    watched = {arg for _, arg, _ in k.checkpoints}
     for node in k.nodes:
         nid, op, args, ty = node
-        if op is LOAD or op is STORE or not all(map(consts.__contains__, args)):
+        if op is LOAD or op is STORE or nid in watched or not all(map(consts.__contains__, args)):
             kept.append(node)
             continue
         operands = [consts[a] for a in args]

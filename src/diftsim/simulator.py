@@ -33,8 +33,9 @@ A trap is data from the value walk to the API edge: _execute returns it
 as (type, located message, node id, step), the pass stores it, and the
 replay core returns it. Only run_baseline and run_dift raise one, as a
 new exception from frames that hold no run state. check_configs catches
-the one its baseline raises; it and fuzz_properties compare the
-replays' traps as data. Distinct runs over immutable kernels are
+the one its baseline raises and compares its replays' traps as data;
+fuzz_properties skips a trial whose pass traps, since every run of the
+trial replays that pass. Distinct runs over immutable kernels are
 independent. All randomness is seeded.
 """
 
@@ -453,7 +454,7 @@ def sample_inputs(k: Kernel, rng: random.Random) -> RunInputs:
 
 class Mismatch(NamedTuple):
     sample: int
-    kind: str  # "value" | "error" | "opt_value" | "opt_tag" | "opt_exceptions"
+    kind: str  # "error" | "opt_value" | "opt_tag" | "opt_exceptions"
     detail: str
     inputs: RunInputs
 
@@ -482,11 +483,11 @@ def _exception_seq(denied) -> list[tuple[str, str, int, str]]:
 
 
 def check_consistency(k: Kernel, cfg: DiftConfig, samples: int, seed: int) -> ConsistencyReport:
-    """Seeded differential run: baseline vs tracked output values, plus
-    optimized (const_fold + dead_code_elim) vs unoptimized tracked runs
-    compared on values, tags, and the exception sequence. A pair that
-    fails with the same error on the same node is consistent, and so is a
-    baseline trap beside a tracked run that halted before reaching it."""
+    """Seeded differential run: optimized (const_fold + dead_code_elim)
+    vs unoptimized tracked runs, compared on traps, the exception
+    sequence, halting and output tags, and the optimized output values
+    against run_baseline's. A pair that fails with the same error on the
+    same node is consistent."""
     return check_configs(k, [cfg], samples, seed)[0]
 
 
@@ -506,11 +507,10 @@ def check_configs(
     found: list[list[Mismatch]] = [[] for _ in cfgs]
     for i in range(samples):
         ri = sample_inputs(k, rng)
-        # Traps are compared by type and node: steps shift across passes.
         try:
-            base, base_err = run_baseline(k, ri), None
-        except EvalError as e:
-            base, base_err = None, (type(e).__name__, e.node_id)
+            base = run_baseline(k, ri)
+        except EvalError:  # every replay of k traps on the same node or halts first
+            base = None
         values, opt_values = _values(k, ri), _values(opt, ri)
         input_tags = _input_tags(k, ri.tags)
         for (rule, halt), mismatches in zip(runs, found):
@@ -521,17 +521,8 @@ def check_configs(
             opt_outputs, opt_denied, _, _, opt_halted, opt_trap = _track(
                 opt, opt_values, input_tags, opt.plan.memory_tags, rule, halt
             )
+            # Traps are compared by type and node: steps shift across passes.
             dift_err, opt_err = [t and (t[0].__name__, t[2]) for t in (trap, opt_trap)]
-            if base_err or dift_err:
-                # A replay traps at or before its halt: one that halted stopped first.
-                if base_err != dift_err and not (dift_err is None and halted):
-                    add(Mismatch(i, "error", f"baseline {base_err} vs dift {dift_err}", ri))
-            elif not halted:
-                for oid, value in base.items():
-                    got = outputs[oid][0]
-                    if got != value:
-                        add(Mismatch(i, "value", f"output {oid}: baseline {value}, dift {got}", ri))
-
             if dift_err or opt_err:
                 if dift_err != opt_err:
                     add(Mismatch(i, "error", f"unoptimized {dift_err} vs optimized {opt_err}", ri))
@@ -543,10 +534,11 @@ def check_configs(
                 if halted != opt_halted:
                     add(Mismatch(i, "opt_value", "halt state differs", ri))
                 continue
-            for oid, (value, tag) in outputs.items():
+            for oid, value in base.items():
                 ovalue, otag = opt_outputs[oid]
                 if value != ovalue:
                     add(Mismatch(i, "opt_value", f"output {oid}: {value} vs {ovalue}", ri))
+                tag = outputs[oid][1]
                 if tag != otag:
                     add(Mismatch(i, "opt_tag", f"output {oid} tag: {tag} vs {otag}", ri))
     modes = [("coarse", None) if c.rule is None else ("fine", c.rule.value) for c in cfgs]
@@ -589,9 +581,7 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
     A trial's runs are replays of one value pass from tags given as data:
     the closure runs from zero input and memory tags, the others from the
     sample's tags, and the monotonicity run with one input's tag widened.
-    They share their input values and memory, so they trap alike: a trial
-    whose runs all fail with the same error on the same node passes, and
-    runs that disagree give a "trap" counterexample."""
+    So they trap alike, and a trial whose pass traps is skipped."""
     rng = random.Random(seed)
     tw = k.tag_width
     rules = (UNION, PRECISE, None)
@@ -619,13 +609,7 @@ def fuzz_properties(k: Kernel, trials: int, seed: int) -> PropertyReport:
 
         values = _values(k, ri)  # the runs differ only in tags
         results = [_track(k, values, *run, False) for run in runs]
-        traps = [result[5] for result in results]
-        if any(traps):
-            if None in traps or len(set(traps)) > 1:
-                outcomes = ", ".join(
-                    "ok" if t is None else f"{t[0].__name__} at {t[2]}" for t in traps
-                )
-                cexs.append(Counterexample("trap", trial, ri, f"runs disagree: {outcomes}"))
+        if results[0][5] is not None:  # the pass traps, so every run does
             continue
         outputs = [result[0] for result in results]
 

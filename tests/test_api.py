@@ -252,7 +252,6 @@ def test_the_per_node_code_reads_no_enum_member_through_its_class():
 PRIVATE_READS = {
     ("test_simulator", "test_halting_runs_walk_no_value_past_their_deny"): {"_execute"},
     ("test_simulator", "test_fuzz_passes_trials_that_trap_alike"): {"_values"},
-    ("test_simulator", "test_fuzz_reports_runs_that_trap_differently"): {"_track"},
     ("test_api", "PER_NODE"): {"_track"},
 }
 

@@ -1006,8 +1006,8 @@ FOLDED_CHECKPOINT_DOC = minimal_doc(
 )
 
 
-# ROADMAP Open item 1: the passes break behaviour on these two kernels.
-# The fix must remove the xfail markers.
+# ROADMAP Open item 1: dead_code_elim breaks behaviour on this kernel.
+# The fix must remove the xfail marker.
 @pytest.mark.xfail(strict=True, reason="ROADMAP Open item 1: dead_code_elim drops a dead node that traps")
 def test_dce_keeps_dead_division_that_traps():
     kernel, diags = parse(DEAD_DIVISION_DOC)
@@ -1016,7 +1016,6 @@ def test_dce_keeps_dead_division_that_traps():
     assert report.mismatches == ()
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP Open item 1: const_fold reorders coarse-mode exceptions")
 @pytest.mark.parametrize("on_exception", ["record", "halt"])
 def test_const_fold_keeps_coarse_exception_order(on_exception):
     kernel, diags = parse(FOLDED_CHECKPOINT_DOC)

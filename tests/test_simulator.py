@@ -345,6 +345,41 @@ def test_mutant_rules_caught_by_closure_and_subsets(monkeypatch, prop, rule, bit
     assert next(c.detail for c in report.counterexamples if c.property == prop) == detail
 
 
+def watched_add_kernel(source):
+    """n = a + a under a deny_if_any checkpoint; the output reads source."""
+    doc = {
+        "name": "watched_add",
+        "tag_width": 2,
+        "inputs": [{"id": "a", "width": 4}],
+        "nodes": [{"id": "n", "op": "add", "args": ["a", "a"], "width": 4}],
+        "policies": [{"name": "p", "kind": "deny_if_any"}],
+        "checkpoints": [{"id": "cp", "arg": "n", "policy": "p"}],
+        "outputs": [{"id": "out", "source": source}],
+    }
+    return parsed(doc)
+
+
+def test_closure_reports_a_rule_that_taints_only_a_checkpoint(monkeypatch):
+    # The output reads the input, so only the checkpoint sees the taint.
+    monkeypatch.setattr(diftsim.taint, "tag_fn", tainting_tag_fn(UNION, 1))
+    report = fuzz_properties(watched_add_kernel("a"), trials=2, seed=0)
+    assert [(c.property, c.detail) for c in report.counterexamples] == [
+        ("closure", "mode=fine rule=union tainted outputs=[] exceptions=1 "
+                    "(input and initial memory tags zero)")
+    ] * 2
+
+
+def test_a_tag_wider_than_the_kernel_is_cut_to_its_tag_width(fir4):
+    # parse_inputs accepts any int as a tag; a run keeps only the bits
+    # below the kernel's tag width.
+    text = json.dumps({"values": {"x0": 1}, "tags": {"x0": 2**40 | 1}})
+    wide, diags = parse_inputs(text)
+    assert diags == [] and wide.tags == {"x0": 2**40 | 1}
+    narrow = RunInputs({"x0": 1}, {"x0": 1})
+    for cfg in five_configs(fir4.tag_width):
+        assert run_dift(fir4, wide, cfg) == run_dift(fir4, narrow, cfg)
+
+
 def test_a_config_of_another_tag_width_is_refused(dot8):
     with pytest.raises(WidthMismatch) as e:
         run_dift(dot8, RunInputs(), DiftConfig(3, CoarseBoundary()))
@@ -832,34 +867,10 @@ def test_fuzz_passes_trials_that_trap_alike(monkeypatch):
     assert seen == divide_inputs
 
 
-def test_fuzz_reports_runs_that_trap_differently(monkeypatch):
-    # A coarse run that traps where the fine runs do not is a "trap"
-    # counterexample carrying the trial's inputs. Replays share one value
-    # pass, so the disagreement is injected where each run is replayed, as
-    # the trap the replay core returns.
-    from diftsim import simulator
-
-    track = simulator._track
-
-    def coarse_traps(k, values, input_tags, memory_tags, rule, halt):
-        if rule is None:
-            return {}, (), (), 0, False, (DivisionByZero, "division by zero", None, None)
-        return track(k, values, input_tags, memory_tags, rule, halt)
-
-    monkeypatch.setattr(simulator, "_track", coarse_traps)
-    report = fuzz_properties(tiny_add_kernel(), trials=3, seed=1)
-    assert [c.property for c in report.counterexamples] == ["trap"] * 3
-    cex = report.counterexamples[0]
-    assert cex.trial == 0 and set(cex.inputs.values) == {"a", "b"}
-    assert cex.detail == (
-        "runs disagree: ok, ok, DivisionByZero at None, ok, ok, DivisionByZero at None, ok"
-    )
-
-
 def test_check_accepts_a_halt_before_the_baseline_trap():
     # n1 = a + a is watched and n2 = a / d is the output. With a tainted and
     # d zero, a halting run stops at step 1, before the baseline's trap at
-    # n2: consistent, not an "error" mismatch.
+    # n2: consistent, as check compares no baseline value with a halted run.
     doc = {
         "name": "halt_first",
         "tag_width": 2,
@@ -1155,8 +1166,8 @@ def reference_check(k, cfg, samples, seed):
 
 
 def test_check_consistency_compares_baseline_values(monkeypatch):
-    # Replays never change values, so only a broken baseline can differ;
-    # the comparison with the real run_baseline must still report it.
+    # The optimized output values are compared with run_baseline's, so an
+    # off-by-one baseline is an opt_value mismatch on every sample.
     from diftsim import simulator
 
     baseline = simulator.run_baseline
@@ -1165,9 +1176,69 @@ def test_check_consistency_compares_baseline_values(monkeypatch):
         return {oid: value + 1 for oid, value in baseline(k, ri, diags).items()}
 
     monkeypatch.setattr(simulator, "run_baseline", off_by_one)
-    report = check_consistency(tiny_add_kernel(), fine(2), samples=3, seed=0)
-    assert [(m.sample, m.kind) for m in report.mismatches] == [(0, "value"), (1, "value"), (2, "value")]
-    assert report.mismatches[0].detail.startswith("output out: baseline ")
+    kernel = tiny_add_kernel()
+    report = check_consistency(kernel, fine(2), samples=3, seed=0)
+    assert [(m.sample, m.kind) for m in report.mismatches] == [(i, "opt_value") for i in range(3)]
+    out = baseline(kernel, report.mismatches[0].inputs)["out"]
+    assert report.mismatches[0].detail == f"output out: {out + 1} vs {out}"
+
+
+def add_zero_kernel():
+    doc = {
+        "name": "add_zero",
+        "tag_width": 2,
+        "inputs": [{"id": "a", "width": 4}, {"id": "b", "width": 4}],
+        "constants": [{"id": "zero", "width": 4, "value": 0}],
+        "nodes": [
+            {"id": "z", "op": "mul", "args": ["b", "zero"], "width": 4},
+            {"id": "n", "op": "add", "args": ["a", "zero"], "width": 4},
+        ],
+        "outputs": [{"id": "out", "source": "n"}],
+    }
+    return parsed(doc)
+
+
+def test_check_reports_a_pass_that_only_adds_taint(monkeypatch):
+    # A defective pass makes n = a + zero read z = b * zero instead: the
+    # same value, and b's tag added. A strict superset is a tag mismatch.
+    from diftsim import simulator
+    from diftsim.simulator import Mismatch
+
+    def add_taint(k, diags=None):
+        z, n = k.nodes
+        return k._replace(nodes=(z, n._replace(args=("a", "z"))))
+
+    monkeypatch.setattr(simulator, "const_fold", add_taint)
+    kernel = add_zero_kernel()
+    report = check_consistency(kernel, fine(2), samples=20, seed=0)
+    rng = random.Random(0)
+    expected = []
+    for i in range(20):
+        ri = sample_inputs(kernel, rng)
+        ta, tb = ri.tags["a"], ri.tags["b"]
+        if tb & ~ta:
+            expected.append(Mismatch(i, "opt_tag", f"output out tag: {ta} vs {ta | tb}", ri))
+    assert expected and report.mismatches == tuple(expected)
+
+
+def test_check_reports_a_pass_that_halts_only_one_kernel(monkeypatch):
+    # A defective pass that drops the checkpoint: the unoptimized run halts
+    # at its deny and the optimized one runs to the end.
+    from diftsim import simulator
+
+    def drop_checkpoints(k, diags=None):
+        return k._replace(checkpoints=())
+
+    monkeypatch.setattr(simulator, "const_fold", drop_checkpoints)
+    kernel = watched_add_kernel("n")
+    report = check_consistency(kernel, fine(2, UNION, "halt"), samples=20, seed=0)
+    rng = random.Random(0)
+    tainted = [i for i in range(20) if sample_inputs(kernel, rng).tags["a"]]
+    assert tainted, "no sample was tainted"
+    assert [(m.sample, m.kind) for m in report.mismatches] == [
+        (i, kind) for i in tainted for kind in ("opt_exceptions", "opt_value")
+    ]
+    assert {m.detail for m in report.mismatches if m.kind == "opt_value"} == {"halt state differs"}
 
 
 def test_check_consistency_matches_a_run_by_run_reference(defective_passes):

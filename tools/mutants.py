@@ -34,8 +34,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BITVALUE, TAINT, TAINTED, KERNEL_IR = (
-    f"src/diftsim/{m}.py" for m in ("bitvalue", "taint", "tainted", "kernel_ir")
+BITVALUE, TAINT, TAINTED, KERNEL_IR, SIMULATOR, MONITOR = (
+    f"src/diftsim/{m}.py"
+    for m in ("bitvalue", "taint", "tainted", "kernel_ir", "simulator", "policy_monitor")
 )
 MODEL = "tests/reference_model.py"
 
@@ -93,6 +94,63 @@ MUTANTS = [
      "i = esc[iid] = _esc(iid)\n        t = names.get(ty) or names.setdefault(ty, str(ty))",
      "i = esc[iid] = _esc(iid)\n        t = names.get(ty.width) or names.setdefault(ty.width, str(ty))",
      "emit_dot labels an input with its own type"),
+    # Runs: the value pass, the replay and the halting cut.
+    ("M24", BITVALUE, "return cells[i] & mask", "return cells[i]",
+     "a load wraps the cell it reads to the memory's width"),
+    ("M25", SIMULATOR, "boundary |= join", "pass",
+     "the coarse boundary joins every memory's initial tags"),
+    ("M26", SIMULATOR, "cells = list(override)", "cells = override",
+     "a run copies a memory override and never writes the caller's list"),
+    ("M27", SIMULATOR, "trap[3] <= stop", "trap[3] < stop",
+     "a trap at the last step a replay needs stops that replay"),
+    ("M28", SIMULATOR, "bisect_right(steps, done)", "bisect_right(steps, done - 1)",
+     "a run observes every checkpoint up to and at its last step"),
+    ("M29", SIMULATOR, "ran = i\n", "ran = i - 1\n",
+     "a halting run observes the checkpoint that denied"),
+    ("M30", SIMULATOR, "if t_p & ~t_u:", "if t_p & ~t_u & 1:",
+     "fuzz checks every bit of precise within union"),
+    ("M31", SIMULATOR, "_cells(m.size, init_tags)", "_cells(m.size, ())",
+     "a fine run starts from the memories' initial tags"),
+    ("M32", SIMULATOR, "if (boundary if tags is None else tags[slot]) & bits:",
+     "if (0 if tags is None else tags[slot]) & bits:",
+     "a halting coarse run judges its checkpoints on the boundary tag"),
+    ("M33", SIMULATOR, "if seq != opt_seq:", "if False:",
+     "check compares the optimized exception sequence"),
+    ("M34", SIMULATOR, "if base_tag & ~wide_tag:", "if False:",
+     "fuzz checks union monotonicity"),
+    ("M35", SIMULATOR, "            if trap is not None:\n                break\n", "",
+     "a halting run stops at a trap"),
+    ("M36", SIMULATOR, "vals += k.plan.constants", "vals += [0] * len(k.plan.constants)",
+     "a value pass holds the kernel's constants"),
+    ("M37", SIMULATOR, '            warn(inp.id, "input not assigned; defaulting to 0")\n', "",
+     "an input left unassigned is a warning"),
+    ("M38", SIMULATOR, "elif tag_in:", "elif False:",
+     "a nonzero REG_TAG_IN word tags the inputs left untagged"),
+    ("M39", SIMULATOR, "if value != ovalue:", "if False:",
+     "check compares the optimized output values with the baseline's"),
+    # Memory tags.
+    ("M40", TAINT, "data_tag if precise else addr_tag | data_tag", "data_tag",
+     "a union store joins the address tag into the cell"),
+    ("M41", TAINT, "return addr_tag | cell_tags[(addr ^ sy) - sy]",
+     "return cell_tags[(addr ^ sy) - sy]", "a load joins the address tag"),
+    # The monitor.
+    ("M42", MONITOR, "exceptions[-1].tag_bits", "exceptions[0].tag_bits",
+     "REG_TAG_OUT holds the last denial's tag bits"),
+    ("M43", MONITOR, "if word & 1:", "if word & 2:",
+     "bit 0 of a REG_STATUS write clears the queue"),
+    ("M44", MONITOR, "    state.exceptions.clear()\n    return drained", "    return drained",
+     "drain_exceptions empties the queue"),
+    ("M45", MONITOR, "state.exceptions += exceptions", "state.exceptions += exceptions[:1]",
+     "record queues every denial of a run"),
+    # The survivors of the first run-level probe, each with its own test.
+    ("M46", SIMULATOR, "if bad or denied:", "if bad:",
+     "fuzz closure counts a checkpoint's denial"),
+    ("M47", SIMULATOR, "tags[inp.id] & mask", "tags[inp.id]",
+     "an input tag is cut to the kernel's tag width"),
+    ("M48", SIMULATOR, "if tag != otag:", "if tag & ~otag:",
+     "check reports an optimized output tag that gains bits"),
+    ("M49", SIMULATOR, "if halted != opt_halted:", "if False:",
+     "check reports a pass after which only one kernel halts"),
 ]
 # Tier-1 but for tests/test_mutants.py, whose check of the old texts every
 # mutant fails.
