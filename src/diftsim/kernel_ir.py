@@ -614,7 +614,8 @@ def const_fold(k: Kernel, diags: list[Diagnostic] | None = None) -> Kernel:
     The folded constant keeps the node's id, so output sources keep
     resolving. A node a checkpoint watches is never folded: that would
     move its checkpoint to step 0 and reorder coarse-mode exceptions.
-    Division by zero is reported as a warning and the node left unfolded.
+    A div or mod by zero is reported as a warning, in the trap's own words,
+    and the node left unfolded.
     """
     consts: dict[str, BitValue] = dict(k.constants)
     new_consts = list(k.constants)
@@ -628,9 +629,9 @@ def const_fold(k: Kernel, diags: list[Diagnostic] | None = None) -> Kernel:
         operands = [consts[a] for a in args]
         try:
             bits = apply_op(op, [v.bits for v in operands], [v.ty for v in operands], ty)
-        except DivisionByZero:
+        except DivisionByZero as e:
             if diags is not None:
-                diags.append(Diagnostic("warning", nid, "division by zero; node not folded"))
+                diags.append(Diagnostic("warning", nid, f"{e}; node not folded"))
             kept.append(node)
             continue
         value = consts[nid] = _new(BitValue, (ty, bits))

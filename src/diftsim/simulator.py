@@ -245,15 +245,6 @@ def _init_tags(k: Kernel, input_tags: list, memory_tags) -> list:
     return tags
 
 
-def _steps(k: Kernel, start, stop) -> tuple:
-    """k.plan.steps from step start + 1 to step stop (None: the last),
-    sliced only for a part."""
-    steps = k.plan.steps
-    if start or stop is not None and stop < len(steps):
-        return steps[start:stop]
-    return steps
-
-
 def _execute(k: Kernel, vals: list, start=0, stop=None) -> tuple | None:
     """The one value walk over k.plan, from step start + 1 to step stop
     (None: the last): each step sets its slot by its value function. The
@@ -261,7 +252,7 @@ def _execute(k: Kernel, vals: list, start=0, stop=None) -> tuple | None:
     its node and step, node id, step); else None. Nodes hold the last
     len(k.nodes) slots in declaration order, so a step is found from its slot."""
     try:
-        for out, value_of, x, y, z, _, _ in _steps(k, start, stop):
+        for out, value_of, x, y, z, _, _ in k.plan.steps[start:stop]:
             vals[out] = value_of(vals[x], vals[y], vals[z])
     except EvalError as e:
         step = out - len(vals) + len(k.nodes) + 1
@@ -367,7 +358,7 @@ def _replay(k: Kernel, values: list, tags, precise, start=0, stop=None) -> tuple
     else:
         trap = None
     if tags is not None:
-        for out, _, x, y, z, union_of, precise_of in _steps(k, start, stop):
+        for out, _, x, y, z, union_of, precise_of in k.plan.steps[start:stop]:
             tag_of = precise_of if precise else union_of
             tags[out] = tag_of(vals[x], vals[y], vals[z], tags[x], tags[y], tags[z])
     return stop, trap

@@ -19,7 +19,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .bitvalue import AND, LOAD, MUL, MUX, OR, STORE, BitType, OpKind, pad_operands, sign_bit
+from .bitvalue import AND, LOAD, MUL, MUX, OR, STORE, BitType, OpKind, sign_bit
 from .errors import InvalidType
 
 MAX_TAG_WIDTH = 32
@@ -156,15 +156,3 @@ def tag_fn(rule: PropagationRule, kind: OpKind, types: Sequence, result_ty: BitT
                 _all_ones_mask(types[0], result_ty), _all_ones_mask(types[1], result_ty)
             )
     return _join
-
-
-def tag_bits(
-    rule: PropagationRule,
-    kind: OpKind,
-    bits: Sequence[int],
-    types: Sequence[BitType],
-    tags: Sequence[int],
-    result_ty: BitType,
-) -> int:
-    """Result tag bits of one value operation, as tag_fn defines."""
-    return tag_fn(rule, kind, types, result_ty)(*pad_operands(bits), *pad_operands(tags))

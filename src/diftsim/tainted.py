@@ -3,7 +3,7 @@
 A DiftValue pairs a BitValue with its Tag, and every operation produces
 result value and result tag in lockstep; the value half is bit-identical
 to the plain untainted computation. Each function here checks its
-arguments and then applies bitvalue.apply_op and taint.tag_bits, the
+arguments and then applies bitvalue.apply_op and taint.tag_fn, the
 definitions that the simulator's walk runs on raw bits. Nothing in the
 package below this module uses it.
 """
@@ -22,9 +22,10 @@ from .bitvalue import (
     BitValue,
     OpKind,
     apply_op,
+    pad_operands,
 )
 from .errors import ArityMismatch, InvalidType, TypeMismatch, WidthMismatch
-from .taint import MAX_TAG_WIDTH, PropagationRule, tag_bits
+from .taint import MAX_TAG_WIDTH, PropagationRule, tag_fn
 
 
 class Tag(namedtuple("Tag", "width bits")):
@@ -66,7 +67,7 @@ def propagate(
     result_ty: BitType | None = None,
 ) -> Tag:
     """Tag of a value operation's result, from operand values and tags of
-    one width, as tag_bits defines; result_ty defaults to the first
+    one width, as tag_fn defines; result_ty defaults to the first
     operand's type."""
     if kind not in VALUE_OPS:
         raise TypeMismatch(f"{kind.value} does not produce a propagated tag")
@@ -78,15 +79,15 @@ def propagate(
     for _, t in operands:
         if t.width != width:
             raise WidthMismatch(f"tag widths differ: {t.width} vs {width}")
-    bits = tag_bits(
+    tag_of = tag_fn(
         rule,
         kind,
-        [v.bits for v, _ in operands],
         [v.ty for v, _ in operands],
-        [t.bits for _, t in operands],
         operands[0][0].ty if result_ty is None else result_ty,
     )
-    return Tag(width, bits)
+    bits = [v.bits for v, _ in operands]
+    tags = [t.bits for _, t in operands]
+    return Tag(width, tag_of(*pad_operands(bits), *pad_operands(tags)))
 
 
 def apply_binop(

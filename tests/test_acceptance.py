@@ -10,7 +10,6 @@ import time
 
 import pytest
 
-from conftest import load_inputs
 from diftsim import (
     BitType,
     BitValue,
@@ -232,8 +231,9 @@ def test_c07_buffer_overflow_demo(tmp_path):
 
 
 def test_c08_monitor_state_machine():
-    """irq holds exactly when the queue is nonempty, and REG_EXC_COUNT
-    equals the queue length, under 1000 random operation sequences."""
+    """irq holds exactly when the queue is nonempty, REG_STATUS reads it,
+    and REG_EXC_COUNT equals the queue length, under 1000 random operation
+    sequences."""
     rng = random.Random(SEED)
     deny_any = Policy("any", PolicyKind.DENY_IF_ANY)
     for _ in range(1000):
@@ -250,6 +250,7 @@ def test_c08_monitor_state_machine():
                 drain_exceptions(state)
             assert state.irq == (len(state.exceptions) > 0)
             assert reg_read(state, REG_EXC_COUNT) == len(state.exceptions)
+            assert reg_read(state, REG_STATUS) == int(state.irq)
     print("ACCEPTANCE 08 monitor state machine: PASS (1000 sequences)")
 
 

@@ -74,43 +74,6 @@ def test_parse_fir4_counts(fir4):
     assert len(fir4.checkpoints) == 1
 
 
-def test_undefined_id_is_named_in_diagnostic():
-    doc = minimal_doc(
-        nodes=[{"id": "n0", "op": "add", "args": ["a", "ghost"], "width": 8, "signed": False}]
-    )
-    kernel, diags = parse(doc)
-    assert kernel is None
-    assert any("ghost" in d.message and d.severity == "error" for d in diags)
-
-
-def test_later_defined_id_rejected():
-    doc = minimal_doc(
-        nodes=[
-            {"id": "n0", "op": "add", "args": ["a", "n1"], "width": 8, "signed": False},
-            {"id": "n1", "op": "add", "args": ["a", "a"], "width": 8, "signed": False},
-        ]
-    )
-    kernel, diags = parse(doc)
-    assert kernel is None
-    assert any("n1" in d.message for d in diags if d.severity == "error")
-
-
-def test_unknown_keys_rejected():
-    kernel, diags = parse(minimal_doc(frobnicate=1))
-    assert kernel is None and any("frobnicate" in d.message for d in diags)
-    doc = minimal_doc()
-    doc["inputs"][0]["surprise"] = True
-    kernel, diags = parse(doc)
-    assert kernel is None and any("surprise" in d.message for d in diags)
-
-
-def test_malformed_json_reports_line():
-    kernel, diags = parse_kernel('{\n  "name": "x",\n  ???\n}')
-    assert kernel is None
-    assert diags[0].severity == "error"
-    assert diags[0].location.startswith("line ")
-
-
 def test_validate_rejects_mask_of_other_width_than_tags():
     # parse_kernel keeps every mask within the kernel's tag width; a kernel
     # built by hand can hold a wider one, or no int, and validate must
@@ -462,14 +425,20 @@ def test_const_fold_div_by_zero_left_unfolded():
             {"id": "k0", "width": 8, "signed": False, "value": 0},
             {"id": "k7", "width": 8, "signed": False, "value": 7},
         ],
-        nodes=[{"id": "d", "op": "div", "args": ["k7", "k0"], "width": 8, "signed": False}],
+        nodes=[
+            {"id": "d", "op": "div", "args": ["k7", "k0"], "width": 8, "signed": False},
+            {"id": "m", "op": "mod", "args": ["k7", "k0"], "width": 8, "signed": False},
+        ],
         outputs=[{"id": "out", "source": "a"}],
     )
     kernel, _ = parse(doc)
     diags = []
     folded = const_fold(kernel, diags)
-    assert [n.id for n in folded.nodes] == ["d"]
-    assert any(d.severity == "warning" and d.location == "d" for d in diags)
+    assert [n.id for n in folded.nodes] == ["d", "m"]
+    assert [str(d) for d in diags] == [
+        "warning: d: division by zero; node not folded",
+        "warning: m: modulo by zero; node not folded",
+    ]
 
 
 def test_const_fold_preserves_checkpoint_exceptions():
@@ -593,12 +562,6 @@ def test_instrument_value_view_isomorphic(fir4, dot8, overflow_demo):
         plain_values = [line for line in dot_body(plain) if '"c:' not in line]
         assert all(line.startswith('  "v:') for line in plain_values)
         assert [line for line in dot_body(instrumented) if line.startswith('  "v:')] == plain_values
-
-
-def test_emit_dot_deterministic(fir4):
-    graph = instrument(fir4, cfg_for(fir4))
-    assert emit_dot(graph) == emit_dot(instrument(fir4, cfg_for(fir4)))
-    assert emit_dot(fir4) == emit_dot(fir4)
 
 
 def test_emit_dot_empty_kernel():
@@ -964,23 +927,11 @@ def test_parsed_and_folded_records_are_what_the_public_constructors_build(name):
     ]
 
 
-def test_pass_composition_preserves_runs(fir4, dot8, overflow_demo):
-    rng = random.Random(31)
-    for kernel in (fir4, dot8, overflow_demo):
-        optimized = dead_code_elim(const_fold(kernel))
-        assert validate(optimized) == []
-        cfg = cfg_for(kernel)
-        for _ in range(50):
-            ri = sample_inputs(kernel, rng)
-            before = run_dift(kernel, ri, cfg)
-            after = run_dift(optimized, ri, cfg)
-            assert before.outputs == after.outputs
-
-
 def test_passes_idempotent_on_fixtures(fir4, dot8, overflow_demo):
     for kernel in (fir4, dot8, overflow_demo):
         folded = const_fold(kernel)
         assert const_fold(folded) == folded
+        assert validate(dead_code_elim(folded)) == []
         slim = dead_code_elim(kernel)
         assert dead_code_elim(slim) == slim
 

@@ -278,19 +278,6 @@ def test_parse_inputs_rejects_unknown_keys():
     assert inputs is None and diags[0].location.startswith("line ")
 
 
-def test_check_consistency_fixtures(fir4, dot8, overflow_demo):
-    for kernel in (fir4, dot8, overflow_demo):
-        for cfg in (fine(kernel.tag_width), fine(kernel.tag_width, PRECISE), coarse(kernel.tag_width)):
-            report = check_consistency(kernel, cfg, samples=100, seed=1)
-            assert report.ok, report.mismatches[:3]
-
-
-def test_check_consistency_deterministic(fir4):
-    a = check_consistency(fir4, fine(4), samples=50, seed=9)
-    b = check_consistency(fir4, fine(4), samples=50, seed=9)
-    assert a == b
-
-
 def test_independence_oracle():
     # The model's independent, the oracle of every precise kill.
     u2, u4 = (2, False), (4, False)
@@ -312,10 +299,6 @@ def test_fuzz_properties_pass_on_fixtures(fir4, dot8, overflow_demo):
     for kernel in (fir4, dot8, overflow_demo):
         report = fuzz_properties(kernel, trials=100, seed=2)
         assert report.ok, report.counterexamples[:3]
-
-
-def test_fuzz_reproducible(fir4):
-    assert fuzz_properties(fir4, 50, seed=4) == fuzz_properties(fir4, 50, seed=4)
 
 
 def test_mutant_rule_caught_by_monotonicity(monkeypatch):
@@ -392,7 +375,8 @@ def test_halted_run_reports_no_outputs(overflow_demo):
         load_inputs("overflow_tainted.json"),
         fine(2, on_exception="halt"),
     )
-    assert rep.halted and rep.outputs == {} and rep.steps_executed == 1
+    assert rep.halted is True and rep.outputs == {} and rep.steps_executed == 1
+    assert len(rep.exceptions) == 1  # cp_addr denies right after the first node
 
 
 SWEEP_TYPES = [BitType(w, s) for w in range(1, 4) for s in (False, True)]
