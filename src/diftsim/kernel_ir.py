@@ -1,5 +1,5 @@
-"""Straight-line dataflow kernels: file format, validation, compiler passes,
-tracking instrumentation, and DOT export.
+"""Straight-line dataflow kernels: file format, validation, compiler passes
+and tracking instrumentation. diftsim.dot draws them as DOT.
 
 A kernel is an ordered list of SSA nodes over declared inputs, constants,
 and memories, plus security policies, checkpoints, and named outputs. The
@@ -13,7 +13,6 @@ import json
 from collections import namedtuple
 from functools import cached_property, reduce, wraps
 from operator import itemgetter, or_
-from typing import NamedTuple
 
 from . import taint
 from .bitvalue import (
@@ -25,7 +24,6 @@ from .bitvalue import (
     BitValue,
     OpKind,
     apply_op,
-    decode,
     value_fn,
 )
 from .errors import DivisionByZero, InvalidType
@@ -36,10 +34,12 @@ from .taint import MAX_TAG_WIDTH, PRECISE, UNION, DiftConfig
 MAX_MEMORY_CELLS = 1 << 20
 
 
-class Diagnostic(NamedTuple):
-    severity: str  # "error" | "warning"
-    location: str  # "kernel", "node n", "nodes[2]", an id, or "line N" for syntax errors
-    message: str
+class Diagnostic(namedtuple("Diagnostic", "severity location message")):
+    """One parse or validation finding. severity is "error" or "warning";
+    location is "kernel", "node n", "nodes[2]", an id, or "line N" for
+    syntax errors; message is a str."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.location}: {self.message}"
@@ -49,41 +49,44 @@ def has_errors(diags: list[Diagnostic]) -> bool:
     return any(d.severity == "error" for d in diags)
 
 
-class InputDecl(NamedTuple):
-    id: str
-    ty: BitType
-    default_tag: int = 0
+class InputDecl(namedtuple("InputDecl", "id ty default_tag", defaults=(0,))):
+    """An input: its id (str), BitType and default tag bits (int)."""
+
+    __slots__ = ()
 
 
-class ConstDecl(NamedTuple):
-    id: str
-    value: BitValue
+class ConstDecl(namedtuple("ConstDecl", "id value")):
+    """A constant: its id (str) and BitValue."""
+
+    __slots__ = ()
 
 
-class MemoryDecl(NamedTuple):
-    id: str
-    size: int
-    cell: BitType
-    init: tuple[int, ...] = ()  # canonical bits of the first cells; a run zeroes the rest
-    init_tags: tuple[int, ...] = ()  # tag bits of the first cells; a run zeroes the rest
+class MemoryDecl(namedtuple("MemoryDecl", "id size cell init init_tags", defaults=((), ()))):
+    """A memory: its id (str), size in cells (int), cell BitType, and, as
+    tuples of ints, the canonical bits (init) and tag bits (init_tags) of
+    its first cells; a run zeroes the rest."""
+
+    __slots__ = ()
 
 
-class Node(NamedTuple):
-    id: str
-    op: OpKind
-    args: tuple[str, ...]
-    ty: BitType | None = None  # absent for store
+class Node(namedtuple("Node", "id op args ty", defaults=(None,))):
+    """An SSA node: its id (str), OpKind, argument ids (a tuple of str)
+    and result BitType, None for store."""
+
+    __slots__ = ()
 
 
-class CheckpointDecl(NamedTuple):
-    id: str
-    arg: str
-    policy: str
+class CheckpointDecl(namedtuple("CheckpointDecl", "id arg policy")):
+    """A checkpoint: its id, the id of the value it watches, and its
+    policy's name, all str."""
+
+    __slots__ = ()
 
 
-class OutputDecl(NamedTuple):
-    id: str
-    source: str
+class OutputDecl(namedtuple("OutputDecl", "id source")):
+    """An output: its id and the id of its source value, both str."""
+
+    __slots__ = ()
 
 
 class Kernel(namedtuple("Kernel", "name tag_width inputs constants memories nodes"
@@ -100,21 +103,21 @@ class Kernel(namedtuple("Kernel", "name tag_width inputs constants memories node
         return lower(self)
 
 
-class Checkpoints(NamedTuple):
+class Checkpoints(namedtuple("Checkpoints", "steps ids args slots denied_bits policy_names")):
     """A plan's checkpoints as columns, one entry per checkpoint, in firing
     order: by the step after which it observes (0 for an input or a
     constant, else its node's, counted from 1), and in declaration order
-    within a step. A policy is held by its denied bits and its name."""
+    within a step. A policy is held by its denied bits and its name.
 
-    steps: tuple[int, ...]  # the step after which each observes; ascending
-    ids: tuple[str, ...]  # checkpoint ids
-    args: tuple[str, ...]  # the ids of the values they watch
-    slots: tuple[int, ...]  # the slots of those values
-    denied_bits: tuple[int, ...]  # their policies' Policy.denied_bits
-    policy_names: tuple[str, ...]
+    Each column is a tuple: steps, the step after which each observes
+    (ascending ints); ids, the checkpoint ids; args, the ids of the values
+    they watch; slots, the slots of those values (ints); denied_bits,
+    their policies' Policy.denied_bits (ints); policy_names."""
+
+    __slots__ = ()
 
 
-class Plan(NamedTuple):
+class Plan(namedtuple("Plan", "steps constants checkpoints outputs memory_tags")):
     """A valid kernel lowered to slots. Every input, constant, memory and
     node has a slot, numbered in that declaration order; a run keeps its
     values (a memory's: the list of its cells) and tags in lists indexed
@@ -127,13 +130,13 @@ class Plan(NamedTuple):
     resolved by name, so a recording run can judge them all with a few
     calls over whole columns. Each memory's initial tags come with their
     join, so a coarse run's boundary costs one OR per memory, not per cell.
+
+    steps is a tuple of those step tuples; constants, the bits of each
+    constant; outputs, an (output id, source slot) pair per output;
+    memory_tags, an (init_tags, their OR) pair per memory.
     """
 
-    steps: tuple[tuple, ...]
-    constants: tuple[int, ...]  # bits of each constant
-    checkpoints: Checkpoints
-    outputs: tuple[tuple[str, int], ...]  # (output id, source slot)
-    memory_tags: tuple[tuple[tuple[int, ...], int], ...]  # (init_tags, their OR) per memory
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -659,14 +662,13 @@ def dead_code_elim(k: Kernel) -> Kernel:
 # Instrumentation and DOT export
 # ---------------------------------------------------------------------------
 
-class InstrumentedGraph(NamedTuple):
-    """A kernel instrumented for tracking: a tag wire per value wire, a
+class InstrumentedGraph(namedtuple("InstrumentedGraph", "kernel rule")):
+    """A Kernel instrumented for tracking: a tag wire per value wire, a
     propagation node per op node under rule ("union", "precise" or
     "boundary"), and one monitor fed by the checkpoints' tag wires. The
     graph exists to be drawn; emit_dot draws it from the kernel."""
 
-    kernel: Kernel
-    rule: str
+    __slots__ = ()
 
 
 def instrument(k: Kernel, cfg: DiftConfig) -> InstrumentedGraph:
@@ -674,102 +676,8 @@ def instrument(k: Kernel, cfg: DiftConfig) -> InstrumentedGraph:
     return InstrumentedGraph(k, cfg.rule.value if cfg.rule is not None else "boundary")
 
 
-_TAG_NODE = 'shape=box, style="rounded,dashed", color=gray40, fontcolor=gray40, label="'
-_TAG_EDGE = " [style=dashed, color=gray40];"
-
-
-def _esc(s: str) -> str:
-    """s escaped for a DOT quoted string. Escaping is per character, so
-    _esc(a + b) == _esc(a) + _esc(b)."""
-    if '"' in s or "\\" in s:
-        return s.replace("\\", "\\\\").replace('"', '\\"')
-    return s
-
-
 def emit_dot(g: Kernel | InstrumentedGraph) -> str:
-    """Deterministic DOT rendering: value edges solid, tag edges dashed,
-    monitor double-outlined. A plain Kernel is drawn as its value graph
-    with a diamond per checkpoint. Identical input gives byte-identical
-    output.
+    """Deterministic DOT rendering of g, as dot.emit_dot draws it."""
+    from .dot import emit_dot
 
-    One pass over the declarations escapes each declaration id once and
-    fills four line lists: value nodes, tag nodes (or checkpoint nodes),
-    value edges, tag edges (or checkpoint edges). An argument no
-    declaration names (the kernel is invalid) is drawn all the same."""
-    k, rule = (g, None) if isinstance(g, Kernel) else (g.kernel, g.rule)
-    tags = rule is not None
-    vnodes: list[str] = []
-    tnodes: list[str] = []
-    vedges: list[str] = []
-    tedges: list[str] = []
-    esc, names = {}, {}  # declaration id -> escaped id; type -> str(type), formatted once
-    for iid, ty, default_tag in k.inputs:
-        i = esc[iid] = _esc(iid)
-        t = names.get(ty) or names.setdefault(ty, str(ty))
-        vnodes.append(f'  "v:{i}" [shape=ellipse, label="{i} : {t}"];')
-        if tags:
-            tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tag = {default_tag}"];')
-    for cid, (ty, bits) in k.constants:
-        i = esc[cid] = _esc(cid)
-        t = names.get(ty) or names.setdefault(ty, str(ty))
-        vnodes.append(f'  "v:{i}" [shape=box, label="{i} = {decode(bits, ty)} : {t}"];')
-        if tags:
-            tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tag = 0"];')
-    for mid, size, cell, _, _ in k.memories:
-        i = esc[mid] = _esc(mid)
-        vnodes.append(f'  "v:{i}" [shape=box3d, label="{i}[{size}] : {cell}"];')
-        if tags:
-            tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}.tags"];')
-    tag_suffix = f'.tag = {rule}"];'
-    tails: dict[tuple, str] = {}  # (op, type) -> the end of a value node's line
-    for nid, op, args, ty in k.nodes:
-        i = esc[nid] = _esc(nid)
-        tail = tails.get((op, ty))
-        if tail is None:
-            store = op is STORE
-            tail = tails[op, ty] = ': store"];' if store else f' = {op.value} : {ty}"];'
-        vnodes.append(f'  "v:{i}" [shape=box, style=rounded, label="{i}{tail}')
-        if tags:
-            tnodes.append(f'  "t:{i}" [{_TAG_NODE}{i}{tag_suffix}')
-        for a in args:
-            a = esc.get(a) or _esc(a)
-            vedges.append(f'  "v:{a}" -> "v:{i}";')
-            if tags:
-                tedges.append(f'  "t:{a}" -> "t:{i}"{_TAG_EDGE}')
-        if op is STORE:
-            a = esc.get(args[0]) or _esc(args[0])
-            vedges.append(f'  "v:{i}" -> "v:{a}";')
-            if tags:
-                tedges.append(f'  "t:{i}" -> "t:{a}"{_TAG_EDGE}')
-    for oid, source in k.outputs:
-        i = esc[oid] = _esc(oid)
-        a = esc.get(source) or _esc(source)
-        vnodes.append(f'  "v:{i}" [shape=ellipse, style=bold, label="{i}"];')
-        vedges.append(f'  "v:{a}" -> "v:{i}";')
-        if tags:
-            tedges.append(f'  "t:{a}" -> "v:{i}"{_TAG_EDGE}')
-    if tags:
-        tnodes.append('  "monitor:0" [shape=box, peripheries=2, label="monitor"];')
-    for cid, arg, policy in k.checkpoints:
-        a = esc.get(arg) or _esc(arg)
-        c = _esc(cid)
-        label = f"{c}: {_esc(policy)}"
-        if tags:
-            tedges.append(
-                f'  "t:{a}" -> "monitor:0" [style=dashed, color=gray40, label="{label}", fontsize=9];'
-            )
-        else:
-            tnodes.append(f'  "c:{c}" [shape=diamond, label="{label}"];')
-            tedges.append(f'  "v:{a}" -> "c:{c}"{_TAG_EDGE}')
-    return "\n".join(
-        [
-            f'digraph "{_esc(k.name)}" {{',
-            "  rankdir=LR;",
-            '  node [fontname="Helvetica", fontsize=10];',
-            *vnodes,
-            *tnodes,
-            *vedges,
-            *tedges,
-            "}\n",
-        ]
-    )
+    return emit_dot(g)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import namedtuple
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import BadAddress, InvalidType
 
@@ -55,12 +54,14 @@ class Policy(namedtuple("Policy", "name kind mask", defaults=(None,))):
         return self.mask
 
 
-class SecurityException(NamedTuple):
-    checkpoint_id: str
-    node_id: str
-    tag_bits: int
-    step: int
-    policy_name: str
+class SecurityException(
+    namedtuple("SecurityException", "checkpoint_id node_id tag_bits step policy_name")
+):
+    """One denial: the checkpoint's id, the id of the value it watches, the
+    value's tag bits (int), the step after which it observed (int), and
+    the name of the policy that denied."""
+
+    __slots__ = ()
 
 
 class MonitorState:

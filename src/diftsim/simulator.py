@@ -47,7 +47,6 @@ import random
 from bisect import bisect_right
 from collections import namedtuple
 from operator import and_
-from typing import NamedTuple
 
 from .errors import DiftError, EvalError, WidthMismatch
 from .kernel_ir import Diagnostic, Kernel, const_fold, dead_code_elim, load_json
@@ -66,20 +65,22 @@ class RunInputs(namedtuple("RunInputs", "values tags memory")):
         return tuple.__new__(cls, [{} if d is None else d for d in (values, tags, memory)])
 
 
-class SimulationReport(NamedTuple):
+class SimulationReport(namedtuple(
+    "SimulationReport",
+    "outputs exceptions irq steps_executed mode rule checkpoint_tags halted",
+    defaults=((), False),
+)):
     """Outputs, exceptions, and monitor state of one tracked run.
 
-    checkpoint_tags and halted are in-memory extras; to_json emits exactly
-    the wire schema (outputs, exceptions, irq, steps, mode, rule)."""
+    outputs is a dict from output id to (value bits, tag bits);
+    exceptions, a tuple of SecurityException; irq, a bool;
+    steps_executed, an int; mode, a str; rule, a str or None;
+    checkpoint_tags, a tuple of (checkpoint id, tag bits) pairs; halted,
+    a bool. checkpoint_tags and halted are in-memory extras; to_json
+    emits exactly the wire schema (outputs, exceptions, irq, steps, mode,
+    rule)."""
 
-    outputs: dict[str, tuple[int, int]]  # id -> (value bits, tag bits)
-    exceptions: tuple
-    irq: bool
-    steps_executed: int
-    mode: str
-    rule: str | None
-    checkpoint_tags: tuple[tuple[str, int], ...] = ()
-    halted: bool = False
+    __slots__ = ()
 
     def to_json(self) -> str:
         doc = {
@@ -443,19 +444,19 @@ def sample_inputs(k: Kernel, rng: random.Random) -> RunInputs:
     return RunInputs(values, tags, memory)
 
 
-class Mismatch(NamedTuple):
-    sample: int
-    kind: str  # "error" | "opt_value" | "opt_tag" | "opt_exceptions"
-    detail: str
-    inputs: RunInputs
+class Mismatch(namedtuple("Mismatch", "sample kind detail inputs")):
+    """One failed sample of check_consistency: its index (int), its kind
+    ("error", "opt_value", "opt_tag" or "opt_exceptions"), a detail str,
+    and the RunInputs that show it."""
+
+    __slots__ = ()
 
 
-class ConsistencyReport(NamedTuple):
-    kernel: str
-    mode: str
-    rule: str | None
-    samples: int
-    mismatches: tuple[Mismatch, ...]
+class ConsistencyReport(namedtuple("ConsistencyReport", "kernel mode rule samples mismatches")):
+    """check_consistency's result: the kernel's name, mode, rule (a str or
+    None), the number of samples, and a tuple of Mismatch."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -541,17 +542,18 @@ def check_configs(
 # ---------------------------------------------------------------------------
 
 
-class Counterexample(NamedTuple):
-    property: str
-    trial: int
-    inputs: RunInputs
-    detail: str
+class Counterexample(namedtuple("Counterexample", "property trial inputs detail")):
+    """One trial of fuzz_properties that breaks a property: the property's
+    name, the trial's index (int), its RunInputs, and a detail str."""
+
+    __slots__ = ()
 
 
-class PropertyReport(NamedTuple):
-    kernel: str
-    trials: int
-    counterexamples: tuple[Counterexample, ...]
+class PropertyReport(namedtuple("PropertyReport", "kernel trials counterexamples")):
+    """fuzz_properties's result: the kernel's name, the number of trials,
+    and a tuple of Counterexample."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

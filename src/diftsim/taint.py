@@ -15,9 +15,9 @@ or one boundary tag for the whole kernel (CoarseBoundary).
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from enum import Enum
 from functools import lru_cache
-from typing import NamedTuple, Sequence
 
 from .bitvalue import AND, LOAD, MUL, MUX, OR, STORE, BitType, OpKind, sign_bit
 from .errors import InvalidType
@@ -34,15 +34,17 @@ class PropagationRule(Enum):
 UNION, PRECISE = PropagationRule.UNION, PropagationRule.PRECISE
 
 
-class FineGrained(NamedTuple):
-    """Per-operation tag tracking under the given rule."""
+class FineGrained(namedtuple("FineGrained", "rule")):
+    """Per-operation tag tracking under the given rule, a PropagationRule."""
 
-    rule: PropagationRule
+    __slots__ = ()
 
 
-class CoarseBoundary(NamedTuple):
+class CoarseBoundary(namedtuple("CoarseBoundary", "")):
     """Tags computed only at the component boundary: every output and
     checkpoint observes the join of all input and initial memory tags."""
+
+    __slots__ = ()
 
 
 _ON_EXCEPTION = ("record", "halt")

@@ -11,7 +11,7 @@ package below this module uses it.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 from .bitvalue import (
     BINARY_OPS,
@@ -45,9 +45,10 @@ class Tag(namedtuple("Tag", "width bits")):
         return f"0b{self.bits:0{self.width}b}"
 
 
-class DiftValue(NamedTuple):
-    value: BitValue
-    tag: Tag
+class DiftValue(namedtuple("DiftValue", "value tag")):
+    """A BitValue and its Tag."""
+
+    __slots__ = ()
 
 
 def eval_binop(kind: OpKind, a: BitValue, b: BitValue, result_ty: BitType) -> BitValue:

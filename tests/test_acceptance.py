@@ -168,12 +168,10 @@ def test_c04_dataflow_consistency(consistency_reports):
     """Baseline and optimized tracked output values agree, and tracked
     runs trap alike, for every fixture, every mode and rule, on 1000
     seeded samples each."""
-    started = time.monotonic()
     for (kernel, label), report in consistency_reports.items():
         value_mismatches = [m for m in report.mismatches if m.kind in ("error", "opt_value")]
         assert not value_mismatches, f"{kernel}/{label}: {value_mismatches[:3]}"
         assert report.samples == 1000
-    elapsed = time.monotonic() - started
     print(f"ACCEPTANCE 04 data-flow consistency: PASS (9 configs x 1000 samples)")
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import diftsim
-from diftsim import bitvalue, kernel_ir, policy_monitor, simulator, taint
+from diftsim import bitvalue, dot, kernel_ir, policy_monitor, simulator, taint
 
 PACKAGE = Path(diftsim.__file__).resolve().parent
 BENCHMARKS = PACKAGE.parent.parent / "benchmarks"
@@ -150,6 +150,27 @@ def test_the_cli_loads_neither_the_simulator_nor_tainted():
     assert "diftsim.simulator" not in loaded and "diftsim.tainted" not in loaded
 
 
+def test_only_instrument_loads_the_dot_renderer():
+    fir4, inputs = (str(diftsim.fixture_path(n)) for n in ("fir4.json", "fir4_inputs.json"))
+    commands = [
+        ["run", fir4, inputs], ["check", fir4, "--samples", "5"], ["fuzz", fir4, "--trials", "5"],
+        ["instrument", fir4],
+    ]
+    loaded = fresh(f"""
+        import contextlib, io
+        from diftsim.cli import main
+        loaded = []
+        for argv in {commands!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            loaded.append([argv[0], code, "diftsim.dot" in sys.modules])
+        print(json.dumps(loaded))
+    """)
+    assert loaded == [
+        ["run", 10, False], ["check", 0, False], ["fuzz", 0, False], ["instrument", 0, True],
+    ]
+
+
 NAMES = [*PUBLIC_NAMES, "simulator", "tainted"]
 
 
@@ -218,7 +239,7 @@ def test_the_benchmark_tracer_leaves_no_shim_in_the_package():
 # bind as module constants.
 PER_NODE = [
     kernel_ir.parse_kernel, kernel_ir.validate, kernel_ir.const_fold, kernel_ir.dead_code_elim,
-    kernel_ir.emit_dot, kernel_ir.lower, bitvalue.value_fn, taint.tag_fn, simulator._track,
+    dot.emit_dot, kernel_ir.lower, bitvalue.value_fn, taint.tag_fn, simulator._track,
     simulator.fuzz_properties, policy_monitor.Policy.denied_bits.func,
 ]
 ENUMS = {"OpKind", "PropagationRule", "PolicyKind"}

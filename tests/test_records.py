@@ -186,9 +186,9 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_resources():
     # -S skips site, whose .pth files may import these modules themselves.
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = (
-        "import diftsim.cli, sys; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'importlib.resources') "
-        "if m in sys.modules))"
+        "import diftsim.cli, diftsim.simulator, sys; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'importlib.resources', 'typing', "
+        "'diftsim.dot') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe],

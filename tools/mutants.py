@@ -34,9 +34,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BITVALUE, TAINT, TAINTED, KERNEL_IR, SIMULATOR, MONITOR = (
+BITVALUE, TAINT, TAINTED, KERNEL_IR, DOT, SIMULATOR, MONITOR = (
     f"src/diftsim/{m}.py"
-    for m in ("bitvalue", "taint", "tainted", "kernel_ir", "simulator", "policy_monitor")
+    for m in ("bitvalue", "taint", "tainted", "kernel_ir", "dot", "simulator", "policy_monitor")
 )
 MODEL = "tests/reference_model.py"
 
@@ -90,7 +90,7 @@ MUTANTS = [
      "lower shares functions only between nodes of one result type"),
     ("M22", KERNEL_IR, "_new(BitValue, (ty, value & ty.mask))", "_new(BitValue, (ty, value))",
      "a parsed constant's bits are its value wrapped to its type"),
-    ("M23", KERNEL_IR,
+    ("M23", DOT,
      "i = esc[iid] = _esc(iid)\n        t = names.get(ty) or names.setdefault(ty, str(ty))",
      "i = esc[iid] = _esc(iid)\n        t = names.get(ty.width) or names.setdefault(ty.width, str(ty))",
      "emit_dot labels an input with its own type"),
@@ -151,6 +151,12 @@ MUTANTS = [
      "check reports an optimized output tag that gains bits"),
     ("M49", SIMULATOR, "if halted != opt_halted:", "if False:",
      "check reports a pass after which only one kernel halts"),
+    # The rest of the run-level seed list.
+    ("M50", SIMULATOR, "runs = [(zero_inputs, zero_memories, rule) for rule in rules]",
+     "runs = [(zero_inputs, k.plan.memory_tags, rule) for rule in rules]",
+     "fuzz closure runs start every memory from zero tags"),
+    ("M51", SIMULATOR, "trap = _execute(k, vals, walked, stop)", "trap = _execute(k, vals, walked)",
+     "a replay extends its value pass only to the step it stops at"),
 ]
 # Tier-1 but for tests/test_mutants.py, whose check of the old texts every
 # mutant fails.
