@@ -12,7 +12,7 @@ import gc
 import json
 from collections import namedtuple
 from functools import cached_property, reduce, wraps
-from operator import itemgetter, or_
+from operator import attrgetter, itemgetter, or_
 
 from . import taint
 from .bitvalue import (
@@ -117,7 +117,9 @@ class Checkpoints(namedtuple("Checkpoints", "steps ids args slots denied_bits po
     __slots__ = ()
 
 
-class Plan(namedtuple("Plan", "steps constants checkpoints outputs memory_tags")):
+class Plan(namedtuple(
+    "Plan", "steps constants checkpoints outputs memory_tags input_ids input_masks default_tags"
+)):
     """A valid kernel lowered to slots. Every input, constant, memory and
     node has a slot, numbered in that declaration order; a run keeps its
     values (a memory's: the list of its cells) and tags in lists indexed
@@ -133,7 +135,11 @@ class Plan(namedtuple("Plan", "steps constants checkpoints outputs memory_tags")
 
     steps is a tuple of those step tuples; constants, the bits of each
     constant; outputs, an (output id, source slot) pair per output;
-    memory_tags, an (init_tags, their OR) pair per memory.
+    memory_tags, an (init_tags, their OR) pair per memory. The inputs are
+    three columns, one entry per input in declaration order, so a run
+    builds its input slots with a few calls over whole columns: input_ids,
+    their ids; input_masks, their types' masks; default_tags, their
+    declared default tags.
     """
 
     __slots__ = ()
@@ -166,6 +172,8 @@ _ITEM_KEYS = {
 _OP_BY_NAME = {kind.value: kind for kind in OpKind}
 _STR, _INT = frozenset({str}), frozenset({int})
 _new = tuple.__new__  # builds a record from fields already checked, skipping its constructor
+_first, _second, _third, _fourth = map(itemgetter, range(4))
+_mask = attrgetter("mask")
 
 
 def _err(diags: list[Diagnostic], loc: str, msg: str) -> None:
@@ -560,10 +568,10 @@ def lower(k: Kernel) -> Plan:
     can substitute the rule."""
     decls = (*k.inputs, *k.constants, *k.memories, *k.nodes)
     slots = {decl[0]: slot for slot, decl in enumerate(decls)}
-    types = [ty for _, ty, _ in k.inputs]  # per slot; a memory's is its MemoryDecl
-    types += [ty for _, (ty, _) in k.constants]
-    types += k.memories
-    types += [ty for _, _, _, ty in k.nodes]
+    input_types = [*map(_second, k.inputs)]
+    values = [*map(_second, k.constants)]
+    # The type per slot; a memory's is its MemoryDecl.
+    types = [*input_types, *map(_first, values), *k.memories, *map(_fourth, k.nodes)]
     # A signature holds an operand by its slot's key: the index of the slot's
     # type (a memory's: its MemoryDecl) among the kernel's distinct types, so
     # a type, or a memory with its cells, is hashed once per slot.
@@ -576,7 +584,7 @@ def lower(k: Kernel) -> Plan:
             (max(slots[a] - before, 0), cp, a, slots[a], denied_bits[p], p)
             for cp, a, p in k.checkpoints
         ],
-        key=itemgetter(0),  # stable: declaration order within a step
+        key=_first,  # stable: declaration order within a step
     )
     tag_fn = taint.tag_fn
     fns: dict[tuple, tuple] = {}  # signature -> (value_fn, union fn, precise fn)
@@ -599,10 +607,13 @@ def lower(k: Kernel) -> Plan:
         steps.append((out, f[0], x, y, z, f[1], f[2]))
     return Plan(
         steps=tuple(steps),
-        constants=tuple([value.bits for _, value in k.constants]),
+        constants=tuple(map(_second, values)),
         checkpoints=Checkpoints(*(tuple(zip(*rows)) or ((),) * len(Checkpoints._fields))),
         outputs=tuple([(oid, slots[source]) for oid, source in k.outputs]),
         memory_tags=tuple([(m.init_tags, reduce(or_, m.init_tags, 0)) for m in k.memories]),
+        input_ids=tuple(map(_first, k.inputs)),
+        input_masks=tuple(map(_mask, input_types)),
+        default_tags=tuple(map(_third, k.inputs)),
     )
 
 

@@ -175,9 +175,12 @@ def _values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None = None)
         if diags is not None:
             diags.append(Diagnostic("warning", loc, msg))
 
-    if diags is not None:  # unknown ids warn in the inputs document's order
-        known = {i.id for i in k.inputs}
-        for unknown in inputs.values:
+    plan, given = k.plan, inputs.values
+    if diags is not None:
+        # Unknown ids warn in the inputs document's order, then unassigned
+        # inputs in declaration order.
+        known = set(plan.input_ids)
+        for unknown in given:
             if unknown not in known:
                 warn(unknown, "value for unknown input ignored")
         for unknown in inputs.tags:
@@ -187,14 +190,11 @@ def _values(k: Kernel, inputs: RunInputs, diags: list[Diagnostic] | None = None)
         for unknown in inputs.memory:
             if unknown not in known_memories:
                 warn(unknown, "override for unknown memory ignored")
+        for iid in plan.input_ids:
+            if iid not in given:
+                warn(iid, "input not assigned; defaulting to 0")
 
-    vals: list = []
-    for inp in k.inputs:
-        if inp.id in inputs.values:
-            vals.append(inputs.values[inp.id] & inp.ty.mask)
-        else:
-            warn(inp.id, "input not assigned; defaulting to 0")
-            vals.append(0)
+    vals = list(map(and_, map(given.get, plan.input_ids, itertools.repeat(0)), plan.input_masks))
     vals += k.plan.constants
     for m in k.memories:
         override = inputs.memory.get(m.id)
@@ -223,17 +223,11 @@ def _cells(size: int, head) -> list:
 
 def _input_tags(k: Kernel, tags: dict, tag_in: int = 0) -> list:
     """Tag bits of every input: its entry in tags, else a nonzero
-    REG_TAG_IN word tag_in, else the declared default."""
-    mask = (1 << k.tag_width) - 1
-    input_tags: list = []
-    for inp in k.inputs:
-        if inp.id in tags:
-            input_tags.append(tags[inp.id] & mask)
-        elif tag_in:
-            input_tags.append(tag_in & mask)
-        else:
-            input_tags.append(inp.default_tag)
-    return input_tags
+    REG_TAG_IN word tag_in, else the declared default, cut to the tag width."""
+    plan = k.plan
+    fallback = itertools.repeat(tag_in) if tag_in else plan.default_tags
+    mask = itertools.repeat((1 << k.tag_width) - 1)
+    return list(map(and_, map(tags.get, plan.input_ids, fallback), mask))
 
 
 def _init_tags(k: Kernel, input_tags: list, memory_tags) -> list:

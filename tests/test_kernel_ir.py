@@ -674,6 +674,73 @@ def test_emit_dot_escapes_quotes_and_backslashes():
     assert r'"c:cp\\0" [shape=diamond, label="cp\\0: p\"\\q"];' in plain
 
 
+# Every string position emit_dot writes, each holding its own placeholder.
+# The arguments, the output's source and the checkpoint's argument name no
+# declaration, so each string is written only where its position puts it.
+DOT_POSITIONS = {
+    "kernel-name": "P00",
+    "input-id": "P01",
+    "constant-id": "P02",
+    "memory-id": "P03",
+    "two-operand-node-id": "P04",
+    "two-operand-node-arg-0": "P05",
+    "two-operand-node-arg-1": "P06",
+    "one-operand-node-id": "P07",
+    "one-operand-node-arg": "P08",
+    "store-id": "P09",
+    "store-memory": "P10",
+    "store-address": "P11",
+    "store-value": "P12",
+    "mux-id": "P13",
+    "mux-selector": "P14",
+    "mux-arg-1": "P15",
+    "mux-arg-2": "P16",
+    "checkpoint-id": "P17",
+    "checkpoint-arg": "P18",
+    "checkpoint-policy": "P19",
+    "output-id": "P20",
+    "output-source": "P21",
+}
+
+
+def positions_kernel(at: str = "", text: str = "") -> Kernel:
+    """The kernel of DOT_POSITIONS, text in place of the placeholder at.
+    validate rejects it; emit_dot draws it all the same."""
+    def s(placeholder):
+        return text if placeholder == at else placeholder
+
+    s4 = BitType(4, True)
+    return Kernel(
+        name=s("P00"),
+        tag_width=2,
+        inputs=(InputDecl(s("P01"), U4, 1),),
+        constants=(ConstDecl(s("P02"), BitValue(s4, 13)),),
+        memories=(MemoryDecl(s("P03"), 4, U4),),
+        nodes=(
+            Node(s("P04"), OpKind.ADD, (s("P05"), s("P06")), U4),
+            Node(s("P07"), OpKind.NOT, (s("P08"),), U4),
+            Node(s("P09"), OpKind.STORE, (s("P10"), s("P11"), s("P12"))),
+            Node(s("P13"), OpKind.MUX, (s("P14"), s("P15"), s("P16")), U4),
+        ),
+        checkpoints=(CheckpointDecl(s("P17"), s("P18"), s("P19")),),
+        outputs=(OutputDecl(s("P20"), s("P21")),),
+    )
+
+
+@pytest.mark.parametrize("view", ["plain", "instrumented"])
+@pytest.mark.parametrize("at", DOT_POSITIONS.values(), ids=DOT_POSITIONS.keys())
+def test_emit_dot_escapes_a_string_at_each_position_on_its_own(at, view):
+    # The drawing of a kernel whose only string with a quote and a
+    # backslash is at one position is the drawing with a plain placeholder
+    # there, and that placeholder's text escaped.
+    def draw(k):
+        return emit_dot(k if view == "plain" else instrument(k, cfg_for(k)))
+
+    plain = draw(positions_kernel())
+    assert at in plain
+    assert draw(positions_kernel(at, 'q"\\')) == plain.replace(at, r"q\"\\")
+
+
 def test_emit_dot_draws_a_typed_store_as_a_store():
     # A store that declares a result type (invalid) is drawn as any store,
     # though emit_dot words a node's label once per (op, type).
@@ -682,6 +749,14 @@ def test_emit_dot_draws_a_typed_store_as_a_store():
     assert emit_dot(typed) == emit_dot(INVALID_KERNEL)
     cfg = cfg_for(typed)
     assert emit_dot(instrument(typed, cfg)) == emit_dot(instrument(INVALID_KERNEL, cfg))
+    # A store of two arguments draws them and its edge back to its first,
+    # like a store of three, not like a two-operand node.
+    short = INVALID_KERNEL._replace(nodes=(Node("st", OpKind.STORE, ("n", "a")),))
+    plain, tagged = dot_body(emit_dot(short)), dot_body(emit_dot(instrument(short, cfg)))
+    edges = ['  "v:n" -> "v:st";', '  "v:a" -> "v:st";', '  "v:st" -> "v:n";']
+    assert [line for line in plain if line in edges] == edges
+    tag_edges = [e.replace('"v:', '"t:').replace(";", " [style=dashed, color=gray40];") for e in edges]
+    assert [line for line in tagged if line in tag_edges] == tag_edges
 
 
 def test_lower_specialises_each_distinct_signature_once(monkeypatch):

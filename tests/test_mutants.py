@@ -13,7 +13,7 @@ spec.loader.exec_module(mutants)
 
 
 def test_the_catalogue_names_each_mutant_once():
-    assert [entry[0] for entry in mutants.MUTANTS] == [f"M{i}" for i in range(1, 52)]
+    assert [entry[0] for entry in mutants.MUTANTS] == [f"M{i}" for i in range(1, 55)]
 
 
 @pytest.mark.parametrize("entry", mutants.MUTANTS, ids=[entry[0] for entry in mutants.MUTANTS])
@@ -21,3 +21,13 @@ def test_each_mutant_old_text_occurs_exactly_once(entry):
     _, file, old, new, claim = entry
     text = (ROOT / file).read_text(encoding="utf-8")
     assert text.count(old) == 1 and old != new and claim
+
+
+def test_only_an_unknown_entry_exits_2_before_anything_runs(monkeypatch, capsys):
+    def refused(*args):
+        raise AssertionError("ran before the names were checked")
+
+    monkeypatch.setattr(mutants, "git", refused)
+    monkeypatch.setattr(mutants, "run_mutant", refused)
+    assert mutants.main(["--only", "M23,M99,nope"]) == 2
+    assert capsys.readouterr().out == "unknown mutants: M99 nope\n"

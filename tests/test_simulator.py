@@ -15,6 +15,7 @@ from diftsim import (
     BitType,
     BitValue,
     CoarseBoundary,
+    Diagnostic,
     DiftConfig,
     DiftError,
     DiftValue,
@@ -181,6 +182,41 @@ def test_missing_input_defaults_to_zero_with_warning():
     got = run_baseline(kernel, RunInputs(values={"a": 3}), diags)
     assert got == {"out": 3}
     assert any(d.severity == "warning" and d.location == "b" for d in diags)
+
+
+def test_run_warnings_list_unknown_ids_then_unassigned_inputs():
+    # The unknown value, tag and memory ids in the inputs document's order,
+    # then the inputs left unassigned in declaration order.
+    u4 = {"width": 4}
+    kernel = parsed(
+        {
+            "name": "warned",
+            "tag_width": 2,
+            "inputs": [{"id": "c", **u4}, {"id": "b", **u4}, {"id": "a", **u4}],
+            "memories": [{"id": "m", "size": 2, **u4}],
+            "nodes": [{"id": "s", "op": "add", "args": ["a", "b"], **u4}],
+            "outputs": [{"id": "out", "source": "s"}],
+        }
+    )
+    ri = RunInputs(
+        values={"zz": 1, "b": 2, "yy": 3},
+        tags={"ww": 1, "c": 1, "xx": 2},
+        memory={"vv": [1], "m": [3], "uu": []},
+    )
+    expected = [
+        ("zz", "value for unknown input ignored"),
+        ("yy", "value for unknown input ignored"),
+        ("ww", "tag for unknown input ignored"),
+        ("xx", "tag for unknown input ignored"),
+        ("vv", "override for unknown memory ignored"),
+        ("uu", "override for unknown memory ignored"),
+        ("c", "input not assigned; defaulting to 0"),
+        ("a", "input not assigned; defaulting to 0"),
+    ]
+    for run in (run_baseline, lambda k, ri, diags: run_dift(k, ri, fine(2), diags=diags)):
+        diags = []
+        run(kernel, ri, diags)
+        assert diags == [Diagnostic("warning", loc, msg) for loc, msg in expected]
 
 
 def test_out_of_bounds_store_names_node_and_step():

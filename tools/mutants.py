@@ -4,6 +4,7 @@ semantic mutants.
 
     python3 tools/mutants.py              # on HEAD
     python3 tools/mutants.py --rev REV
+    python3 tools/mutants.py --only M23,M52   # the control and these entries
 
 REV is anything `git rev-parse` accepts; to check uncommitted work,
 stage it and pass the commit `git stash create` prints. Each entry of
@@ -18,6 +19,11 @@ since a mutant may ask for huge ints, and its time at ten minutes. The tool firs
 is, then prints one line per mutant with the first test that failed. It
 exits 1 if any mutant survived, and 2 if tier-1 fails without a mutant
 or an entry's old text does not occur exactly once in REV.
+
+--only runs the control and the named entries only, and still checks
+every entry's old text; a name not in MUTANTS exits 2 before anything
+runs. It is for checking entries a change re-points; the full run is
+the gate.
 """
 
 from __future__ import annotations
@@ -91,8 +97,9 @@ MUTANTS = [
     ("M22", KERNEL_IR, "_new(BitValue, (ty, value & ty.mask))", "_new(BitValue, (ty, value))",
      "a parsed constant's bits are its value wrapped to its type"),
     ("M23", DOT,
-     "i = esc[iid] = _esc(iid)\n        t = names.get(ty) or names.setdefault(ty, str(ty))",
-     "i = esc[iid] = _esc(iid)\n        t = names.get(ty.width) or names.setdefault(ty.width, str(ty))",
+     "t = names.get(ty) or names.setdefault(ty, str(ty))\n        vnodes.append(f'  \"v:{i}\" [shape=ellipse",
+     "t = names.get(ty.width) or names.setdefault(ty.width, str(ty))\n"
+     "        vnodes.append(f'  \"v:{i}\" [shape=ellipse",
      "emit_dot labels an input with its own type"),
     # Runs: the value pass, the replay and the halting cut.
     ("M24", BITVALUE, "return cells[i] & mask", "return cells[i]",
@@ -122,9 +129,9 @@ MUTANTS = [
      "a halting run stops at a trap"),
     ("M36", SIMULATOR, "vals += k.plan.constants", "vals += [0] * len(k.plan.constants)",
      "a value pass holds the kernel's constants"),
-    ("M37", SIMULATOR, '            warn(inp.id, "input not assigned; defaulting to 0")\n', "",
-     "an input left unassigned is a warning"),
-    ("M38", SIMULATOR, "elif tag_in:", "elif False:",
+    ("M37", SIMULATOR, '                warn(iid, "input not assigned; defaulting to 0")\n',
+     "                pass\n", "an input left unassigned is a warning"),
+    ("M38", SIMULATOR, "repeat(tag_in) if tag_in else", "repeat(tag_in) if False else",
      "a nonzero REG_TAG_IN word tags the inputs left untagged"),
     ("M39", SIMULATOR, "if value != ovalue:", "if False:",
      "check compares the optimized output values with the baseline's"),
@@ -145,7 +152,7 @@ MUTANTS = [
     # The survivors of the first run-level probe, each with its own test.
     ("M46", SIMULATOR, "if bad or denied:", "if bad:",
      "fuzz closure counts a checkpoint's denial"),
-    ("M47", SIMULATOR, "tags[inp.id] & mask", "tags[inp.id]",
+    ("M47", SIMULATOR, "mask = itertools.repeat((1 << k.tag_width) - 1)", "mask = itertools.repeat(-1)",
      "an input tag is cut to the kernel's tag width"),
     ("M48", SIMULATOR, "if tag != otag:", "if tag & ~otag:",
      "check reports an optimized output tag that gains bits"),
@@ -157,6 +164,12 @@ MUTANTS = [
      "fuzz closure runs start every memory from zero tags"),
     ("M51", SIMULATOR, "trap = _execute(k, vals, walked, stop)", "trap = _execute(k, vals, walked)",
      "a replay extends its value pass only to the step it stops at"),
+    # DOT escaping is decided once per kernel, over every string it writes.
+    ("M52", DOT, "            chain.from_iterable(map(itemgetter(2), k.nodes)),\n", "",
+     "emit_dot escapes a node argument that names no declaration"),
+    ("M53", DOT, "            chain.from_iterable(k.outputs),\n", "",
+     "emit_dot escapes an output's id and source"),
+    ("M54", DOT, "            (k.name,),\n", "", "emit_dot escapes the kernel name"),
 ]
 # Tier-1 but for tests/test_mutants.py, whose check of the old texts every
 # mutant fails.
@@ -203,7 +216,16 @@ def main(argv: list[str] | None = None) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     ap.add_argument("--rev", default="HEAD")
+    ap.add_argument("--only", help="comma-separated entry names, e.g. M23,M52")
     args = ap.parse_args(argv)
+    chosen = MUTANTS
+    if args.only is not None:
+        names = args.only.split(",")
+        unknown = sorted(set(names) - {entry[0] for entry in MUTANTS})
+        if unknown:
+            print(f"unknown mutants: {' '.join(unknown)}")
+            return 2
+        chosen = [entry for entry in MUTANTS if entry[0] in names]
     sha = git("rev-parse", "--verify", args.rev + "^{commit}").decode().strip()
     archive = git("archive", "--format=tar", sha)
     for name, file, old, _, _ in MUTANTS:
@@ -215,16 +237,16 @@ def main(argv: list[str] | None = None) -> int:
     if control != "survived":
         print(f"tier-1 fails at {sha[:12]} without a mutant: {control}")
         return 2
-    print(f"# {len(MUTANTS)} mutants on {sha[:12]}, whose tier-1 passes", flush=True)
+    print(f"# {len(chosen)} mutants on {sha[:12]}, whose tier-1 passes", flush=True)
     survived = []
-    for entry in MUTANTS:
+    for entry in chosen:
         started = time.monotonic()
         verdict = run_mutant(archive, entry)
         print(f"{entry[0]:4} {time.monotonic() - started:5.1f}s  {entry[1]}: {entry[4]}: "
               f"{verdict}", flush=True)
         if verdict == "survived":
             survived.append(entry[0])
-    print(f"killed {len(MUTANTS) - len(survived)}/{len(MUTANTS)}"
+    print(f"killed {len(chosen) - len(survived)}/{len(chosen)}"
           + (f"; survived: {' '.join(survived)}" if survived else ""))
     return 1 if survived else 0
 
